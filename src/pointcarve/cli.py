@@ -15,7 +15,7 @@ import numpy as np
 
 from .carving import CarveModelParams
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
-from .cloud import PointCloud, compute_bounds
+from .cloud import PointCloud
 from .config import RunConfig
 from .gradcheck import run_all
 from .metrics import TrackedSequence, consistency, evaluate, sensitivity_sweep
@@ -111,8 +111,7 @@ def _cmd_complete(args) -> int:
     params, meta = load_checkpoint(args.ckpt)
     config = _config_for_checkpoint(params, meta)
     partial = load_cloud(args.infile)
-    range = compute_bounds(partial, config.bounds_padding_partial, config.eps_box_frac)
-    _, dense = complete_cloud(partial, params, config, range=range)
+    _, dense = complete_cloud(partial, params, config)
     write_xyz(args.out, dense)
     _err(f"completed {len(partial)} -> {len(dense)} points: {args.out}")
     return 0

@@ -7,6 +7,7 @@ from pointcarve import (
     CarveModelConfig,
     CarveModelParams,
     CheckpointMeta,
+    PointCloud,
     RunConfig,
     save_checkpoint,
 )
@@ -167,6 +168,20 @@ class TestExitCodes:
         code = main(["complete", "--ckpt", str(tmp_path / "none.ckpt"),
                      "--in", str(tmp_path / "none.xyz"), "--out", str(tmp_path / "o.xyz")])
         assert code == 1
+
+    def test_single_point_partial_is_runtime_error(self, trained, tmp_path, capsys):
+        # A one-point partial has no extent to derive a block range from.
+        _, ckpt = trained
+        src = tmp_path / "one.xyz"
+        write_xyz(src, PointCloud(np.array([[0.1, 0.2, 0.3]])))
+        capsys.readouterr()
+        code = main(["complete", "--ckpt", str(ckpt), "--in", str(src),
+                     "--out", str(tmp_path / "o.xyz")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "Traceback" not in err[0]
+        assert not (tmp_path / "o.xyz").exists()
 
     def test_check_grads_passes(self):
         assert main(["check-grads", "--seed", "7"]) == 0
