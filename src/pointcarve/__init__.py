@@ -38,7 +38,14 @@ from .gridding import (
     gridding_reverse,
     gridding_reverse_grad,
 )
-from .losses import LossBreakdown, chamfer, chamfer_grad, loss_comp, loss_sim
+from .losses import (
+    LossBreakdown,
+    chamfer,
+    chamfer_and_grad,
+    chamfer_grad,
+    loss_comp,
+    loss_sim,
+)
 from .metrics import (
     EvalReport,
     TrackedSequence,
@@ -76,7 +83,7 @@ __all__ = [
     "RefineHeadParams", "RunConfig", "SensorPose", "SyntheticShapeSpec",
     "TrackedSequence", "VisibilityConfig", "VoxelGrid",
     "build_point_block", "cd_scaled", "cell_conv", "cell_conv_grads",
-    "chamfer", "chamfer_grad", "complete_cloud", "compute_bounds",
+    "chamfer", "chamfer_and_grad", "chamfer_grad", "complete_cloud", "compute_bounds",
     "consistency", "engrave", "evaluate", "feature_sample",
     "feature_sample_grad", "frustum_cull", "gen_shape", "generate_partials",
     "gridding", "gridding_reverse", "gridding_reverse_grad",

@@ -235,9 +235,15 @@ def _cell_conv_values(g: np.ndarray, kern: np.ndarray, K: int) -> np.ndarray:
 
 
 def cell_conv_grads(
-    block_grid: VoxelGrid, kernels: KernelField, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact adjoints of cell_conv w.r.t. (grid values, kernel values)."""
+    block_grid: VoxelGrid, kernels: KernelField, upstream: np.ndarray, *, grid_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Exact adjoints of cell_conv w.r.t. (grid values, kernel values).
+
+    With grid_grad=False the grid gradient is skipped (None in its place),
+    for callers that only train the kernels. The kernel gradient is built
+    tap by tap in contiguous (K^3, H, W, M) planes and returned as an
+    (H, W, M, K^3) view of them.
+    """
     g = block_grid.values
     if kernels.resolution != g.shape:
         raise ValueError("kernel field resolution does not match grid resolution")
@@ -248,12 +254,16 @@ def cell_conv_grads(
     K = kernels.kernel_size
     r = K // 2
     gp = np.pad(g, r)
-    grad_gp = np.zeros_like(gp)
-    grad_kern = np.empty_like(kernels.values)
+    grad_gp = np.zeros_like(gp) if grid_grad else None
+    planes = np.empty((K**3, H, W, M), kernels.values.dtype)
     for idx, (dx, dy, dz) in enumerate(kernel_offsets(K)):
         sl = (slice(r + dx, r + dx + H), slice(r + dy, r + dy + W), slice(r + dz, r + dz + M))
-        grad_kern[..., idx] = upstream * gp[sl]
-        grad_gp[sl] += upstream * kernels.values[..., idx]
+        np.multiply(upstream, gp[sl], out=planes[idx])
+        if grid_grad:
+            grad_gp[sl] += upstream * kernels.values[..., idx]
+    grad_kern = np.moveaxis(planes, 0, -1)
+    if not grid_grad:
+        return None, grad_kern
     crop = slice(r, -r) if r else slice(None)
     return grad_gp[crop, crop, crop], grad_kern
 
@@ -278,7 +288,7 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     dec_pres = []
     dec_cats = []
     for e in range(cfg.stages, 0, -1):
-        cat = np.concatenate([nn.upsample2(y), skips[e - 1]], axis=-1)
+        cat = nn.upsample2_concat(y, skips[e - 1])
         pre = nn.conv3(cat, t[f"dec{e}.w"], t[f"dec{e}.b"])
         dec_cats.append(cat)
         dec_pres.append(pre)
@@ -327,7 +337,9 @@ def _unet_backward(
         )
         d_act = d_in + d_skips[e - 1]
     d_pre = nn.leaky_relu_grad(cache["pres"][0], d_act)
-    _, grads["stem.w"], grads["stem.b"] = nn.conv3_grads(cache["x"], t["stem.w"], d_pre)
+    _, grads["stem.w"], grads["stem.b"] = nn.conv3_grads(
+        cache["x"], t["stem.w"], d_pre, input_grad=False
+    )
     return grads
 
 

@@ -71,6 +71,9 @@ class FeatureGrid:
 # keeps the adjoint plumbing free of wrapper churn.
 GridGradient = np.ndarray
 
+# The 8 corners (dx, dy, dz) of a cell, corner k = dx*4 + dy*2 + dz.
+_CORNERS = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+
 
 def _vertex_coords(points: np.ndarray, resolution, range: BoundingRange):
     """Lower vertex index i0 and in-cell fractions f for each (clamped) point."""
@@ -86,10 +89,8 @@ def _corner_weights(f: np.ndarray):
     wx = (1.0 - f[:, 0], f[:, 0])
     wy = (1.0 - f[:, 1], f[:, 1])
     wz = (1.0 - f[:, 2], f[:, 2])
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                yield dx, dy, dz, wx[dx] * wy[dy] * wz[dz]
+    for dx, dy, dz in _CORNERS:
+        yield dx, dy, dz, wx[dx] * wy[dy] * wz[dz]
 
 
 def gridding(
@@ -123,35 +124,42 @@ def _reverse_select(values: np.ndarray, m: int, threshold: float):
     the lexicographically smaller cell index) and then emitted in
     lexicographic cell order, so the output ordering does not depend on the
     score values themselves. Returns (sel_cells, corner_w, centroids):
-    (n_sel, 3) cell indices, (n_sel, 2, 2, 2) clamped corner weights and
-    (n_sel, 3) emitted positions in *index* space.
+    (n_sel, 3) cell indices, (n_sel, 8) clamped corner weights in corner
+    order dx*4 + dy*2 + dz, and (n_sel, 3) emitted positions in *index*
+    space.
+
+    A cell's total adds its 8 shifted corner slices pairwise,
+    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), the order numpy's pairwise sum
+    uses for 8 values, so totals equal a sum over a stacked corner axis bit
+    for bit. The m-th highest total comes from `np.partition`; every cell
+    above it is kept, and cells equal to it fill the remaining places in
+    lexicographic order.
     """
     H, W, M = values.shape
     w = np.maximum(values - threshold, 0.0)
-    # Clamped corner weights per cell, stacked as (H-1, W-1, M-1, 2, 2, 2).
-    corners = np.empty((H - 1, W - 1, M - 1, 2, 2, 2), dtype=values.dtype)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                corners[..., dx, dy, dz] = w[
-                    dx : dx + H - 1, dy : dy + W - 1, dz : dz + M - 1
-                ]
-    total = corners.reshape(H - 1, W - 1, M - 1, 8).sum(axis=3)
-    qual = np.argwhere(total > 0)
+    c = [w[dx : dx + H - 1, dy : dy + W - 1, dz : dz + M - 1] for dx, dy, dz in _CORNERS]
+    total = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    flat_total = total.ravel()
+    # Flat C-order indices are lexicographic in (i, j, k).
+    qual = np.flatnonzero(flat_total > 0)
     if len(qual) == 0:
         raise ValueError("empty carve result")
-    scores = total[qual[:, 0], qual[:, 1], qual[:, 2]]
-    order = np.lexsort((qual[:, 2], qual[:, 1], qual[:, 0], -scores))
-    sel = qual[np.sort(order[: min(m, len(order))])]
-    corner_w = corners[sel[:, 0], sel[:, 1], sel[:, 2]]
-    wsum = corner_w.reshape(len(sel), 8).sum(axis=1)
+    if m < len(qual):
+        scores = flat_total[qual]
+        kth = np.partition(scores, len(scores) - m)[len(scores) - m]
+        above = scores > kth
+        ties = np.flatnonzero(scores == kth)[: m - int(above.sum())]
+        above[ties] = True
+        qual = qual[above]
+    sel = np.stack(np.unravel_index(qual, total.shape), axis=1)
+    corner_w = np.stack(
+        [w[sel[:, 0] + dx, sel[:, 1] + dy, sel[:, 2] + dz] for dx, dy, dz in _CORNERS], axis=1
+    )
+    wsum = flat_total[qual]
     # Centroid in index space: cell corner (i+dx, j+dy, k+dz) weighted mean.
     frac = np.zeros((len(sel), 3), dtype=np.float64)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                cw = corner_w[:, dx, dy, dz]
-                frac += cw[:, None] * np.array([dx, dy, dz], dtype=np.float64)
+    for k, d in enumerate(_CORNERS):
+        frac += corner_w[:, k, None] * np.array(d, dtype=np.float64)
     frac /= wsum[:, None]
     centroids = sel.astype(np.float64) + frac
     return sel, corner_w, centroids
@@ -199,21 +207,17 @@ def gridding_reverse_grad(
     np.add.at(up, np.arange(m) % n_sel, upstream[:m])
 
     scale = grid.range.extent / (np.asarray(values.shape) - 1)
-    wsum = corner_w.reshape(n_sel, 8).sum(axis=1)
+    wsum = corner_w.sum(axis=1)
     grad = np.zeros_like(values)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                corner = sel + np.array([dx, dy, dz])
-                # World-space corner minus emitted point, per axis.
-                diff = (corner.astype(np.float64) - centroids) * scale
-                contrib = (up * diff).sum(axis=1) / wsum
-                contrib = np.where(corner_w[:, dx, dy, dz] > 0, contrib, 0.0)
-                np.add.at(
-                    grad,
-                    (corner[:, 0], corner[:, 1], corner[:, 2]),
-                    contrib,
-                )
+    for k, d in enumerate(_CORNERS):
+        corner = sel + np.array(d)
+        # World-space corner minus emitted point, per axis.
+        diff = (corner.astype(np.float64) - centroids) * scale
+        contrib = (up * diff).sum(axis=1) / wsum
+        contrib[corner_w[:, k] <= 0] = 0.0
+        # The selected cells are distinct, so are their k-th corners: a
+        # fancy-index += adds each contribution once, as np.add.at would.
+        grad[corner[:, 0], corner[:, 1], corner[:, 2]] += contrib
     return grad.astype(grid.values.dtype, copy=False)
 
 
@@ -251,7 +255,9 @@ def feature_sample_grad(
     flat = grad.reshape(-1, F)
     for dx, dy, dz, w in _corner_weights(f):
         idx = ((i0[:, 0] + dx) * W + (i0[:, 1] + dy)) * M + (i0[:, 2] + dz)
-        np.add.at(flat, idx, w[:, None] * upstream)
+        # Cast before scattering: np.add.at is many times slower when it
+        # has to cast each float64 contribution to a float32 grid itself.
+        np.add.at(flat, idx, (w[:, None] * upstream).astype(flat.dtype, copy=False))
     return grad
 
 

@@ -30,6 +30,18 @@ allocates a copy of each tap's shifted view of the input.
   (stride 1, C_in = 1), where every tap product is a matrix-vector product.
 - 27 GEMMs on copied tap views, for the stride-2 encoders and the smallest
   decoder grids. An im2col backward was no faster there.
+
+Each of them skips the input gradient when called with input_grad=False,
+as the stem is: its input is the partial cloud's grid, which has no
+parameters. Every bias gradient is a GEMV with a vector of ones.
+
+The elementwise layers avoid temporaries and `np.where`, which on float
+arrays runs several times slower than `np.maximum`, while keeping the
+reference forms' results bit for bit: `leaky_relu` is max(x, slope*x) and its
+gradient scales by max(sign(x), slope); `conv1` and `linear` add the bias in
+place; `upsample2_concat` writes the upsampled copies straight into the
+concatenation, and `upsample2_grad` adds the 8 copies in the order numpy's
+sum over them uses.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ SINGLE_CHANNEL_CHUNK_ROWS = 16384
 FLAT_GRADS_MAX_WASTE = 8
 
 _TAPS = tuple(itertools.product(range(3), repeat=3))
+_TAPS_2 = tuple(itertools.product(range(2), repeat=3))
 
 
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -70,11 +83,14 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.nd
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, LEAKY_SLOPE * x)
+    # Equals np.where(x > 0, x, LEAKY_SLOPE * x), signed zeros included,
+    # at a fraction of its cost.
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def leaky_relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    return upstream * np.where(x > 0, 1.0, LEAKY_SLOPE).astype(x.dtype)
+    # The slope is 1 where x > 0 and LEAKY_SLOPE elsewhere (sign 0 or -1).
+    return upstream * np.maximum(np.sign(x), LEAKY_SLOPE)
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -149,17 +165,25 @@ def _conv3_im2col(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> n
 
 
 def conv3_grads(
-    x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv3 w.r.t. (input, weights, bias)."""
-    up = upstream.reshape(-1, w.shape[-1])
-    # As a GEMV: sum(axis=0) over channels-last rows is 7-16x slower.
-    gb = np.ones(len(up), up.dtype) @ up
+    x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int = 1, *,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of conv3 w.r.t. (input, weights, bias).
+
+    With input_grad=False the input gradient is neither computed nor
+    returned (None in its place), for a layer whose input is not trained.
+    """
+    gb = _bias_grad(upstream.reshape(-1, w.shape[-1]))
     if stride == 1 and x.shape[-1] == 1:
-        return (*_conv3_single_channel_grads(x, w, upstream), gb)
+        return (*_conv3_single_channel_grads(x, w, upstream, input_grad), gb)
     if _uses_flat(x, stride) and _flat_grads_waste(x, w) < FLAT_GRADS_MAX_WASTE:
-        return (*_conv3_flat_grads(x, w, upstream), gb)
-    return (*_conv3_shifted_grads(x, w, upstream, stride), gb)
+        return (*_conv3_flat_grads(x, w, upstream, input_grad), gb)
+    return (*_conv3_shifted_grads(x, w, upstream, stride, input_grad), gb)
+
+
+def _bias_grad(up: np.ndarray) -> np.ndarray:
+    """Column sums of (rows, C) as a GEMV: sum(axis=0) is 3-16x slower."""
+    return np.ones(len(up), up.dtype) @ up
 
 
 def _flat_grads_waste(x: np.ndarray, w: np.ndarray) -> float:
@@ -173,7 +197,7 @@ def _flat_grads_waste(x: np.ndarray, w: np.ndarray) -> float:
     return (_flat_rows(H, W, M) / (H * W * M) - 1) * w.shape[-1]
 
 
-def _conv3_flat_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
+def _conv3_flat_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray, input_grad: bool):
     cin, cout = w.shape[-2:]
     flat, offsets, rows = _flat_layout(x)
     # The padded upstream in the same row layout: output row r sits at
@@ -189,13 +213,17 @@ def _conv3_flat_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
         for k, o in enumerate(offsets):
             np.matmul(flat[s + o : e + o].T, u, out=part)
             gtaps[k] += part
+    if not input_grad:
+        return None, gw
     # The input gradient is the same convolution of the upstream with the
     # taps mirrored on all three axes and C_in, C_out swapped.
     gx = _conv3_flat(upstream, w[::-1, ::-1, ::-1].swapaxes(3, 4), None)
     return gx, gw
 
 
-def _conv3_single_channel_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
+def _conv3_single_channel_grads(
+    x: np.ndarray, w: np.ndarray, upstream: np.ndarray, input_grad: bool
+):
     # Stride 1, C_in = 1, on the flat padded layout. Every tap product is a
     # matrix-vector product; over channels-last upstream rows of C_out values
     # these run 2-3x slower than over one channel's contiguous row, so the
@@ -220,31 +248,41 @@ def _conv3_single_channel_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarr
         for k, o in enumerate(offsets):
             np.matmul(u, xs[s + o : e + o], out=part_w)
             gw[k] += part_w
-            # Input voxel r receives tap k from output row r + 1 - d_k:
-            # the mirrored tap 26 - k read at offset o of the padded upstream.
-            np.matmul(taps[26 - k], upT[:, s + o : e + o], out=part)
-            acc += part
+            if input_grad:
+                # Input voxel r receives tap k from output row r + 1 - d_k: the
+                # mirrored tap 26 - k read at offset o of the padded upstream.
+                np.matmul(taps[26 - k], upT[:, s + o : e + o], out=part)
+                acc += part
+    if not input_grad:
+        return None, gw.reshape(w.shape)
     return gx.reshape(H, W + 2, M + 2)[:, :W, :M, None], gw.reshape(w.shape)
 
 
-def _conv3_shifted_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int):
+def _conv3_shifted_grads(
+    x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int, input_grad: bool
+):
     H, W, M, cin = x.shape
     up = upstream.reshape(-1, w.shape[-1])
     xp = _pad(x)
-    gxp = np.zeros_like(xp)
+    gxp = np.zeros_like(xp) if input_grad else None
     gw = np.zeros_like(w)
     for dx, dy, dz in _TAPS:
         window = (slice(dx, dx + H, stride), slice(dy, dy + W, stride), slice(dz, dz + M, stride))
         sl = np.ascontiguousarray(xp[window]).reshape(-1, cin)
         gw[dx, dy, dz] = sl.T @ up
-        gxp[window] += (up @ w[dx, dy, dz].T).reshape(*upstream.shape[:3], cin)
+        if input_grad:
+            gxp[window] += (up @ w[dx, dy, dz].T).reshape(*upstream.shape[:3], cin)
+    if not input_grad:
+        return None, gw
     return gxp[1:-1, 1:-1, 1:-1], gw
 
 
 def conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise (1x1x1) convolution."""
     H, W, M, cin = x.shape
-    out = x.reshape(-1, cin) @ w + b
+    out = x.reshape(-1, cin) @ w
+    # In place: `@ w + b` allocates a second result array.
+    out += b
     return out.reshape(H, W, M, -1)
 
 
@@ -253,22 +291,44 @@ def conv1_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
     up = upstream.reshape(-1, w.shape[-1])
     flat = x.reshape(-1, cin)
     gx = (up @ w.T).reshape(x.shape)
-    return gx, flat.T @ up, up.sum(axis=0)
+    return gx, flat.T @ up, _bias_grad(up)
 
 
-def upsample2(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor x2 upsampling on the three spatial axes."""
-    return x.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2)
+def upsample2_concat(x: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor x2 upsampling of x on the three spatial axes, then
+    concatenated with skip on the channel axis (x's channels first).
+
+    Written straight into the result, in place of three `repeat` copies
+    and a concatenation.
+    """
+    H, W, M, c = x.shape
+    out = np.empty((2 * H, 2 * W, 2 * M, c + skip.shape[-1]), x.dtype)
+    out.reshape(H, 2, W, 2, M, 2, -1)[..., :c] = x[:, None, :, None, :, None]
+    out[..., c:] = skip
+    return out
 
 
 def upsample2_grad(upstream: np.ndarray) -> np.ndarray:
+    """Adjoint of the upsampling in `upsample2_concat`: each coarse voxel
+    sums its 8 fine copies.
+
+    The 8 copies are added one after another in C order, the order
+    `reshape(...).sum(axis=(1, 3, 5))` uses, so the result equals that sum
+    bit for bit at 2-5x its speed.
+    """
     H, W, M, c = upstream.shape
-    return upstream.reshape(H // 2, 2, W // 2, 2, M // 2, 2, c).sum(axis=(1, 3, 5))
+    v = upstream.reshape(H // 2, 2, W // 2, 2, M // 2, 2, c)
+    out = v[:, 0, :, 0, :, 0] + v[:, 0, :, 0, :, 1]
+    for dx, dy, dz in _TAPS_2[2:]:
+        out += v[:, dx, :, dy, :, dz]
+    return out
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
 def linear_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
-    return upstream @ w.T, x.T @ upstream, upstream.sum(axis=0)
+    return upstream @ w.T, x.T @ upstream, _bias_grad(upstream)

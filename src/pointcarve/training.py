@@ -32,7 +32,7 @@ from .cloud import (
 )
 from .config import RunConfig
 from .gridding import gridding_reverse_grad
-from .losses import LossBreakdown, chamfer, chamfer_grad
+from .losses import LossBreakdown, chamfer, chamfer_and_grad
 from .refine import refine, refine_grads
 from .sensoraug import VisibilityConfig, generate_partials
 
@@ -180,7 +180,9 @@ def _backward_sample(
     d_carved = gridding_reverse_grad(
         fwd.engrave.carved, config.coarse_m, config.carve_threshold, d_coarse_total
     )
-    _, d_kern = cell_conv_grads(fwd.engrave.block_grid, fwd.engrave.kernels, d_carved)
+    _, d_kern = cell_conv_grads(
+        fwd.engrave.block_grid, fwd.engrave.kernels, d_carved, grid_grad=False
+    )
     grads = _unet_backward(fwd.engrave.unet_cache, params, d_kern, d_featgrid)
     for i, (gw, gb) in enumerate(zip(head_grads.weights, head_grads.biases)):
         grads[f"refine{i}.w"] = gw
@@ -214,12 +216,9 @@ def loss_and_grads_sample(
     anchor = forward_sample(partial, range, params, config, gt, keep_cache=True)
     coarse, dense = anchor.engrave.coarse, anchor.dense
 
-    cd_coarse = chamfer(coarse, gt)
-    cd_dense = chamfer(dense, gt)
+    cd_coarse, d_coarse, _ = chamfer_and_grad(coarse, gt)
+    cd_dense, d_dense, _ = chamfer_and_grad(dense, gt)
     comp = cd_coarse + cd_dense
-
-    d_coarse, _ = chamfer_grad(coarse, gt)
-    d_dense, _ = chamfer_grad(dense, gt)
 
     sim = 0.0
     variant_cds: list[tuple[float, float]] = []
@@ -238,13 +237,10 @@ def loss_and_grads_sample(
         )
         for variant_partial in variants:
             vfwd = forward_sample(variant_partial, range, params, config, gt, keep_cache=True)
-            cd_c = chamfer(vfwd.engrave.coarse, coarse)
-            cd_q = chamfer(vfwd.dense, dense)
+            cd_c, g_vc, g_ac = chamfer_and_grad(vfwd.engrave.coarse, coarse, config.alpha)
+            cd_q, g_vq, g_aq = chamfer_and_grad(vfwd.dense, dense, config.alpha)
             sim += cd_c + cd_q
             variant_cds.append((cd_c, cd_q))
-
-            g_vc, g_ac = chamfer_grad(vfwd.engrave.coarse, coarse, upstream=config.alpha)
-            g_vq, g_aq = chamfer_grad(vfwd.dense, dense, upstream=config.alpha)
             if not config.detach_anchors:
                 d_coarse = d_coarse + g_ac
                 d_dense = d_dense + g_aq
@@ -328,6 +324,11 @@ def train_toy(
     if params is None:
         params = CarveModelParams.initialize(config.carve_config(), config.seed)
     master = params.flat().astype(np.float64)
+    # Train on tensors of our own, bitwise equal to the caller's, so no step
+    # reads the caller's arrays. perfbench's tracer names conv layers by the
+    # identity of the newest parameter sets' arrays; the caller's may have
+    # aged out of it by the time a later train_toy call starts from them.
+    params = params.with_flat(master)
     state = OptimizerState.zeros(master.size)
     rng = np.random.default_rng(config.seed)
     hyper_tail = (config.adam_beta1, config.adam_beta2, config.adam_eps)

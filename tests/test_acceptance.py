@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 4, 5, 6 and 8 train real models; the full module takes roughly
-15-20 minutes on a 2-core machine. Run `pytest tests/test_acceptance.py -v -s`
-to watch the per-criterion lines.
+Criteria 4, 5, 6 and 8 train real models; the full module takes several
+minutes on a 2-core machine. Run `pytest tests/test_acceptance.py -v -s`
+to watch the per-criterion lines. Every test here carries the `acceptance`
+marker, so `pytest -m "not acceptance"` runs the rest of the suite alone.
 """
 
 import math
@@ -33,6 +34,8 @@ from pointcarve.gradcheck import run_all
 from pointcarve.sensoraug import generate_partials
 from pointcarve.shapes import FAMILIES, SyntheticShapeSpec, gen_shape
 from pointcarve.training import train_toy, validate_params, complete_cloud
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(criterion: int, passed: bool, detail: str):

@@ -120,6 +120,22 @@ class TestCellConvGrads:
         with pytest.raises(ValueError, match="upstream"):
             cell_conv_grads(g, kern, np.zeros((5, 5, 5)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_grad_without_grid_grad(self, rng, unit_range, dtype):
+        g = VoxelGrid(rng.standard_normal((5, 6, 7)).astype(dtype), unit_range)
+        kern = KernelField(rng.standard_normal((5, 6, 7, 27)).astype(dtype), 3)
+        upstream = rng.standard_normal((5, 6, 7)).astype(dtype)
+        _, gk = cell_conv_grads(g, kern, upstream)
+        skipped, gk_only = cell_conv_grads(g, kern, upstream, grid_grad=False)
+        assert skipped is None
+        assert gk_only.dtype == dtype and gk_only.shape == kern.values.shape
+        np.testing.assert_array_equal(gk_only, gk)
+        # Tap o of cell c is upstream(c) * grid(c + o), zero outside the grid.
+        gp = np.pad(g.values, 1)
+        for idx, (dx, dy, dz) in enumerate(kernel_offsets(3)):
+            shifted = gp[1 + dx : 6 + dx, 1 + dy : 7 + dy, 1 + dz : 8 + dz]
+            np.testing.assert_array_equal(gk[..., idx], upstream * shifted)
+
 
 DESK = CarveModelConfig(
     resolution=(32, 32, 32), stages=3, base_width=8, kernel_size=3, feature_dim=32

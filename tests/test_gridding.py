@@ -14,6 +14,7 @@ from pointcarve import (
     gridding_reverse_grad,
 )
 from pointcarve.gradcheck import check_feature_sample, check_gridding_reverse
+from pointcarve.gridding import _reverse_select
 
 from conftest import random_cloud
 
@@ -106,6 +107,106 @@ class TestGriddingReverse:
         back = gridding_reverse(grid, m=1, threshold=0.0)
         diagonal = np.linalg.norm(np.ones(3) / 3.0)
         assert np.linalg.norm(back.points[0] - p[0]) <= diagonal
+
+
+def reference_reverse_select(values, m, threshold):
+    """Corner-tensor + lexsort selection, kept as the oracle.
+
+    Returns (sel, corner_w, centroids) like `_reverse_select`, with corner_w
+    flattened to (n_sel, 8) in corner order dx*4 + dy*2 + dz.
+    """
+    H, W, M = values.shape
+    w = np.maximum(values - threshold, 0.0)
+    corners = np.empty((H - 1, W - 1, M - 1, 2, 2, 2), dtype=values.dtype)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                corners[..., dx, dy, dz] = w[dx : dx + H - 1, dy : dy + W - 1, dz : dz + M - 1]
+    total = corners.reshape(H - 1, W - 1, M - 1, 8).sum(axis=3)
+    qual = np.argwhere(total > 0)
+    if len(qual) == 0:
+        raise ValueError("empty carve result")
+    scores = total[qual[:, 0], qual[:, 1], qual[:, 2]]
+    order = np.lexsort((qual[:, 2], qual[:, 1], qual[:, 0], -scores))
+    sel = qual[np.sort(order[: min(m, len(order))])]
+    corner_w = corners[sel[:, 0], sel[:, 1], sel[:, 2]].reshape(len(sel), 8)
+    wsum = corner_w.sum(axis=1)
+    frac = np.zeros((len(sel), 3), dtype=np.float64)
+    for k in range(8):
+        d = np.array([k >> 2, (k >> 1) & 1, k & 1], dtype=np.float64)
+        frac += corner_w[:, k, None] * d
+    frac /= wsum[:, None]
+    return sel, corner_w, sel.astype(np.float64) + frac
+
+
+def reference_reverse_grad(values, m, threshold, upstream, scale):
+    """The adjoint on the oracle selection, scattered with np.add.at."""
+    sel, corner_w, centroids = reference_reverse_select(values, m, threshold)
+    n_sel = len(sel)
+    up = np.zeros((n_sel, 3))
+    np.add.at(up, np.arange(m) % n_sel, upstream)
+    wsum = corner_w.sum(axis=1)
+    grad = np.zeros_like(values)
+    for k in range(8):
+        corner = sel + np.array([k >> 2, (k >> 1) & 1, k & 1])
+        diff = (corner.astype(np.float64) - centroids) * scale
+        contrib = np.where(corner_w[:, k] > 0, (up * diff).sum(axis=1) / wsum, 0.0)
+        np.add.at(grad, (corner[:, 0], corner[:, 1], corner[:, 2]), contrib)
+    return grad
+
+
+def oracle_grids(seed=99, count=120):
+    """(values, m, threshold): tie-heavy integer grids, continuous grids and
+    sparse grids, float32 and float64, with m below and above the number of
+    qualifying cells (recycling)."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        shape = tuple(int(n) for n in rng.integers(2, 10, 3))
+        dtype = (np.float32, np.float64)[t % 2]
+        kind = (t // 2) % 3
+        if kind == 0:
+            values = rng.integers(-2, 3, shape)
+        elif kind == 1:
+            values = rng.standard_normal(shape)
+        else:
+            values = rng.random(shape) * (rng.random(shape) < 0.15)
+        values = values.astype(dtype)
+        values.flat[0] = 2.0  # at least one qualifying cell
+        threshold = float(rng.choice([0.0, 0.5, 1.0, -0.25]))
+        m = int(rng.integers(1, 2 * np.prod(shape)))
+        yield values, m, threshold
+
+
+class TestReverseSelectOracle:
+    def test_cases_cover_ties_and_recycling(self):
+        ties = recycled = truncated = 0
+        for values, m, threshold in oracle_grids():
+            sel, _, _ = reference_reverse_select(values, m, threshold)
+            recycled += len(sel) < m
+            truncated += len(sel) == m
+            w = np.maximum(values - threshold, 0.0)
+            ties += len(np.unique(w)) < w.size
+        assert ties > 30 and recycled > 20 and truncated > 20
+
+    def test_matches_corner_tensor_lexsort(self):
+        for values, m, threshold in oracle_grids():
+            sel, corner_w, centroids = _reverse_select(values, m, threshold)
+            ref_sel, ref_w, ref_centroids = reference_reverse_select(values, m, threshold)
+            np.testing.assert_array_equal(sel, ref_sel)
+            assert corner_w.dtype == ref_w.dtype
+            np.testing.assert_array_equal(corner_w, ref_w)
+            np.testing.assert_array_equal(centroids, ref_centroids)
+
+    def test_grad_matches_reference(self, unit_range):
+        rng = np.random.default_rng(5)
+        for values, m, threshold in oracle_grids(seed=7, count=60):
+            upstream = rng.standard_normal((m, 3))
+            grid = VoxelGrid(values, unit_range)
+            grad = gridding_reverse_grad(grid, m, threshold, upstream)
+            scale = unit_range.extent / (np.asarray(values.shape) - 1)
+            ref = reference_reverse_grad(values.astype(np.float64), m, threshold, upstream, scale)
+            assert grad.dtype == values.dtype
+            np.testing.assert_array_equal(grad, ref.astype(values.dtype))
 
 
 class TestGriddingReverseGrad:

@@ -7,6 +7,7 @@ from pointcarve import (
     LossBreakdown,
     PointCloud,
     chamfer,
+    chamfer_and_grad,
     chamfer_grad,
     loss_comp,
     loss_sim,
@@ -98,6 +99,42 @@ class TestChamferGrad:
         g1, _ = chamfer_grad(a, b, upstream=1.0)
         g1s, _ = chamfer_grad(a, b, upstream=-2.5)
         np.testing.assert_allclose(g1s, -2.5 * g1, atol=1e-15)
+
+
+class TestChamferAndGrad:
+    def test_equals_chamfer_and_reference_gradient(self, rng):
+        for _ in range(20):
+            p1 = rng.uniform(-1, 1, (int(rng.integers(1, 120)), 3))
+            p2 = rng.uniform(-1, 1, (int(rng.integers(1, 120)), 3))
+            upstream = float(rng.uniform(-2, 2))
+            cd, g1, g2 = chamfer_and_grad(PointCloud(p1), PointCloud(p2), upstream)
+            assert cd == chamfer(PointCloud(p1), PointCloud(p2))
+            # Brute-force matching, then the gradient arithmetic written out.
+            d = ((p1[:, None, :] - p2[None, :, :]) ** 2).sum(axis=2)
+            idx12, idx21 = d.argmin(axis=1), d.argmin(axis=0)
+            t1 = 2.0 * (p1 - p2[idx12]) / len(p1)
+            t2 = 2.0 * (p2 - p1[idx21]) / len(p2)
+            r1, r2 = t1.copy(), t2.copy()
+            np.add.at(r1, idx21, -t2)
+            np.add.at(r2, idx12, -t1)
+            np.testing.assert_array_equal(g1, upstream * r1)
+            np.testing.assert_array_equal(g2, upstream * r2)
+            h1, h2 = chamfer_grad(PointCloud(p1), PointCloud(p2), upstream)
+            np.testing.assert_array_equal(h1, g1)
+            np.testing.assert_array_equal(h2, g2)
+
+    def test_one_tree_per_direction(self, rng, monkeypatch):
+        import pointcarve.losses as losses
+
+        built = []
+        real = losses.cKDTree
+        monkeypatch.setattr(losses, "cKDTree", lambda pts: built.append(1) or real(pts))
+        chamfer_and_grad(random_cloud(rng, 30), random_cloud(rng, 20))
+        assert len(built) == 2
+
+    def test_empty_errors(self, rng):
+        with pytest.raises(ValueError, match="empty input"):
+            chamfer_and_grad(random_cloud(rng, 3), PointCloud.empty())
 
 
 class TestLossTerms:

@@ -1,4 +1,5 @@
-"""nn.conv3 against a per-voxel oracle, and conv3_grads by the adjoint identity."""
+"""nn.conv3 against a per-voxel oracle, conv3_grads by the adjoint identity,
+and the elementwise layers against their reference forms."""
 
 import numpy as np
 import pytest
@@ -87,3 +88,63 @@ def test_conv3_grads_adjoint(grid, cin, cout, stride):
     assert abs(float(np.vdot(x, gx)) - lhs) <= 1e-10 * scale
     assert abs(float(np.vdot(w, gw)) - lhs) <= 1e-10 * scale
     np.testing.assert_allclose(gb, u.sum(axis=(0, 1, 2)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("grid,cin,cout,stride", CASES)
+def test_conv3_grads_without_input_grad(grid, cin, cout, stride):
+    rng = np.random.default_rng(11 + cin + stride)
+    x, w, _, u = make_case(rng, grid, cin, cout, stride, np.float32)
+    _, gw, gb = nn.conv3_grads(x, w, u, stride)
+    gx_skipped, gw_only, gb_only = nn.conv3_grads(x, w, u, stride, input_grad=False)
+    assert gx_skipped is None
+    np.testing.assert_array_equal(gw_only, gw)
+    np.testing.assert_array_equal(gb_only, gb)
+
+
+def activation_inputs(dtype):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 6, 7, 4)).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    x.flat[:6] = [0.0, -0.0, tiny, -tiny, np.finfo(dtype).max, -np.finfo(dtype).max]
+    return x, rng.standard_normal(x.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_equals_where_form(dtype):
+    x, _ = activation_inputs(dtype)
+    ref = np.where(x > 0, x, nn.LEAKY_SLOPE * x)
+    out = nn.leaky_relu(x)
+    assert out.dtype == ref.dtype
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
+
+@pytest.mark.parametrize("updtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_grad_equals_where_form(dtype, updtype):
+    x, u = activation_inputs(dtype)
+    u = u.astype(updtype)
+    u.flat[6:8] = [0.0, -0.0]
+    ref = u * np.where(x > 0, 1.0, nn.LEAKY_SLOPE).astype(x.dtype)
+    out = nn.leaky_relu_grad(x, u)
+    assert out.dtype == ref.dtype
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 6, 3), (8, 8, 8, 16), (16, 16, 16, 8)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample2_concat_and_grad(shape, dtype):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(shape).astype(dtype)
+    skip = rng.standard_normal((2 * shape[0], 2 * shape[1], 2 * shape[2], 5)).astype(dtype)
+    ref = np.concatenate([x.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2), skip], axis=-1)
+    np.testing.assert_array_equal(nn.upsample2_concat(x, skip), ref)
+    # The adjoint, on the channel slice of a wider array as in the U-Net
+    # backward, against numpy's own sum over the 8 copies.
+    wide = (rng.standard_normal(ref.shape) * 10.0 ** rng.uniform(-3, 3, ref.shape)).astype(dtype)
+    up = wide[..., : shape[3]]
+    H, W, M, c = up.shape
+    expected = up.reshape(H // 2, 2, W // 2, 2, M // 2, 2, c).sum(axis=(1, 3, 5))
+    np.testing.assert_array_equal(nn.upsample2_grad(up), expected)
+

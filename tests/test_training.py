@@ -130,6 +130,31 @@ class TestTrainToy:
         np.testing.assert_array_equal(p1.flat(), p2.flat())
         assert [r.format_line() for r in r1] == [r.format_line() for r in r2]
 
+    def test_steps_never_read_the_callers_tensors(self, monkeypatch):
+        from pointcarve import nn
+
+        dataset = tiny_dataset(4)
+        cfg = TINY_CFG.replace(val_count=0, max_steps=2)
+        params = CarveModelParams.initialize(cfg.carve_config(), 0)
+        before = params.flat()
+        expected, _ = train_toy(dataset, cfg, CarveModelParams.initialize(cfg.carve_config(), 0))
+        caller_ids = {id(arr) for arr in params.tensors.values()}
+        seen = []
+
+        def recording(fn):
+            def wrapper(x, w, *args, **kwargs):
+                seen.append(id(w))
+                return fn(x, w, *args, **kwargs)
+            return wrapper
+
+        # carving and refine call these through the nn module.
+        for name in ("conv3", "conv3_grads", "conv1", "conv1_grads", "linear", "linear_grads"):
+            monkeypatch.setattr(nn, name, recording(getattr(nn, name)))
+        trained, _ = train_toy(dataset, cfg, params)
+        assert len(seen) > 50 and not caller_ids.intersection(seen)
+        np.testing.assert_array_equal(params.flat(), before)
+        np.testing.assert_array_equal(trained.flat(), expected.flat())
+
     def test_max_steps_caps_updates(self):
         dataset = tiny_dataset(4)
         cfg = TINY_CFG.replace(epochs=10, max_steps=3)
