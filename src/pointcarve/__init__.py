@@ -18,7 +18,6 @@ from .carving import (
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from .cloud import (
     BoundingRange,
-    Point3,
     PointBlock,
     PointCloud,
     build_point_block,
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundingRange", "CarveModelConfig", "CarveModelParams", "CheckpointMeta",
     "EvalReport", "FeatureGrid", "KernelField", "LossBreakdown",
-    "OptimizerState", "Point3", "PointBlock", "PointCloud",
+    "OptimizerState", "PointBlock", "PointCloud",
     "RefineHeadParams", "RunConfig", "SensorPose", "SyntheticShapeSpec",
     "TrackedSequence", "VisibilityConfig", "VoxelGrid",
     "build_point_block", "cd_scaled", "cell_conv", "cell_conv_grads",

@@ -361,24 +361,29 @@ def predict_kernels(
 
 @dataclass
 class EngraveResult:
-    """Forward intermediates of `engrave`, kept for the backward pass."""
+    """Output and forward intermediates of `engrave`, kept for the backward."""
 
     coarse: PointCloud
     features: FeatureGrid
     block_grid: VoxelGrid
-    partial_grid: VoxelGrid
     kernels: KernelField
     carved: VoxelGrid
     unet_cache: dict | None
 
 
-def engrave_forward(
+def engrave(
     block: PointBlock,
     params: CarveModelParams,
     m: int,
     threshold: float = 0.0,
     keep_cache: bool = False,
 ) -> EngraveResult:
+    """Carve the block into a coarse cloud of exactly m points.
+
+    Composition of gridding (block and partial, sharing the block's range),
+    kernel prediction, cell-wise convolution and gridding reverse. With
+    keep_cache the encoder-decoder's activations are kept for `_unet_backward`.
+    """
     cfg = params.config
     block_grid = gridding(
         PointCloud(block.all_points()), cfg.resolution, block.range, cfg.np_dtype
@@ -387,31 +392,11 @@ def engrave_forward(
     kern_vals, feat_vals, cache = _unet_forward(partial_grid.values, params, keep_cache)
     kernels = KernelField(kern_vals, cfg.kernel_size)
     carved = cell_conv(block_grid, kernels)
-    coarse = gridding_reverse(carved, m, threshold)
     return EngraveResult(
-        coarse=coarse,
+        coarse=gridding_reverse(carved, m, threshold),
         features=FeatureGrid(feat_vals, block.range),
         block_grid=block_grid,
-        partial_grid=partial_grid,
         kernels=kernels,
         carved=carved,
         unet_cache=cache,
     )
-
-
-def engrave(
-    block: PointBlock,
-    params: CarveModelParams,
-    resolution: tuple[int, int, int] | None = None,
-    threshold: float = 0.0,
-    m: int = 2048,
-) -> tuple[PointCloud, FeatureGrid]:
-    """Carve the block into a coarse cloud of exactly m points.
-
-    Composition of gridding (block and partial, sharing the block's range),
-    kernel prediction, cell-wise convolution and gridding reverse.
-    """
-    if resolution is not None and tuple(resolution) != params.config.resolution:
-        raise ValueError("resolution does not match the model configuration")
-    result = engrave_forward(block, params, m, threshold)
-    return result.coarse, result.features

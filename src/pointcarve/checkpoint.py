@@ -104,6 +104,8 @@ def load_checkpoint(path: str | Path, dtype: str = "float32") -> tuple[CarveMode
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     pos = head_size
+    if pos + 4 * n_refine > len(raw):
+        raise ValueError(f"{path}: truncated refinement widths")
     widths = struct.unpack_from(f"<{n_refine}I", raw, pos)
     pos += 4 * n_refine
     cfg = CarveModelConfig(

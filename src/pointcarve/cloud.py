@@ -26,22 +26,6 @@ def _as_points_array(points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Point3:
-    """A single finite 3D point."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("Point3 coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class PointCloud:
     """An ordered set of 3D points with optional per-point feature vectors.
 
@@ -75,14 +59,6 @@ class PointCloud:
     def feature_dim(self) -> int | None:
         return None if self.features is None else self.features.shape[1]
 
-    def point(self, i: int) -> Point3:
-        x, y, z = self.points[i]
-        return Point3(float(x), float(y), float(z))
-
-    @staticmethod
-    def from_points(points: list[Point3]) -> "PointCloud":
-        return PointCloud(np.array([[p.x, p.y, p.z] for p in points]).reshape(-1, 3))
-
     @staticmethod
     def empty() -> "PointCloud":
         return PointCloud(np.zeros((0, 3)))
@@ -106,14 +82,6 @@ class BoundingRange:
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def min_corner(self) -> Point3:
-        return Point3(*map(float, self.lo))
-
-    @property
-    def max_corner(self) -> Point3:
-        return Point3(*map(float, self.hi))
 
     @property
     def extent(self) -> np.ndarray:

@@ -61,10 +61,9 @@ class RunConfig:
     depth_buffer_res: int = 160
     depth_eps: float = 0.01
     min_visible_frac: float = 0.05
-    # Data / runtime
+    # Data
     data_manifest: str = ""
     val_count: int = 20
-    jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "refine_widths", tuple(int(v) for v in self.refine_widths))
@@ -121,7 +120,6 @@ class RunConfig:
         check(self.depth_eps > 0, "depth_eps must be > 0")
         check(0 < self.min_visible_frac < 1, "min_visible_frac must be in (0, 1)")
         check(self.val_count >= 0, "val_count must be >= 0")
-        check(self.jobs >= 1, "jobs must be >= 1")
 
     # -- presets ----------------------------------------------------------
 

@@ -168,11 +168,12 @@ def check_refine(seed: int, instances: int = 20) -> GradCheckResult:
     for i in range(instances):
         rng = np.random.default_rng((seed, 3000 + i))
         features, params, coarse, upstream = _tiny_refine_instance(rng)
-        grads, grad_feat, grad_coarse = refine_grads(coarse, features, params, upstream)
+        _, tape = refine(coarse, features, params)
+        grads, grad_feat, grad_coarse = refine_grads(tape, params, upstream)
 
         def phi_with_params(weights, biases):
             p = RefineHeadParams(weights, biases)
-            return float(np.sum(upstream * refine(coarse, features, p).points))
+            return float(np.sum(upstream * refine(coarse, features, p)[0].points))
 
         for layer in range(len(params.weights)):
             for which in ("w", "b"):
@@ -189,13 +190,13 @@ def check_refine(seed: int, instances: int = 20) -> GradCheckResult:
 
         def phi_feat(v):
             return float(np.sum(
-                upstream * refine(coarse, FeatureGrid(v, features.range), params).points
+                upstream * refine(coarse, FeatureGrid(v, features.range), params)[0].points
             ))
 
         worst = max(worst, _fd_compare(phi_feat, features.values, grad_feat, rng))
 
         def phi_coarse(v):
-            return float(np.sum(upstream * refine(PointCloud(v), features, params).points))
+            return float(np.sum(upstream * refine(PointCloud(v), features, params)[0].points))
 
         worst = max(worst, _fd_compare(phi_coarse, coarse.points.copy(), grad_coarse, rng))
     return GradCheckResult("refine_grads", worst, TOL_DEFAULT, instances)

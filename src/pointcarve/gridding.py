@@ -71,26 +71,35 @@ class FeatureGrid:
 # keeps the adjoint plumbing free of wrapper churn.
 GridGradient = np.ndarray
 
-# The 8 corners (dx, dy, dz) of a cell, corner k = dx*4 + dy*2 + dz.
-_CORNERS = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+# The 8 corners (dx, dy, dz) of a cell as an (8, 3) offset array, corner
+# k = dx*4 + dy*2 + dz.
+_CORNERS = np.array(
+    [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+)
 
 
-def _vertex_coords(points: np.ndarray, resolution, range: BoundingRange):
-    """Lower vertex index i0 and in-cell fractions f for each (clamped) point."""
+def _corner_table(points: np.ndarray, resolution, range: BoundingRange):
+    """Trilinear corner table of each (clamped) point's cell.
+
+    Returns (idx, w, axis_w). idx and w are (N, 8): flat C-order vertex
+    indices and weights (wx*wy)*wz in corner order dx*4 + dy*2 + dz; each
+    row of w sums to 1. axis_w is (3, 2, N): axis_w[a, d] is the factor
+    along axis a of the corners at offset d, 1 - f or f for in-cell fraction f.
+    """
     res = np.asarray(resolution)
     u = (range.clamp(points) - range.lo) / range.extent * (res - 1)
     i0 = np.floor(u).astype(np.int64)
     np.clip(i0, 0, res - 2, out=i0)
-    return i0, u - i0
-
-
-def _corner_weights(f: np.ndarray):
-    """Yield (dx, dy, dz, weight) for the 8 cell corners; weights sum to 1."""
-    wx = (1.0 - f[:, 0], f[:, 0])
-    wy = (1.0 - f[:, 1], f[:, 1])
-    wz = (1.0 - f[:, 2], f[:, 2])
-    for dx, dy, dz in _CORNERS:
-        yield dx, dy, dz, wx[dx] * wy[dy] * wz[dz]
+    # Axis-major and contiguous, so the outer products below run on unit stride.
+    f = np.ascontiguousarray((u - i0).T)
+    axis_w = np.stack([1.0 - f, f], axis=1)
+    # Outer products over (dx, dy, dz) flatten to corner order dx*4 + dy*2 + dz.
+    wx, wy, wz = axis_w
+    w = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
+    ix, iy, iz = i0.T[:, None, :] + np.array([[0], [1]])
+    idx = (ix[:, None, None] * res[1] + iy[None, :, None]) * res[2] + iz[None, None, :]
+    n = len(points)
+    return idx.reshape(8, n).T, w.reshape(8, n).T, axis_w
 
 
 def gridding(
@@ -110,10 +119,9 @@ def gridding(
         raise ValueError("grid resolution must be >= 2 per axis")
     flat = np.zeros(H * W * M, dtype=np.float64)
     if len(cloud):
-        i0, f = _vertex_coords(cloud.points, resolution, range)
-        for dx, dy, dz, w in _corner_weights(f):
-            idx = ((i0[:, 0] + dx) * W + (i0[:, 1] + dy)) * M + (i0[:, 2] + dz)
-            flat += np.bincount(idx, weights=w, minlength=flat.size)
+        idx, w, _ = _corner_table(cloud.points, resolution, range)
+        for idx_k, w_k in zip(idx.T, w.T):
+            flat += np.bincount(idx_k, weights=w_k, minlength=flat.size)
     return VoxelGrid(flat.reshape(H, W, M).astype(dtype, copy=False), range)
 
 
@@ -152,14 +160,13 @@ def _reverse_select(values: np.ndarray, m: int, threshold: float):
         above[ties] = True
         qual = qual[above]
     sel = np.stack(np.unravel_index(qual, total.shape), axis=1)
-    corner_w = np.stack(
-        [w[sel[:, 0] + dx, sel[:, 1] + dy, sel[:, 2] + dz] for dx, dy, dz in _CORNERS], axis=1
-    )
+    corners = sel[:, None, :] + _CORNERS
+    corner_w = w[corners[..., 0], corners[..., 1], corners[..., 2]]
     wsum = flat_total[qual]
     # Centroid in index space: cell corner (i+dx, j+dy, k+dz) weighted mean.
     frac = np.zeros((len(sel), 3), dtype=np.float64)
-    for k, d in enumerate(_CORNERS):
-        frac += corner_w[:, k, None] * np.array(d, dtype=np.float64)
+    for k in range(8):
+        frac += corner_w[:, k, None] * _CORNERS[k]
     frac /= wsum[:, None]
     centroids = sel.astype(np.float64) + frac
     return sel, corner_w, centroids
@@ -209,8 +216,8 @@ def gridding_reverse_grad(
     scale = grid.range.extent / (np.asarray(values.shape) - 1)
     wsum = corner_w.sum(axis=1)
     grad = np.zeros_like(values)
-    for k, d in enumerate(_CORNERS):
-        corner = sel + np.array(d)
+    for k in range(8):
+        corner = sel + _CORNERS[k]
         # World-space corner minus emitted point, per axis.
         diff = (corner.astype(np.float64) - centroids) * scale
         contrib = (up * diff).sum(axis=1) / wsum
@@ -232,10 +239,11 @@ def feature_sample(features: FeatureGrid, query: PointCloud) -> PointCloud:
 
 
 def _feature_sample_values(features: FeatureGrid, points: np.ndarray) -> np.ndarray:
-    i0, f = _vertex_coords(points, features.resolution, features.range)
+    idx, w, _ = _corner_table(points, features.resolution, features.range)
+    vals = features.values.reshape(-1, features.channels)[idx]
     out = np.zeros((len(points), features.channels), dtype=features.values.dtype)
-    for dx, dy, dz, w in _corner_weights(f):
-        out += w[:, None] * features.values[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
+    for k in range(8):
+        out += w[:, k, None] * vals[:, k]
     return out
 
 
@@ -249,15 +257,14 @@ def feature_sample_grad(
             f"upstream must have shape ({len(query)}, {features.channels}), "
             f"got {upstream.shape}"
         )
-    i0, f = _vertex_coords(query.points, features.resolution, features.range)
-    grad = np.zeros_like(features.values)
-    H, W, M, F = features.values.shape
-    flat = grad.reshape(-1, F)
-    for dx, dy, dz, w in _corner_weights(f):
-        idx = ((i0[:, 0] + dx) * W + (i0[:, 1] + dy)) * M + (i0[:, 2] + dz)
+    idx, w, _ = _corner_table(query.points, features.resolution, features.range)
+    # C order, so `flat` is a view of `grad` whatever the grid's layout.
+    grad = np.zeros(features.values.shape, features.values.dtype)
+    flat = grad.reshape(-1, features.channels)
+    for k in range(8):
         # Cast before scattering: np.add.at is many times slower when it
         # has to cast each float64 contribution to a float32 grid itself.
-        np.add.at(flat, idx, (w[:, None] * upstream).astype(flat.dtype, copy=False))
+        np.add.at(flat, idx[:, k], (w[:, k, None] * upstream).astype(flat.dtype, copy=False))
     return grad
 
 
@@ -271,25 +278,20 @@ def feature_sample_query_grad(
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     points = query.points
-    res = np.asarray(features.resolution)
-    i0, f = _vertex_coords(points, features.resolution, features.range)
+    idx, _, axis_w = _corner_table(points, features.resolution, features.range)
+    vals = features.values.reshape(-1, features.channels)[idx]
     # d(fraction)/d(world coordinate), zeroed where the query was clamped.
-    du = (res - 1) / features.range.extent
+    du = (np.asarray(features.resolution) - 1) / features.range.extent
     inside = (points > features.range.lo) & (points < features.range.hi)
     on_edge = (points == features.range.lo) | (points == features.range.hi)
     active = (inside | on_edge).astype(np.float64)
 
-    wx = (1.0 - f[:, 0], f[:, 0])
-    wy = (1.0 - f[:, 1], f[:, 1])
-    wz = (1.0 - f[:, 2], f[:, 2])
     sign = (-1.0, 1.0)
     grad = np.zeros_like(points)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                feat = features.values[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
-                g = (upstream * feat).sum(axis=1)
-                grad[:, 0] += g * sign[dx] * wy[dy] * wz[dz] * du[0]
-                grad[:, 1] += g * wx[dx] * sign[dy] * wz[dz] * du[1]
-                grad[:, 2] += g * wx[dx] * wy[dy] * sign[dz] * du[2]
+    wx, wy, wz = axis_w
+    for k, (dx, dy, dz) in enumerate(_CORNERS):
+        g = (upstream * vals[:, k]).sum(axis=1)
+        grad[:, 0] += g * sign[dx] * wy[dy] * wz[dz] * du[0]
+        grad[:, 1] += g * wx[dx] * sign[dy] * wz[dz] * du[1]
+        grad[:, 2] += g * wx[dx] * wy[dy] * sign[dz] * du[2]
     return grad * active

@@ -64,7 +64,27 @@ class RefineHeadParams:
         return RefineHeadParams(weights, biases)
 
 
-def _refine_forward(coarse: PointCloud, features: FeatureGrid, params: RefineHeadParams):
+@dataclass
+class RefineTape:
+    """What `refine_grads` reads of one `refine` call: its inputs plus every
+    layer's pre-activation and input activation."""
+
+    coarse: PointCloud
+    features: FeatureGrid
+    pres: list[np.ndarray]
+    acts: list[np.ndarray]
+
+
+def refine(
+    coarse: PointCloud, features: FeatureGrid, params: RefineHeadParams
+) -> tuple[PointCloud, RefineTape]:
+    """Expand the coarse cloud to r points per input point via learned offsets.
+
+    Returns (dense, tape); pass the tape to `refine_grads` for the backward.
+    Output ordering: dense index = coarse index * r + offset index.
+    """
+    if len(coarse) == 0:
+        raise ValueError("empty input")
     dtype = params.weights[0].dtype
     feats = _feature_sample_values(features, coarse.points).astype(dtype, copy=False)
     if feats.shape[1] + 3 != params.input_dim:
@@ -82,40 +102,27 @@ def _refine_forward(coarse: PointCloud, features: FeatureGrid, params: RefineHea
         acts.append(nn.leaky_relu(pre) if i < n - 1 else pre)
     offsets = acts[-1].astype(np.float64).reshape(len(coarse), -1, 3)
     dense = (coarse.points[:, None, :] + offsets).reshape(-1, 3)
-    return dense, pres, acts
-
-
-def refine(coarse: PointCloud, features: FeatureGrid, params: RefineHeadParams) -> PointCloud:
-    """Expand the coarse cloud to r points per input point via learned offsets.
-
-    Output ordering: dense index = coarse index * r + offset index.
-    """
-    if len(coarse) == 0:
-        raise ValueError("empty input")
-    dense, _, _ = _refine_forward(coarse, features, params)
-    return PointCloud(dense)
+    return PointCloud(dense), RefineTape(coarse, features, pres, acts)
 
 
 def refine_grads(
-    coarse: PointCloud,
-    features: FeatureGrid,
+    tape: RefineTape,
     params: RefineHeadParams,
     upstream: np.ndarray,
 ) -> tuple[RefineHeadParams, np.ndarray, np.ndarray]:
-    """Adjoints of `refine` w.r.t. (head parameters, feature grid, coarse coords).
+    """Adjoints of the `refine` call that recorded `tape` w.r.t. (head
+    parameters, feature grid, coarse coords).
 
     The coarse-coordinate gradient has two paths: the identity path (each
     dense point starts at its source) and the feature-sampling path (moving
     the point changes the sampled feature).
     """
-    if len(coarse) == 0:
-        raise ValueError("empty input")
+    coarse, features, pres, acts = tape.coarse, tape.features, tape.pres, tape.acts
     m = len(coarse)
     r = params.expansion
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (m * r, 3):
         raise ValueError(f"upstream must have shape ({m * r}, 3), got {upstream.shape}")
-    _, pres, acts = _refine_forward(coarse, features, params)
 
     dtype = params.weights[0].dtype
     d_coarse_identity = upstream.reshape(m, r, 3).sum(axis=1)

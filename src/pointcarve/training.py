@@ -18,7 +18,7 @@ from .carving import (
     EngraveResult,
     _unet_backward,
     cell_conv_grads,
-    engrave_forward,
+    engrave,
 )
 from .cloud import (
     BoundingRange,
@@ -33,7 +33,7 @@ from .cloud import (
 from .config import RunConfig
 from .gridding import gridding_reverse_grad
 from .losses import LossBreakdown, chamfer, chamfer_and_grad
-from .refine import refine, refine_grads
+from .refine import RefineTape, refine, refine_grads
 from .sensoraug import VisibilityConfig, generate_partials
 
 
@@ -121,9 +121,9 @@ def make_block(
 
 @dataclass
 class SampleForward:
-    block: PointBlock
     engrave: EngraveResult
     dense: PointCloud
+    refine_tape: RefineTape
 
 
 def forward_sample(
@@ -135,11 +135,9 @@ def forward_sample(
     keep_cache: bool = False,
 ) -> SampleForward:
     block = make_block(partial, range, config, gt)
-    result = engrave_forward(
-        block, params, config.coarse_m, config.carve_threshold, keep_cache
-    )
-    dense = refine(result.coarse, result.features, params.refine_head)
-    return SampleForward(block=block, engrave=result, dense=dense)
+    result = engrave(block, params, config.coarse_m, config.carve_threshold, keep_cache)
+    dense, tape = refine(result.coarse, result.features, params.refine_head)
+    return SampleForward(engrave=result, dense=dense, refine_tape=tape)
 
 
 def complete_cloud(
@@ -174,7 +172,7 @@ def _backward_sample(
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for one forward pass given cloud upstreams."""
     head_grads, d_featgrid, d_coarse_refine = refine_grads(
-        fwd.engrave.coarse, fwd.engrave.features, params.refine_head, d_dense
+        fwd.refine_tape, params.refine_head, d_dense
     )
     d_coarse_total = np.asarray(d_coarse, dtype=np.float64) + d_coarse_refine
     d_carved = gridding_reverse_grad(
@@ -295,10 +293,9 @@ def validate_params(
         return float("nan"), float("nan")
     cds_c, cds_q = [], []
     for partial, gt in dataset:
-        range = compute_bounds(gt, config.bounds_padding_gt, eps_box_frac=config.eps_box_frac)
-        fwd = forward_sample(partial, range, params, config, gt)
-        cds_c.append(chamfer(fwd.engrave.coarse, gt))
-        cds_q.append(chamfer(fwd.dense, gt))
+        coarse, dense = complete_cloud(partial, params, config, gt=gt)
+        cds_c.append(chamfer(coarse, gt))
+        cds_q.append(chamfer(dense, gt))
     return float(np.mean(cds_c)), float(np.mean(cds_q))
 
 

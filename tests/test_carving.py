@@ -204,37 +204,40 @@ class TestEngrave:
         partial = random_cloud(rng, 64)
         bounds = compute_bounds(partial, padding=0.1)
         block = build_point_block(partial, bounds, 4)
-        coarse, feat = engrave(block, params, m=32)
+        result = engrave(block, params, 32)
 
         block_grid = gridding(PointCloud(block.all_points()), (8, 8, 8), bounds, np.float64)
         partial_grid = gridding(block.partial, (8, 8, 8), bounds, np.float64)
         kern, feat2 = predict_kernels(partial_grid, params)
         carved = cell_conv(block_grid, kern)
         coarse2 = gridding_reverse(carved, 32, 0.0)
-        np.testing.assert_array_equal(coarse.points, coarse2.points)
-        np.testing.assert_array_equal(feat.values, feat2.values)
+        np.testing.assert_array_equal(result.coarse.points, coarse2.points)
+        np.testing.assert_array_equal(result.features.values, feat2.values)
+        np.testing.assert_array_equal(result.block_grid.values, block_grid.values)
+        np.testing.assert_array_equal(result.kernels.values, kern.values)
+        np.testing.assert_array_equal(result.carved.values, carved.values)
+        assert result.unet_cache is None
 
     def test_exact_m_points(self, rng):
         params = CarveModelParams.initialize(TINY, seed=5)
         partial = random_cloud(rng, 100)
         block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
-        coarse, _ = engrave(block, params, m=77)
-        assert len(coarse) == 77
+        assert len(engrave(block, params, 77).coarse) == 77
 
     def test_untrained_model_finite(self, rng):
         params = CarveModelParams.initialize(TINY, seed=6)
         partial = random_cloud(rng, 32)
         block = build_point_block(partial, compute_bounds(partial, 0.05), 3)
-        coarse, feat = engrave(block, params, m=16)
-        assert np.all(np.isfinite(coarse.points))
-        assert np.all(np.isfinite(feat.values))
+        result = engrave(block, params, 16)
+        assert np.all(np.isfinite(result.coarse.points))
+        assert np.all(np.isfinite(result.features.values))
 
     def test_deterministic(self, rng):
         params = CarveModelParams.initialize(TINY, seed=7)
         partial = random_cloud(rng, 48)
         block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
-        a, _ = engrave(block, params, m=24)
-        b, _ = engrave(block, params, m=24)
+        a = engrave(block, params, 24).coarse
+        b = engrave(block, params, 24).coarse
         np.testing.assert_array_equal(a.points, b.points)
 
 

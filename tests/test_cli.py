@@ -183,6 +183,25 @@ class TestExitCodes:
         assert "Traceback" not in err[0]
         assert not (tmp_path / "o.xyz").exists()
 
+    def test_corrupt_refine_layer_count_is_runtime_error(self, tmp_path, capsys):
+        # n_refine (u32 at offset 64) far past the end of the file.
+        cfg = RunConfig.preset("desk")
+        ckpt = tmp_path / "desk.ckpt"
+        save_checkpoint(ckpt, CarveModelParams.initialize(cfg.carve_config(), 0),
+                        CheckpointMeta.from_config(cfg))
+        raw = bytearray(ckpt.read_bytes())
+        raw[64:68] = (100000000).to_bytes(4, "little")
+        ckpt.write_bytes(bytes(raw))
+        src = tmp_path / "in.xyz"
+        write_xyz(src, PointCloud(np.random.default_rng(0).random((64, 3))))
+        capsys.readouterr()
+        code = main(["complete", "--ckpt", str(ckpt), "--in", str(src),
+                     "--out", str(tmp_path / "o.xyz")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "truncated refinement widths" in err[0]
+        assert "Traceback" not in err[0]
+
     def test_check_grads_passes(self):
         assert main(["check-grads", "--seed", "7"]) == 0
 

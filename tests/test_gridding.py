@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pointcarve import (
+    BoundingRange,
     FeatureGrid,
     PointCloud,
     VoxelGrid,
@@ -14,7 +15,7 @@ from pointcarve import (
     gridding_reverse_grad,
 )
 from pointcarve.gradcheck import check_feature_sample, check_gridding_reverse
-from pointcarve.gridding import _reverse_select
+from pointcarve.gridding import _feature_sample_values, _reverse_select, feature_sample_query_grad
 
 from conftest import random_cloud
 
@@ -270,6 +271,15 @@ class TestFeatureSampleGrad:
         assert grad[1, 0, 0, 0] == pytest.approx(1.0)
         assert np.sum(np.abs(grad)) == pytest.approx(1.0)
 
+    def test_grid_memory_layout_does_not_matter(self, rng, unit_range):
+        values = rng.standard_normal((*RES, 3))
+        query = random_cloud(rng, 7)
+        upstream = rng.standard_normal((7, 3))
+        want = feature_sample_grad(FeatureGrid(values, unit_range), query, upstream)
+        assert np.abs(want).sum() > 0
+        fortran = FeatureGrid(np.asfortranarray(values), unit_range)
+        np.testing.assert_array_equal(feature_sample_grad(fortran, query, upstream), want)
+
     def test_matches_finite_differences(self):
         result = check_feature_sample(seed=42, instances=5)
         assert result.passed, f"max rel err {result.max_rel_err}"
@@ -278,3 +288,86 @@ class TestFeatureSampleGrad:
         grid = FeatureGrid(rng.random((*RES, 4)), unit_range)
         with pytest.raises(ValueError, match="upstream"):
             feature_sample_grad(grid, random_cloud(rng, 10), np.zeros((10, 3)))
+
+
+def reference_corners(points, res, range):
+    """(vertex index triple, weight) per cell corner from the hand-nested
+    loop over (dx, dy, dz), weights wx*wy*wz; kept as the oracle for the
+    vectorized corner table."""
+    res = np.asarray(res)
+    u = (range.clamp(points) - range.lo) / range.extent * (res - 1)
+    i0 = np.clip(np.floor(u).astype(np.int64), 0, res - 2)
+    f = u - i0
+    wx = (1.0 - f[:, 0], f[:, 0])
+    wy = (1.0 - f[:, 1], f[:, 1])
+    wz = (1.0 - f[:, 2], f[:, 2])
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                v = (i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz)
+                yield (dx, dy, dz), v, wx[dx] * wy[dy] * wz[dz], (wx[dx], wy[dy], wz[dz])
+
+
+def corner_cases(seed=11, count=80):
+    """(points, features, range): random ranges and resolutions, float32 and
+    float64 features, points up to 20 % past the range and on its faces."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        res = tuple(int(n) for n in rng.integers(2, 9, 3))
+        lo = rng.uniform(-1.0, 0.0, 3)
+        bounds = BoundingRange(lo, lo + rng.uniform(0.2, 2.0, 3))
+        n = int(rng.integers(0, 200))
+        points = bounds.lo + rng.uniform(-0.2, 1.2, (n, 3)) * bounds.extent
+        face = rng.random((n, 3)) < 0.1
+        points[face] = np.where(rng.random((n, 3)) < 0.5, bounds.lo, bounds.hi)[face]
+        dtype = (np.float32, np.float64)[t % 2]
+        channels = int(rng.integers(1, 6))
+        features = FeatureGrid(rng.standard_normal(res + (channels,)).astype(dtype), bounds)
+        yield points, features, bounds
+
+
+class TestCornerTableOracle:
+    def test_gridding_matches_corner_loop(self):
+        for points, features, bounds in corner_cases():
+            res = features.resolution
+            flat = np.zeros(int(np.prod(res)))
+            for _, v, w, _ in reference_corners(points, res, bounds):
+                flat += np.bincount(np.ravel_multi_index(v, res), weights=w, minlength=flat.size)
+            dtype = features.values.dtype
+            got = gridding(PointCloud(points), res, bounds, dtype).values
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, flat.reshape(res).astype(dtype))
+
+    def test_feature_sample_matches_corner_loop(self):
+        for points, features, bounds in corner_cases():
+            ref = np.zeros((len(points), features.channels), features.values.dtype)
+            for _, v, w, _ in reference_corners(points, features.resolution, bounds):
+                ref += w[:, None] * features.values[v]
+            got = _feature_sample_values(features, points)
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    def test_sample_adjoints_match_corner_loop(self):
+        rng = np.random.default_rng(3)
+        for points, features, bounds in corner_cases(seed=12):
+            upstream = rng.standard_normal((len(points), features.channels))
+            grid_upstream = upstream.astype(features.values.dtype)
+            res = np.asarray(features.resolution)
+            du = (res - 1) / bounds.extent
+            active = ((points >= bounds.lo) & (points <= bounds.hi)).astype(np.float64)
+            ref_grid = np.zeros_like(features.values)
+            ref_query = np.zeros_like(points)
+            for (dx, dy, dz), v, w, (wx, wy, wz) in reference_corners(points, res, bounds):
+                np.add.at(ref_grid, v, (w[:, None] * grid_upstream).astype(ref_grid.dtype))
+                g = (upstream * features.values[v]).sum(axis=1)
+                sx, sy, sz = (2.0 * dx - 1.0, 2.0 * dy - 1.0, 2.0 * dz - 1.0)
+                ref_query[:, 0] += g * sx * wy * wz * du[0]
+                ref_query[:, 1] += g * wx * sy * wz * du[1]
+                ref_query[:, 2] += g * wx * wy * sz * du[2]
+            cloud = PointCloud(points)
+            grad = feature_sample_grad(features, cloud, grid_upstream)
+            np.testing.assert_array_equal(grad, ref_grid)
+            np.testing.assert_array_equal(
+                feature_sample_query_grad(features, cloud, upstream), ref_query * active
+            )
+

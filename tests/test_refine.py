@@ -1,5 +1,7 @@
 """Refinement head: offset expansion and its adjoints."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ class TestRefine:
         params.weights[-1][:] = 0.0
         params.biases[-1][:] = 0.0
         coarse = random_cloud(rng, 7)
-        dense = refine(coarse, feature_grid, params)
+        dense, _ = refine(coarse, feature_grid, params)
         r = params.expansion
         assert len(dense) == 7 * r
         np.testing.assert_array_equal(dense.points, np.repeat(coarse.points, r, axis=0))
@@ -35,15 +37,15 @@ class TestRefine:
         grid = FeatureGrid(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), unit_range)
         params = RefineHeadParams.initialize(7, (16, 24), seed=1, dtype=np.float32)
         coarse = random_cloud(rng, 2048)
-        dense = refine(coarse, grid, params)
+        dense, _ = refine(coarse, grid, params)
         assert params.expansion == 8
         assert len(dense) == 16384
 
     def test_deterministic(self, rng, feature_grid):
         params = head(seed=3)
         coarse = random_cloud(rng, 11)
-        a = refine(coarse, feature_grid, params)
-        b = refine(coarse, feature_grid, params)
+        a, _ = refine(coarse, feature_grid, params)
+        b, _ = refine(coarse, feature_grid, params)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_feature_dim_mismatch_errors(self, rng, unit_range):
@@ -57,17 +59,15 @@ class TestRefine:
 
     def test_dense_count_multiple_of_coarse(self, rng, feature_grid):
         for m in (1, 5, 33):
-            dense = refine(random_cloud(rng, m), feature_grid, head())
+            dense, _ = refine(random_cloud(rng, m), feature_grid, head())
             assert len(dense) == m * 2
 
 
 class TestRefineGrads:
     def test_zero_upstream(self, rng, feature_grid):
         params = head(seed=4)
-        coarse = random_cloud(rng, 6)
-        grads, gfeat, gcoarse = refine_grads(
-            coarse, feature_grid, params, np.zeros((12, 3))
-        )
+        _, tape = refine(random_cloud(rng, 6), feature_grid, params)
+        grads, gfeat, gcoarse = refine_grads(tape, params, np.zeros((12, 3)))
         for gw, gb in zip(grads.weights, grads.biases):
             np.testing.assert_array_equal(gw, 0.0)
             np.testing.assert_array_equal(gb, 0.0)
@@ -87,13 +87,39 @@ class TestRefineGrads:
         zeroed = head(seed=5)
         for w in zeroed.weights:
             w[:] = 0.0
-        _, _, g_identity = refine_grads(coarse, feature_grid, zeroed, upstream)
+        _, _, g_identity = refine_grads(refine(coarse, feature_grid, zeroed)[1], zeroed, upstream)
         np.testing.assert_allclose(
             g_identity, upstream.reshape(5, 2, 3).sum(axis=1), atol=1e-12
         )
-        _, _, g_full = refine_grads(coarse, feature_grid, head(seed=5), upstream)
+        full = head(seed=5)
+        _, _, g_full = refine_grads(refine(coarse, feature_grid, full)[1], full, upstream)
         assert not np.allclose(g_full, g_identity)
 
     def test_shape_mismatch_errors(self, rng, feature_grid):
+        params = head()
+        _, tape = refine(random_cloud(rng, 4), feature_grid, params)
         with pytest.raises(ValueError, match="upstream"):
-            refine_grads(random_cloud(rng, 4), feature_grid, head(), np.zeros((5, 3)))
+            refine_grads(tape, params, np.zeros((5, 3)))
+
+    def test_backward_does_no_forward_work(self, rng, feature_grid, monkeypatch):
+        # The tape carries every activation the adjoint reads, so neither the
+        # MLP layers nor the feature sampling may run again in refine_grads.
+        params = head(seed=6)
+        coarse = random_cloud(rng, 9)
+        upstream = rng.standard_normal((18, 3))
+        _, tape = refine(coarse, feature_grid, params)
+        want_params, want_feat, want_coarse = refine_grads(tape, params, upstream)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("refine_grads re-ran forward work")
+
+        module = importlib.import_module("pointcarve.refine")
+        monkeypatch.setattr(module.nn, "linear", forbidden)
+        monkeypatch.setattr(module.nn, "leaky_relu", forbidden)
+        monkeypatch.setattr(module, "_feature_sample_values", forbidden)
+        grads, gfeat, gcoarse = refine_grads(tape, params, upstream)
+        got = grads.weights + grads.biases
+        for g, want in zip(got, want_params.weights + want_params.biases):
+            np.testing.assert_array_equal(g, want)
+        np.testing.assert_array_equal(gfeat, want_feat)
+        np.testing.assert_array_equal(gcoarse, want_coarse)

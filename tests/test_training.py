@@ -1,5 +1,7 @@
 """Optimizer, schedule, and the training loop on tiny instances."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,11 @@ from pointcarve import (
     OptimizerState,
     PointCloud,
     RunConfig,
+    VisibilityConfig,
+    complete_cloud,
+    generate_partials,
+    loss_comp,
+    loss_sim,
     lr_schedule,
     optimizer_step,
     train_toy,
@@ -121,6 +128,29 @@ class TestTrainToy:
         assert result.loss.total == pytest.approx(
             result.loss.comp + 0.5 * result.loss.sim, abs=1e-9
         )
+
+    def test_objective_equals_reference_losses(self):
+        # Training takes its loss values from chamfer_and_grad; they must be
+        # the reference loss_comp / loss_sim on the same forward outputs.
+        partial, gt = tiny_dataset(1, points=256)[0]
+        cfg = TINY_CFG.replace(alpha=0.5, sensoraug=True, t_variants=2)
+        params = CarveModelParams.initialize(cfg.carve_config(), 0)
+        aug_seed = 7
+        result = loss_and_grads_sample(partial, gt, params, cfg, aug_seed)
+
+        coarse, dense = complete_cloud(partial, params, cfg, gt=gt)
+        assert result.loss.comp == loss_comp(coarse, dense, gt)
+        variants = generate_partials(
+            gt, cfg.t_variants, aug_seed,
+            VisibilityConfig(cfg.depth_buffer_res, cfg.depth_eps),
+            math.radians(cfg.sensor_vfov_deg), math.radians(cfg.sensor_hfov_deg),
+            cfg.min_visible_frac,
+        )
+        outs = [complete_cloud(v, params, cfg, gt=gt) for v in variants]
+        assert len(outs) == 2
+        sim = loss_sim([c for c, _ in outs], [q for _, q in outs], coarse, dense)
+        assert sim > 0.0
+        assert result.loss.sim == sim
 
     def test_determinism_bitwise(self):
         dataset = tiny_dataset(3)
