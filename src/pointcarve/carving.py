@@ -4,6 +4,20 @@ partial cloud's grid, applied to the block's grid, then mapped back to points.
 Every grid cell owns its own K^3 convolution kernel (no weight sharing); the
 kernels are produced by a volumetric encoder-decoder over the partial cloud's
 gridding, which also emits a feature grid consumed by the refinement stage.
+
+Memory layout of the inference forward:
+
+- The encoder-decoder keeps its activations in `nn.padded` buffers, each
+  layer writing into the interior of the next layer's buffer, so no layer
+  pads or copies its input. The activation runs in place.
+- The kernel head writes tap-major (K^3, H, W, M) planes; `KernelField`
+  exposes them as an (H, W, M, K^3) view, and `cell_conv` reads one
+  contiguous plane per tap.
+- Without a kept cache, those padded buffers and every other temporary come
+  from the calling thread's `nn.workspace` and are reused by the next call.
+  A workspace buffer never leaves the function that fills it: the kernel
+  and feature grids, `EngraveResult`, `predict_kernels`' results and a kept
+  `unet_cache` are fresh arrays their caller owns.
 """
 
 from __future__ import annotations
@@ -24,6 +38,9 @@ class KernelField:
 
     Kernel taps are ordered lexicographically over offsets
     (dx, dy, dz) in [-K//2, K//2]^3; the center tap sits at index (K^3-1)//2.
+    A predicted field is stored tap-major: `values` is the (H, W, M, K^3)
+    view of contiguous (K^3, H, W, M) planes, which `planes` returns. Any
+    (H, W, M, K^3) array works too; its planes are then strided views.
     """
 
     values: np.ndarray
@@ -43,6 +60,11 @@ class KernelField:
     @property
     def resolution(self) -> tuple[int, int, int]:
         return self.values.shape[:3]
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The (K^3, H, W, M) tap planes: contiguous for a predicted field."""
+        return np.moveaxis(self.values, -1, 0)
 
 
 def kernel_offsets(kernel_size: int) -> np.ndarray:
@@ -220,18 +242,29 @@ def cell_conv(block_grid: VoxelGrid, kernels: KernelField) -> VoxelGrid:
             f"kernel field resolution {kernels.resolution} does not match "
             f"grid resolution {block_grid.values.shape}"
         )
-    out = _cell_conv_values(block_grid.values, kernels.values, kernels.kernel_size)
+    g = block_grid.values
+    planes = kernels.planes
+    gp = _padded_grid(g, kernels.kernel_size // 2)
+    H, W, M = g.shape
+    out = np.zeros_like(g)
+    tmp = nn.workspace("cell_conv.tap", g.shape, np.result_type(planes, g))
+    for idx, (dx, dy, dz) in enumerate(_shifts(kernels.kernel_size)):
+        np.multiply(planes[idx], gp[dx : dx + H, dy : dy + W, dz : dz + M], out=tmp)
+        out += tmp
     return VoxelGrid(out, block_grid.range)
 
 
-def _cell_conv_values(g: np.ndarray, kern: np.ndarray, K: int) -> np.ndarray:
+def _shifts(K: int) -> np.ndarray:
+    """Each tap's offset into the grid padded by K // 2, in tap order."""
+    return kernel_offsets(K) + K // 2
+
+
+def _padded_grid(g: np.ndarray, r: int) -> np.ndarray:
+    """g inside a zero halo of width r, in a workspace buffer."""
     H, W, M = g.shape
-    r = K // 2
-    gp = np.pad(g, r)
-    out = np.zeros_like(g)
-    for idx, (dx, dy, dz) in enumerate(kernel_offsets(K)):
-        out += kern[..., idx] * gp[r + dx : r + dx + H, r + dy : r + dy + W, r + dz : r + dz + M]
-    return out
+    gp = nn.workspace(f"carving.grid.pad{r}", (H + 2 * r, W + 2 * r, M + 2 * r), g.dtype)
+    gp[r : r + H, r : r + W, r : r + M] = g
+    return gp
 
 
 def cell_conv_grads(
@@ -242,7 +275,7 @@ def cell_conv_grads(
     With grid_grad=False the grid gradient is skipped (None in its place),
     for callers that only train the kernels. The kernel gradient is built
     tap by tap in contiguous (K^3, H, W, M) planes and returned as an
-    (H, W, M, K^3) view of them.
+    (H, W, M, K^3) view of them, the layout of a predicted KernelField.
     """
     g = block_grid.values
     if kernels.resolution != g.shape:
@@ -253,14 +286,15 @@ def cell_conv_grads(
     H, W, M = g.shape
     K = kernels.kernel_size
     r = K // 2
-    gp = np.pad(g, r)
+    gp = _padded_grid(g, r)
     grad_gp = np.zeros_like(gp) if grid_grad else None
+    kern = kernels.planes
     planes = np.empty((K**3, H, W, M), kernels.values.dtype)
-    for idx, (dx, dy, dz) in enumerate(kernel_offsets(K)):
-        sl = (slice(r + dx, r + dx + H), slice(r + dy, r + dy + W), slice(r + dz, r + dz + M))
+    for idx, (dx, dy, dz) in enumerate(_shifts(K)):
+        sl = (slice(dx, dx + H), slice(dy, dy + W), slice(dz, dz + M))
         np.multiply(upstream, gp[sl], out=planes[idx])
         if grid_grad:
-            grad_gp[sl] += upstream * kernels.values[..., idx]
+            grad_gp[sl] += upstream * kern[idx]
     grad_kern = np.moveaxis(planes, 0, -1)
     if not grid_grad:
         return None, grad_kern
@@ -271,45 +305,68 @@ def cell_conv_grads(
 def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool = False):
     """Forward pass of the kernel-predicting encoder-decoder.
 
-    Returns (kernel values, feature values, cache); cache is None unless
-    requested and holds every pre-activation needed by `_unet_backward`.
+    Returns (kernel values, feature values, cache). The kernel values are
+    the (H, W, M, K^3) view of the kernel head's tap-major planes. Activations live in padded buffers (see `nn`), each layer writing
+    into the next one's. Without keep_cache those are the thread's workspace
+    buffers and cache is None; with it they are fresh, and the cache holds
+    the padded input, the activations and the concatenations
+    `_unet_backward` reads.
     """
     cfg = params.config
     t = params.tensors
-    x = values.astype(cfg.np_dtype, copy=False)[..., None]
-    pre_stem = nn.conv3(x, t["stem.w"], t["stem.b"])
-    skips = [nn.leaky_relu(pre_stem)]
-    pres = [pre_stem]
+    dtype = cfg.np_dtype
+
+    def buffer(role: str, shape) -> np.ndarray:
+        return nn.padded(shape, dtype, None if keep_cache else f"carving.unet.{role}")
+
+    grid = values.shape
+    x = buffer("x", (*grid, 1))
+    x[..., 0] = values
+    # Activations at level l (grid / 2^l) share one buffer: decoder e
+    # overwrites the skip at level e - 1, which its input has copied.
+    skip = nn.conv3(x, t["stem.w"], t["stem.b"], out=buffer("level0", (*grid, cfg.base_width)))
+    skips = [nn.leaky_relu(skip, out=skip)]
     for e in range(1, cfg.stages + 1):
-        pre = nn.conv3(skips[-1], t[f"enc{e}.w"], t[f"enc{e}.b"], stride=2)
-        pres.append(pre)
-        skips.append(nn.leaky_relu(pre))
+        shape = (*(n >> e for n in grid), cfg.stage_width(e))
+        pre = nn.conv3(skips[-1], t[f"enc{e}.w"], t[f"enc{e}.b"], stride=2, out=buffer(f"level{e}", shape))
+        skips.append(nn.leaky_relu(pre, out=pre))
     y = skips[-1]
-    dec_pres = []
-    dec_cats = []
+    cats, acts = [], []
     for e in range(cfg.stages, 0, -1):
-        cat = nn.upsample2_concat(y, skips[e - 1])
-        pre = nn.conv3(cat, t[f"dec{e}.w"], t[f"dec{e}.b"])
-        dec_cats.append(cat)
-        dec_pres.append(pre)
-        y = nn.leaky_relu(pre)
-    kern = nn.conv1(y, t["kernel_head.w"], t["kernel_head.b"])
+        skip = skips[e - 1]
+        cat = buffer(f"cat{e}", (*skip.shape[:3], y.shape[-1] + skip.shape[-1]))
+        nn.upsample2_concat(y, skip, out=cat)
+        pre = nn.conv3(cat, t[f"dec{e}.w"], t[f"dec{e}.b"], out=buffer(f"level{e - 1}", skip.shape))
+        if e > 1:
+            y = nn.leaky_relu(pre, out=pre)
+        else:
+            # The heads read the trunk as (voxels, C) rows: contiguous, unpadded.
+            trunk = (np.empty(pre.shape, dtype) if keep_cache
+                     else nn.workspace("carving.unet.trunk", pre.shape, dtype))
+            y = nn.leaky_relu(pre, out=trunk)
+        if keep_cache:
+            cats.append(cat)
+            acts.append(y)
+    planes = nn.conv1(y, t["kernel_head.w"], t["kernel_head.b"], channels_first=True)
     feat = nn.conv1(y, t["feature_head.w"], t["feature_head.b"])
     cache = None
     if keep_cache:
-        cache = {"x": x, "pres": pres, "skips": skips, "dec_cats": dec_cats,
-                 "dec_pres": dec_pres, "trunk": y}
-    return kern, feat, cache
+        cache = {"x": x, "skips": skips, "cats": cats, "acts": acts}
+    return np.moveaxis(planes, 0, -1), feat, cache
 
 
 def _unet_backward(
     cache: dict, params: CarveModelParams, d_kern: np.ndarray, d_feat: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients of the encoder-decoder given head upstreams."""
+    """Parameter gradients of the encoder-decoder given head upstreams.
+
+    Each activation's gradient reads the sign of the kept activation, which
+    equals the pre-activation's (see `nn.leaky_relu_grad`).
+    """
     cfg = params.config
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
-    trunk = cache["trunk"]
+    trunk = cache["acts"][-1]
     d_trunk_k, grads["kernel_head.w"], grads["kernel_head.b"] = nn.conv1_grads(
         trunk, t["kernel_head.w"], d_kern
     )
@@ -321,9 +378,11 @@ def _unet_backward(
     for e in range(1, cfg.stages + 1):
         # Reverse of decoder stage e (the decoder ran stages..1, so dec1 first).
         j = cfg.stages - e
-        d_pre = nn.leaky_relu_grad(cache["dec_pres"][j], d_y)
+        act = cache["acts"][j]
+        # Padded, so the flat backward reads the upstream's halo in place.
+        d_pre = nn.leaky_relu_grad(act, d_y, out=nn.padded(act.shape, np.result_type(act, d_y)))
         d_cat, grads[f"dec{e}.w"], grads[f"dec{e}.b"] = nn.conv3_grads(
-            cache["dec_cats"][j], t[f"dec{e}.w"], d_pre
+            cache["cats"][j], t[f"dec{e}.w"], d_pre
         )
         c_up = cfg.stage_width(e)
         d_skips[e - 1] = d_cat[..., c_up:]
@@ -331,12 +390,12 @@ def _unet_backward(
     # d_y now targets the bottleneck activation skips[stages].
     d_act = d_y
     for e in range(cfg.stages, 0, -1):
-        d_pre = nn.leaky_relu_grad(cache["pres"][e], d_act)
+        d_pre = nn.leaky_relu_grad(cache["skips"][e], d_act)
         d_in, grads[f"enc{e}.w"], grads[f"enc{e}.b"] = nn.conv3_grads(
             cache["skips"][e - 1], t[f"enc{e}.w"], d_pre, stride=2
         )
         d_act = d_in + d_skips[e - 1]
-    d_pre = nn.leaky_relu_grad(cache["pres"][0], d_act)
+    d_pre = nn.leaky_relu_grad(cache["skips"][0], d_act)
     _, grads["stem.w"], grads["stem.b"] = nn.conv3_grads(
         cache["x"], t["stem.w"], d_pre, input_grad=False
     )

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import nn
 from .carving import CarveModelParams, KernelField, cell_conv, cell_conv_grads
 from .cloud import BoundingRange, PointCloud
 from .gridding import (
@@ -151,6 +152,39 @@ def check_cell_conv(seed: int, instances: int = 20) -> GradCheckResult:
     return GradCheckResult("cell_conv_grads", worst, TOL_DEFAULT, instances)
 
 
+# (grid, C_in, C_out, stride), one case per conv3_grads kernel and stride:
+# single-channel (stride 1, C_in = 1), flat (stride 1, C_in >= 2, few output
+# channels) and shifted copies (wide stride-1 layers and every stride 2).
+CONV3_CASES = (
+    ((4, 5, 6), 1, 3, 1),
+    ((5, 6, 4), 3, 2, 1),
+    ((4, 4, 6), 2, 16, 1),
+    ((4, 6, 4), 1, 2, 2),
+    ((6, 4, 4), 3, 4, 2),
+)
+
+
+def check_conv3(seed: int, instances: int = 20) -> GradCheckResult:
+    """conv3_grads' input, weight and bias gradients on CONV3_CASES in turn."""
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng((seed, 6000 + i))
+        grid, cin, cout, stride = CONV3_CASES[i % len(CONV3_CASES)]
+        x = rng.standard_normal((*grid, cin))
+        w = rng.standard_normal((3, 3, 3, cin, cout))
+        b = rng.standard_normal(cout)
+        upstream = rng.standard_normal((*(n // stride for n in grid), cout))
+        gx, gw, gb = nn.conv3_grads(x, w, upstream, stride)
+
+        def phi(x_, w_, b_):
+            return float(np.sum(upstream * nn.conv3(x_, w_, b_, stride)))
+
+        worst = max(worst, _fd_compare(lambda v: phi(v, w, b), x, gx, rng))
+        worst = max(worst, _fd_compare(lambda v: phi(x, v, b), w, gw, rng))
+        worst = max(worst, _fd_compare(lambda v: phi(x, w, v), b, gb, rng))
+    return GradCheckResult("conv3_grads", worst, TOL_DEFAULT, instances)
+
+
 def _tiny_refine_instance(rng: np.random.Generator):
     res, channels = 4, 3
     features = FeatureGrid(rng.standard_normal((res, res, res, channels)), _unit_range())
@@ -274,4 +308,6 @@ def run_all(seed: int = 0, instances: int = 20) -> list[GradCheckResult]:
         check_cell_conv(seed, instances),
         check_refine(seed, instances),
         check_chamfer(seed, instances),
+        check_conv3(seed, instances),
+        check_end_to_end(seed),
     ]

@@ -33,9 +33,13 @@ def read_xyz(path: str | Path) -> PointCloud:
 
 
 def write_xyz(path: str | Path, cloud: PointCloud) -> None:
+    """One line per point, each coordinate in `.9g`.
+
+    Python floats format about twice as fast as numpy scalars, to the same
+    text.
+    """
     with open(path, "w") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+        fh.writelines(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in cloud.points.tolist())
 
 
 _PLY_FLOAT_NAMES = ("float", "float32")

@@ -67,11 +67,12 @@ class RefineHeadParams:
 @dataclass
 class RefineTape:
     """What `refine_grads` reads of one `refine` call: its inputs plus every
-    layer's pre-activation and input activation."""
+    layer's input and the head's output. The hidden activations ran in
+    place over their pre-activations; their gradients read the activation's
+    sign, which equals the pre-activation's."""
 
     coarse: PointCloud
     features: FeatureGrid
-    pres: list[np.ndarray]
     acts: list[np.ndarray]
 
 
@@ -93,16 +94,14 @@ def refine(
             f"first-layer input width {params.input_dim}"
         )
     x = np.concatenate([feats, coarse.points.astype(dtype)], axis=1)
-    pres = []
     acts = [x]
     n = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = nn.linear(acts[-1], w, b)
-        pres.append(pre)
-        acts.append(nn.leaky_relu(pre) if i < n - 1 else pre)
+        y = nn.linear(acts[-1], w, b)
+        acts.append(nn.leaky_relu(y, out=y) if i < n - 1 else y)
     offsets = acts[-1].astype(np.float64).reshape(len(coarse), -1, 3)
     dense = (coarse.points[:, None, :] + offsets).reshape(-1, 3)
-    return PointCloud(dense), RefineTape(coarse, features, pres, acts)
+    return PointCloud(dense), RefineTape(coarse, features, acts)
 
 
 def refine_grads(
@@ -117,7 +116,7 @@ def refine_grads(
     dense point starts at its source) and the feature-sampling path (moving
     the point changes the sampled feature).
     """
-    coarse, features, pres, acts = tape.coarse, tape.features, tape.pres, tape.acts
+    coarse, features, acts = tape.coarse, tape.features, tape.acts
     m = len(coarse)
     r = params.expansion
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -134,7 +133,7 @@ def refine_grads(
     d = d_out
     for i in range(n - 1, -1, -1):
         if i < n - 1:
-            d = nn.leaky_relu_grad(pres[i], d)
+            d = nn.leaky_relu_grad(acts[i + 1], d)
         d, grad_w[i], grad_b[i] = nn.linear_grads(acts[i], params.weights[i], d)
     feat_dim = params.input_dim - 3
     d_feats = d[:, :feat_dim]

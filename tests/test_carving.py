@@ -258,3 +258,82 @@ class TestParamsContainer:
     def test_center_bias_identity_carve_at_init(self):
         params = CarveModelParams.initialize(TINY, seed=9)
         assert params.tensors["kernel_head.b"][13] == 1.0
+
+
+def _arrays(obj):
+    """Every array reachable from a result: dataclass fields, dicts, lists.
+
+    A view brings its base along, so a padded interior brings its halo.
+    """
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.base is None else [obj, *_arrays(obj.base)]
+    if isinstance(obj, dict):
+        return [a for v in obj.values() for a in _arrays(v)]
+    if isinstance(obj, (list, tuple)):
+        return [a for v in obj for a in _arrays(v)]
+    if hasattr(obj, "__dataclass_fields__"):
+        return [a for name in obj.__dataclass_fields__ for a in _arrays(getattr(obj, name))]
+    return []
+
+
+class TestNoAliasing:
+    """Nothing a call returns or tapes is a buffer a later call reuses."""
+
+    def test_results_survive_a_second_call(self):
+        from pointcarve import RunConfig
+        from pointcarve.training import complete_cloud, forward_sample, make_block
+
+        cfg = RunConfig.preset("desk")
+        params = CarveModelParams.initialize(cfg.carve_config(), 3)
+        rng = np.random.default_rng(12)
+        inputs = [random_cloud(rng, 300, -0.5, 0.5), random_cloud(rng, 200, -0.3, 0.6)]
+
+        def calls(partial):
+            bounds = compute_bounds(partial, cfg.bounds_padding_partial)
+            block = make_block(partial, bounds, cfg)
+            grid = gridding(block.partial, cfg.carve_config().resolution, bounds, np.float32)
+            return [
+                complete_cloud(partial, params, cfg),
+                engrave(block, params, cfg.coarse_m, keep_cache=False),
+                engrave(block, params, cfg.coarse_m, keep_cache=True),
+                predict_kernels(grid, params),
+                forward_sample(partial, bounds, params, cfg, keep_cache=True),
+            ]
+
+        first = calls(inputs[0])
+        kept = _arrays(first)
+        snapshot = [a.copy() for a in kept]
+        assert len(kept) > 30
+        calls(inputs[1])
+        for arr, before in zip(kept, snapshot):
+            np.testing.assert_array_equal(arr, before)
+
+    def test_threads_keep_their_own_workspace(self):
+        import sys
+        import threading
+
+        params = CarveModelParams.initialize(TINY, seed=8)
+        rng = np.random.default_rng(13)
+        grids = [VoxelGrid(rng.random((8, 8, 8)), _range_unit()) for _ in range(6)]
+        expected = [predict_kernels(g, params)[0].values.copy() for g in grids]
+        results: dict[tuple[int, int], np.ndarray] = {}
+        # More threads than cores, switching often, each cycling through
+        # the inputs from a different start.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            def work(tid):
+                for k in range(8):
+                    i = (tid + k) % len(grids)
+                    results[tid, k] = predict_kernels(grids[i], params)[0].values
+            threads = [threading.Thread(target=work, args=(tid,)) for tid in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 32
+        for (tid, k), got in results.items():
+            np.testing.assert_array_equal(got, expected[(tid + k) % len(grids)])

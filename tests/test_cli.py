@@ -202,8 +202,11 @@ class TestExitCodes:
         assert len(err) == 1 and "truncated refinement widths" in err[0]
         assert "Traceback" not in err[0]
 
-    def test_check_grads_passes(self):
+    def test_check_grads_passes(self, capsys):
         assert main(["check-grads", "--seed", "7"]) == 0
+        # The encoder-decoder backward is part of the suite, layer and whole.
+        names = {line.split()[1].rstrip(":") for line in capsys.readouterr().out.splitlines()}
+        assert {"conv3_grads", "end_to_end_loss"} <= names
 
 
 class TestPaperScaleComplete:

@@ -7,6 +7,7 @@ from pointcarve import (
     CarveModelConfig,
     CarveModelParams,
     CheckpointMeta,
+    PointCloud,
 
     RunConfig,
     load_checkpoint,
@@ -49,6 +50,19 @@ class TestXyz:
         write_xyz(p, cloud)
         back = read_xyz(p)
         assert np.abs(back.points - cloud.points).max() < 1e-8
+
+    def test_text_equals_per_scalar_format(self, rng, tmp_path):
+        # The reference is the earlier writer: one numpy scalar at a time.
+        pts = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-12, 12, (500, 3))
+        pts[:6] = [[-0.0, 0.0, 1e-300], [5e-324, -5e-324, 1e300],
+                   [-1e300, 1.0, -1.0], [0.1, 1 / 3, 2.0**-1074],
+                   [123456789.0, 1234567891.0, 1e-5], [np.pi, -np.e, 1e16]]
+        cloud = PointCloud(pts)
+        expected = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in cloud.points)
+        p = tmp_path / "fmt.xyz"
+        write_xyz(p, cloud)
+        assert p.read_text() == expected
+        assert expected.startswith("-0 0 1e-300\n4.94065646e-324 ")
 
 class TestPly:
     def test_minimal_text_ply(self, tmp_path):

@@ -148,3 +148,121 @@ def test_upsample2_concat_and_grad(shape, dtype):
     expected = up.reshape(H // 2, 2, W // 2, 2, M // 2, 2, c).sum(axis=(1, 3, 5))
     np.testing.assert_array_equal(nn.upsample2_grad(up), expected)
 
+
+
+def test_gradcheck_conv3_covers_every_backward_kernel():
+    from pointcarve.gradcheck import CONV3_CASES, check_conv3
+
+    assert {kernels(g, cin, cout, s)[1] for g, cin, cout, s in CONV3_CASES} == {
+        "single-channel", "flat", "shifted"
+    }
+    assert {(s, min(cin, 2)) for _, cin, _, s in CONV3_CASES} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    result = check_conv3(seed=3, instances=len(CONV3_CASES))
+    assert result.passed, f"max rel err {result.max_rel_err}"
+
+
+def _halo_is_zero(inner):
+    buf = inner.base
+    mask = np.ones(buf.shape[:3], bool)
+    mask[1:-1, 1:-1, 1:-1] = False
+    return not buf[mask].any()
+
+
+@pytest.mark.parametrize("grid,cin,cout,stride", CASES)
+def test_conv3_on_padded_buffers_equals_plain_arrays(grid, cin, cout, stride):
+    rng = np.random.default_rng(21 + cin + stride)
+    x, w, b, u = make_case(rng, grid, cin, cout, stride, np.float32)
+    xin = nn.padded(x.shape, x.dtype)
+    xin[...] = x
+    out = nn.padded(u.shape, x.dtype, "test.out")
+    # Garbage from an earlier user of the workspace buffer is overwritten.
+    out[...] = np.nan
+    got = nn.conv3(xin, w, b, stride, out=out)
+    assert got is out and _halo_is_zero(out)
+    np.testing.assert_array_equal(out, nn.conv3(x, w, b, stride))
+    up = nn.padded(u.shape, u.dtype)
+    up[...] = u
+    for plain, fed in zip(nn.conv3_grads(x, w, u, stride), nn.conv3_grads(xin, w, up, stride)):
+        np.testing.assert_array_equal(plain, fed)
+    np.testing.assert_array_equal(x, xin)
+
+
+def test_conv3_flat_out_must_be_padded():
+    x = np.ones((4, 4, 4, 3))
+    with pytest.raises(ValueError, match="nn.padded"):
+        nn.conv3(x, np.ones((3, 3, 3, 3, 2)), np.zeros(2), out=np.empty((4, 4, 4, 2)))
+
+
+def test_interior_of_a_foreign_array_is_copied():
+    # An interior view whose surroundings are not a padded buffer's zero halo.
+    rng = np.random.default_rng(8)
+    big = rng.standard_normal((6, 7, 8, 3))
+    x = big[1:-1, 1:-1, 1:-1]
+    w, b = rng.standard_normal((3, 3, 3, 3, 2)), np.zeros(2)
+    np.testing.assert_allclose(nn.conv3(x, w, b), brute_force_conv3(x, w, b, 1), rtol=1e-12)
+
+
+def test_workspace_is_per_key_and_per_thread():
+    import threading
+
+    a = nn.workspace("test.ws", (3, 4), np.float32)
+    assert nn.workspace("test.ws", (3, 4), np.float32) is a
+    assert nn.workspace("test.ws", (3, 4), np.float64) is not a
+    assert nn.workspace("test.ws2", (3, 4), np.float32) is not a
+    other = []
+    t = threading.Thread(target=lambda: other.append(nn.workspace("test.ws", (3, 4), np.float32)))
+    t.start()
+    t.join()
+    assert other[0] is not a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_in_place_and_across_slabs(dtype):
+    x, _ = activation_inputs(dtype)
+    ref = np.where(x > 0, x, nn.LEAKY_SLOPE * x)
+    # More rows than one slab, and a padded interior run in place.
+    long = np.repeat(x, 1 + nn.LEAKY_SLAB_ELEMS // x[:1].size, axis=0)
+    np.testing.assert_array_equal(nn.leaky_relu(long), np.where(long > 0, long, nn.LEAKY_SLOPE * long))
+    inner = nn.padded(x.shape, dtype)
+    inner[...] = x
+    assert nn.leaky_relu(inner, out=inner) is inner
+    np.testing.assert_array_equal(inner, ref)
+    np.testing.assert_array_equal(np.signbit(inner), np.signbit(ref))
+    assert _halo_is_zero(inner)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_grad_reads_activation_or_pre_activation(dtype):
+    x, u = activation_inputs(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    # Negative values whose scaled activation underflows to -0.
+    x.flat[6:10] = [-tiny, -4 * tiny, -np.finfo(dtype).tiny, -0.0]
+    act = nn.leaky_relu(x)
+    assert np.signbit(act.flat[6]) and act.flat[6] == 0
+    for ud in (np.float32, np.float64):
+        up = u.astype(ud)
+        np.testing.assert_array_equal(nn.leaky_relu_grad(act, up), nn.leaky_relu_grad(x, up))
+        out = nn.padded(x.shape, np.result_type(x, up))
+        nn.leaky_relu_grad(act, up, out=out)
+        np.testing.assert_array_equal(out, nn.leaky_relu_grad(x, up))
+
+
+def test_upsample2_concat_into_padded_buffer():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 4, 2, 2))
+    skip = rng.standard_normal((6, 8, 4, 3))
+    out = nn.padded((6, 8, 4, 5), x.dtype)
+    assert nn.upsample2_concat(x, skip, out=out) is out
+    np.testing.assert_array_equal(out, nn.upsample2_concat(x, skip))
+    assert _halo_is_zero(out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1_channels_first_is_bit_equal(dtype):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((8, 6, 4, 8)).astype(dtype)
+    w = rng.standard_normal((8, 27)).astype(dtype)
+    b = rng.standard_normal(27).astype(dtype)
+    planes = nn.conv1(x, w, b, channels_first=True)
+    assert planes.shape == (27, 8, 6, 4) and planes.flags.c_contiguous
+    np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), nn.conv1(x, w, b))

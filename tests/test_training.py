@@ -208,3 +208,41 @@ class TestTrainToy:
         fields = lines[0].split(",")
         assert len(fields) == 7
         assert fields[0] == "0"
+
+
+class TestDegenerateInputs:
+    """What `complete_cloud` does at the desk preset with degenerate partials."""
+
+    DESK = RunConfig.preset("desk")
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return CarveModelParams.initialize(self.DESK.carve_config(), 0)
+
+    @staticmethod
+    def partial(kind):
+        rng = np.random.default_rng(5)
+        if kind == "planar":
+            pts = np.column_stack([rng.uniform(-0.4, 0.4, (200, 2)), np.full(200, 0.1)])
+        elif kind == "line":
+            pts = np.outer(rng.uniform(-0.5, 0.5, 100), [1.0, 0.5, -0.25]) + 0.2
+        elif kind == "two-point":
+            pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5]])
+        elif kind == "single-point":
+            pts = np.array([[0.1, 0.2, 0.3]])
+        else:  # all identical
+            pts = np.tile([0.1, -0.2, 0.3], (50, 1))
+        return PointCloud(pts)
+
+    @pytest.mark.parametrize("kind", ["planar", "line", "two-point"])
+    def test_flat_partials_complete_to_finite_points(self, params, kind):
+        cfg = self.DESK
+        coarse, dense = complete_cloud(self.partial(kind), params, cfg)
+        assert len(coarse) == cfg.coarse_m
+        assert len(dense) == cfg.coarse_m * cfg.expansion
+        assert np.all(np.isfinite(coarse.points)) and np.all(np.isfinite(dense.points))
+
+    @pytest.mark.parametrize("kind", ["single-point", "identical"])
+    def test_point_partials_are_rejected(self, params, kind):
+        with pytest.raises(ValueError, match="^degenerate cloud and eps_box is zero$"):
+            complete_cloud(self.partial(kind), params, self.DESK)
