@@ -1,137 +1,101 @@
 """Versioned binary checkpoint container for the carve network.
 
-Layout (all integers little-endian uint32 unless noted; documented in
-docs/formats.md):
+Layout (integers little-endian; documented in docs/formats.md):
 
     magic        4 bytes  b"PCRV"
-    version      u32      currently 1
-    res_h/w/m    3 x u32  grid resolution
-    stages       u32      encoder/decoder stage count E
-    base_width   u32      C0
-    kernel_size  u32      K
-    feature_dim  u32      F
-    n_per_axis   u32      block filler lattice side
-    coarse_m     u32      gridding-reverse point budget
-    threshold    f64      carve threshold
-    padding      f64      partial-derived bounds padding used at inference
-    n_refine     u32      number of refinement layers
-    widths       n x u32  refinement layer widths
+    version      u32      currently 2
+    text_len     u32      byte length of the config text
+    config text  UTF-8    canonical RunConfig.to_text() of the training run
+    config hash  12 bytes RunConfig.config_hash() of that text, ASCII hex
     tensors      raw float32, little-endian, in declared parameter order
 
-Parameters are always stored as float32 regardless of the compute dtype.
+The config text fixes the architecture and every pipeline setting, so a
+loaded model runs the pipeline it was trained with. Parameters are stored
+as float32 regardless of the compute dtype.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .carving import CarveModelConfig, CarveModelParams
+from .carving import CarveModelParams
 from .config import RunConfig
 
 MAGIC = b"PCRV"
-VERSION = 1
+VERSION = 2
+_HEAD = struct.Struct("<4sII")
+_HASH_LEN = 12
 
 
 @dataclass(frozen=True)
 class CheckpointMeta:
-    """Inference-relevant settings carried alongside the architecture."""
+    """The run configuration `save_checkpoint` stores with the parameters."""
 
-    n_per_axis: int
-    coarse_m: int
-    threshold: float
-    bounds_padding_partial: float
+    config: RunConfig
 
     @staticmethod
     def from_config(config: RunConfig) -> "CheckpointMeta":
-        return CheckpointMeta(
-            n_per_axis=config.n_per_axis,
-            coarse_m=config.coarse_m,
-            threshold=config.carve_threshold,
-            bounds_padding_partial=config.bounds_padding_partial,
-        )
-
-    def apply_to(self, config: RunConfig) -> RunConfig:
-        return config.replace(
-            n_per_axis=self.n_per_axis,
-            coarse_m=self.coarse_m,
-            carve_threshold=self.threshold,
-            bounds_padding_partial=self.bounds_padding_partial,
-        )
+        return CheckpointMeta(config)
 
 
 def save_checkpoint(path: str | Path, params: CarveModelParams, meta: CheckpointMeta) -> None:
-    cfg = params.config
-    head = struct.pack(
-        "<4sI3I5I2I2dI",
-        MAGIC,
-        VERSION,
-        *cfg.resolution,
-        cfg.stages,
-        cfg.base_width,
-        cfg.kernel_size,
-        cfg.feature_dim,
-        meta.n_per_axis,
-        meta.coarse_m,
-        0,  # reserved
-        meta.threshold,
-        meta.bounds_padding_partial,
-        len(cfg.refine_widths),
-    )
-    widths = struct.pack(f"<{len(cfg.refine_widths)}I", *cfg.refine_widths)
+    """Write params with meta.config, whose architecture must be theirs (dtype aside)."""
+    config = meta.config
+    if replace(config.carve_config(), dtype=params.config.dtype) != params.config:
+        raise ValueError(
+            f"config architecture {config.carve_config()} does not match params {params.config}"
+        )
+    text = config.to_text().encode()
     with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(widths)
+        fh.write(_HEAD.pack(MAGIC, VERSION, len(text)))
+        fh.write(text)
+        fh.write(config.config_hash().encode())
         for arr in params.tensors.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str | Path, dtype: str = "float32") -> tuple[CarveModelParams, CheckpointMeta]:
+def load_checkpoint(
+    path: str | Path, dtype: str | None = None
+) -> tuple[CarveModelParams, RunConfig]:
+    """Params and the run config they were saved with.
+
+    The params are built in the stored config's dtype unless `dtype` is
+    given; the returned config carries the dtype used.
+    """
     raw = Path(path).read_bytes()
-    head_fmt = "<4sI3I5I2I2dI"
-    head_size = struct.calcsize(head_fmt)
-    if len(raw) < head_size:
+    if len(raw) < _HEAD.size:
         raise ValueError(f"{path}: truncated checkpoint header")
-    (magic, version, rh, rw, rm, stages, base_width, kernel_size, feature_dim,
-     n_per_axis, coarse_m, _reserved, threshold, padding, n_refine) = struct.unpack(
-        head_fmt, raw[:head_size]
-    )
+    magic, version, text_len = _HEAD.unpack_from(raw)
     if magic != MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}, not a checkpoint")
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = head_size
-    if pos + 4 * n_refine > len(raw):
-        raise ValueError(f"{path}: truncated refinement widths")
-    widths = struct.unpack_from(f"<{n_refine}I", raw, pos)
-    pos += 4 * n_refine
-    cfg = CarveModelConfig(
-        resolution=(rh, rw, rm),
-        stages=stages,
-        base_width=base_width,
-        kernel_size=kernel_size,
-        feature_dim=feature_dim,
-        refine_widths=widths,
-        dtype=dtype,
-    )
+        raise ValueError(
+            f"{path}: unsupported checkpoint version {version} (this build reads version {VERSION})"
+        )
+    pos = _HEAD.size + text_len + _HASH_LEN
+    if pos > len(raw):
+        raise ValueError(f"{path}: truncated config text")
+    text = raw[_HEAD.size:_HEAD.size + text_len]
+    stored_hash = raw[_HEAD.size + text_len:pos]
+    if hashlib.sha256(text).hexdigest()[:_HASH_LEN].encode() != stored_hash:
+        raise ValueError(f"{path}: config text does not match its stored hash")
+    config = RunConfig.from_text(text.decode(), source=f"{path}: config")
+    if dtype is not None:
+        config = config.replace(dtype=dtype)
+    cfg = config.carve_config()
     tensors: dict[str, np.ndarray] = {}
     for name, shape in cfg.tensor_shapes().items():
-        nbytes = int(np.prod(shape)) * 4
-        if pos + nbytes > len(raw):
+        count = int(np.prod(shape))
+        if pos + 4 * count > len(raw):
             raise ValueError(f"{path}: truncated tensor data at {name}")
-        arr = np.frombuffer(raw, dtype="<f4", count=int(np.prod(shape)), offset=pos)
+        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
         tensors[name] = arr.reshape(shape).astype(cfg.np_dtype)
-        pos += nbytes
+        pos += 4 * count
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after tensor data")
-    params = CarveModelParams(config=cfg, tensors=tensors)
-    meta = CheckpointMeta(
-        n_per_axis=n_per_axis,
-        coarse_m=coarse_m,
-        threshold=threshold,
-        bounds_padding_partial=padding,
-    )
-    return params, meta
+    return CarveModelParams(config=cfg, tensors=tensors), config

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .carving import CarveModelParams
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from .cloud import PointCloud
 from .config import RunConfig
@@ -93,23 +92,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _config_for_checkpoint(params: CarveModelParams, meta: CheckpointMeta) -> RunConfig:
-    cfg = params.config
-    base = RunConfig(
-        grid_res=cfg.resolution[0],
-        unet_stages=cfg.stages,
-        unet_base_width=cfg.base_width,
-        kernel_size=cfg.kernel_size,
-        feature_dim=cfg.feature_dim,
-        refine_widths=cfg.refine_widths,
-        dtype=cfg.dtype,
-    )
-    return meta.apply_to(base)
-
-
 def _cmd_complete(args) -> int:
-    params, meta = load_checkpoint(args.ckpt)
-    config = _config_for_checkpoint(params, meta)
+    params, config = load_checkpoint(args.ckpt)
     partial = load_cloud(args.infile)
     _, dense = complete_cloud(partial, params, config)
     write_xyz(args.out, dense)
@@ -118,8 +102,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, meta = load_checkpoint(args.ckpt)
-    config = _config_for_checkpoint(params, meta)
+    params, config = load_checkpoint(args.ckpt)
     dataset = _load_dataset(args.manifest)
     report = evaluate(params, dataset, config, weighted=args.weighted, jobs=args.jobs)
     report.save(args.report)
@@ -140,8 +123,7 @@ def _cmd_consistency(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    params, meta = load_checkpoint(args.ckpt)
-    config = _config_for_checkpoint(params, meta)
+    params, config = load_checkpoint(args.ckpt)
     dataset = _load_dataset(args.manifest)
     levels = [float(v) for v in args.levels.split(",") if v.strip()]
     points = sensitivity_sweep(

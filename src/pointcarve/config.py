@@ -8,6 +8,7 @@ message. `load` of a `save`d config reproduces the record exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -74,6 +75,10 @@ class RunConfig:
             if not cond:
                 raise ValueError(f"invalid config: {msg}")
 
+        for f in fields(self):
+            if f.type == "float":
+                value = getattr(self, f.name)
+                check(math.isfinite(value), f"{f.name} must be finite, got {value!r}")
         check(self.grid_res >= 4, f"grid_res must be >= 4, got {self.grid_res}")
         check(self.unet_stages >= 1, "unet_stages must be >= 1")
         check(
@@ -203,7 +208,10 @@ class RunConfig:
                 values[key] = _parse_value(known[key].type, rendered)
             except ValueError as exc:
                 raise ValueError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
-        return RunConfig(**values)
+        try:
+            return RunConfig(**values)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]

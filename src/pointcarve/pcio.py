@@ -72,9 +72,13 @@ def read_ply(path: str | Path) -> PointCloud:
                 continue
             if tokens[0] == "comment":
                 continue
+            if tokens[0] in ("format", "element", "property") and len(tokens) < 3:
+                raise ValueError(f"{path}: malformed PLY header line {' '.join(tokens)!r}")
             if tokens[0] == "format":
                 fmt = tokens[1]
             elif tokens[0] == "element":
+                if not tokens[2].isdigit():
+                    raise ValueError(f"{path}: bad PLY element count {tokens[2]!r}")
                 in_vertex_element = tokens[1] == "vertex"
                 if in_vertex_element:
                     n_vertices = int(tokens[2])
@@ -83,6 +87,8 @@ def read_ply(path: str | Path) -> PointCloud:
             elif tokens[0] == "property" and in_vertex_element:
                 if tokens[1] == "list":
                     raise ValueError(f"{path}: list properties are not supported")
+                if tokens[1] not in _PLY_SIZES:
+                    raise ValueError(f"{path}: unknown PLY property type {tokens[1]!r}")
                 properties.append((tokens[1], tokens[2]))
             elif tokens[0] == "end_header":
                 break
@@ -187,7 +193,13 @@ def read_sequence_manifest(path: str | Path) -> dict[str, list[tuple[int, Path]]
             raise ValueError(
                 f"{path}:{lineno}: expected 'object_id frame_index path', got {raw!r}"
             )
-        groups.setdefault(parts[0], []).append((int(parts[1]), base / parts[2]))
+        try:
+            frame = int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: frame index must be an integer, got {parts[1]!r}"
+            ) from None
+        groups.setdefault(parts[0], []).append((frame, base / parts[2]))
     for frames in groups.values():
         frames.sort(key=lambda t: t[0])
     if not groups:

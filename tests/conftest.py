@@ -16,3 +16,19 @@ def rng() -> np.random.Generator:
 
 def random_cloud(rng: np.random.Generator, n: int, lo=0.0, hi=1.0) -> PointCloud:
     return PointCloud(rng.uniform(lo, hi, size=(n, 3)))
+
+
+def degenerate_partial(kind: str) -> PointCloud:
+    """A partial with no volume: planar, line, two-point, single-point or identical."""
+    rng = np.random.default_rng(5)
+    if kind == "planar":
+        pts = np.column_stack([rng.uniform(-0.4, 0.4, (200, 2)), np.full(200, 0.1)])
+    elif kind == "line":
+        pts = np.outer(rng.uniform(-0.5, 0.5, 100), [1.0, 0.5, -0.25]) + 0.2
+    elif kind == "two-point":
+        pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5]])
+    elif kind == "single-point":
+        pts = np.array([[0.1, 0.2, 0.3]])
+    else:  # all identical
+        pts = np.tile([0.1, -0.2, 0.3], (50, 1))
+    return PointCloud(pts)

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, file contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from pointcarve import (
     CheckpointMeta,
     PointCloud,
     RunConfig,
+    complete_cloud,
+    load_checkpoint,
     save_checkpoint,
 )
 from pointcarve.cli import main
-from pointcarve.pcio import read_xyz
+from pointcarve.pcio import read_xyz, write_ply, write_xyz
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
-from pointcarve.pcio import write_xyz
+
+from conftest import degenerate_partial
 
 TINY_CFG_TEXT = """
 grid_res = 8
@@ -33,6 +38,26 @@ epochs = 1
 val_count = 1
 seed = 3
 """
+
+
+def rewrite_config(raw: bytes, old: str, new: str) -> bytes:
+    """The checkpoint `raw` with `old` replaced by `new` in its config text, re-hashed."""
+    n = int.from_bytes(raw[8:12], "little")
+    text = raw[12:12 + n].decode()
+    assert old in text
+    text = text.replace(old, new).encode()
+    digest = hashlib.sha256(text).hexdigest()[:12].encode()
+    return raw[:8] + len(text).to_bytes(4, "little") + text + digest + raw[12 + n + 12:]
+
+
+def assert_one_line_failure(code, capsys, needle):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert needle in lines[0], lines[0]
+    return lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +129,7 @@ class TestTrainCompleteEval:
         assert len(dense) == 32 * 2  # coarse_m x expansion (widths end at 6)
 
     def test_eval_report(self, trained, synth_dir, tmp_path):
-        _, ckpt = trained
+        work, ckpt = trained
         report = tmp_path / "report.txt"
         code = main(["eval", "--ckpt", str(ckpt), "--manifest",
                      str(synth_dir / "manifest.txt"), "--report", str(report)])
@@ -112,6 +137,8 @@ class TestTrainCompleteEval:
         text = report.read_text()
         assert "overall_cd_scaled:" in text
         assert "category.box.count:" in text
+        train_hash = RunConfig.load(work / "tiny.cfg").config_hash()
+        assert f"config_hash: {train_hash}\n" in text
 
     def test_sweep_rows(self, trained, synth_dir, capsys):
         _, ckpt = trained
@@ -184,14 +211,14 @@ class TestExitCodes:
         assert not (tmp_path / "o.xyz").exists()
 
     def test_corrupt_refine_layer_count_is_runtime_error(self, tmp_path, capsys):
-        # n_refine (u32 at offset 64) far past the end of the file.
+        # One refinement layer more in the (re-hashed) config text than the
+        # tensors that follow it hold.
         cfg = RunConfig.preset("desk")
         ckpt = tmp_path / "desk.ckpt"
         save_checkpoint(ckpt, CarveModelParams.initialize(cfg.carve_config(), 0),
                         CheckpointMeta.from_config(cfg))
-        raw = bytearray(ckpt.read_bytes())
-        raw[64:68] = (100000000).to_bytes(4, "little")
-        ckpt.write_bytes(bytes(raw))
+        ckpt.write_bytes(rewrite_config(ckpt.read_bytes(), "refine_widths = 256,128,64,12",
+                                        "refine_widths = 256,128,64,64,12"))
         src = tmp_path / "in.xyz"
         write_xyz(src, PointCloud(np.random.default_rng(0).random((64, 3))))
         capsys.readouterr()
@@ -199,7 +226,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.xyz")])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "truncated refinement widths" in err[0]
+        assert len(err) == 1 and "truncated tensor data" in err[0]
         assert "Traceback" not in err[0]
 
     def test_check_grads_passes(self, capsys):
@@ -231,3 +258,177 @@ class TestPaperScaleComplete:
         code = main(["complete", "--ckpt", str(ckpt), "--in", str(src), "--out", str(out)])
         assert code == 0
         assert len(read_xyz(out)) == 16384
+
+
+class TestCheckpointServesTrainingConfig:
+    def test_complete_runs_the_saved_pipeline(self, tmp_path):
+        cfg = RunConfig(
+            grid_res=8, unet_stages=2, unet_base_width=2, feature_dim=4,
+            refine_widths=(8, 6), coarse_m=32, block_construction="mirror",
+            block_sampling="random", eps_box_frac=0.01, bounds_padding_gt=0.1,
+            seed=5, dtype="float64",
+        )
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, CarveModelParams.initialize(cfg.carve_config(), 2),
+                        CheckpointMeta.from_config(cfg))
+        params, loaded = load_checkpoint(ckpt)
+        assert loaded == cfg and loaded.config_hash() == cfg.config_hash()
+        assert params.config.dtype == "float64"
+
+        src = tmp_path / "in.xyz"
+        write_xyz(src, PointCloud(np.random.default_rng(4).random((300, 3))))
+        _, dense = complete_cloud(read_xyz(src), params, cfg)
+        write_xyz(tmp_path / "library.xyz", dense)
+        out = tmp_path / "cli.xyz"
+        assert main(["complete", "--ckpt", str(ckpt), "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "library.xyz").read_bytes()
+
+
+class TestDegenerateComplete:
+    """`complete` on partials with no volume (library half: TestDegenerateInputs)."""
+
+    DESK = RunConfig.preset("desk")
+
+    @pytest.fixture(scope="class")
+    def desk_ckpt(self, tmp_path_factory):
+        ckpt = tmp_path_factory.mktemp("degenerate") / "desk.ckpt"
+        save_checkpoint(ckpt, CarveModelParams.initialize(self.DESK.carve_config(), 0),
+                        CheckpointMeta.from_config(self.DESK))
+        return ckpt
+
+    @pytest.mark.parametrize("kind", ["planar", "line", "two-point"])
+    def test_flat_partials_complete(self, desk_ckpt, tmp_path, kind):
+        src, out = tmp_path / "in.xyz", tmp_path / "out.xyz"
+        write_xyz(src, degenerate_partial(kind))
+        assert main(["complete", "--ckpt", str(desk_ckpt), "--in", str(src),
+                     "--out", str(out)]) == 0
+        assert len(read_xyz(out)) == self.DESK.coarse_m * self.DESK.expansion
+
+    def test_identical_points_exit_1(self, desk_ckpt, tmp_path, capsys):
+        src, out = tmp_path / "in.xyz", tmp_path / "out.xyz"
+        write_xyz(src, degenerate_partial("identical"))
+        capsys.readouterr()
+        code = main(["complete", "--ckpt", str(desk_ckpt), "--in", str(src), "--out", str(out)])
+        line = assert_one_line_failure(code, capsys, "degenerate")
+        assert line == "error: degenerate cloud and eps_box is zero"
+        assert not out.exists()
+
+
+def _flip_config_byte(raw: bytes) -> bytes:
+    out = bytearray(raw)
+    out[20] ^= 0x01
+    return bytes(out)
+
+
+CKPT_CASES = {
+    "bad-magic": (lambda raw: b"JUNK" + raw[4:], "bad magic"),
+    "version-1": (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
+                  "unsupported checkpoint version 1 "),
+    "flipped-config-byte": (_flip_config_byte, "does not match its stored hash"),
+    "grid_res-0": (lambda raw: rewrite_config(raw, "grid_res = 8", "grid_res = 0"),
+                   "grid_res must be >= 4"),
+    "unet_stages-0": (lambda raw: rewrite_config(raw, "unet_stages = 2", "unet_stages = 0"),
+                      "unet_stages must be >= 1"),
+    "kernel_size-4": (lambda raw: rewrite_config(raw, "kernel_size = 3", "kernel_size = 4"),
+                      "kernel_size must be odd"),
+    "refine_widths-0,3": (lambda raw: rewrite_config(raw, "refine_widths = 8,6",
+                                                     "refine_widths = 0,3"),
+                          "refine_widths must all be >= 3"),
+    "trailing-bytes": (lambda raw: raw + b"\x00" * 4, "4 trailing bytes"),
+}
+
+_PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"
+PLY_CASES = {
+    "unknown-binary-type": (
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+        + (_PLY_XYZ + "property half w\nend_header\n").encode() + bytes(14),
+        "unknown PLY property type 'half'"),
+    "vertex-count-missing": (
+        ("ply\nformat ascii 1.0\nelement vertex\n" + _PLY_XYZ + "end_header\n0 0 0\n").encode(),
+        "malformed PLY header line 'element vertex'"),
+    "bare-format": (
+        ("ply\nformat\nelement vertex 1\n" + _PLY_XYZ + "end_header\n0 0 0\n").encode(),
+        "malformed PLY header line 'format'"),
+}
+
+MANIFEST_CASES = {
+    "dataset-field-count": ("eval", "box only_two.xyz\n", "expected 'category partial gt'"),
+    "dataset-empty": ("eval", "# nothing\n", "empty manifest"),
+    "sequence-field-count": ("consistency", "car0 0\n", "expected 'object_id frame_index path'"),
+    "sequence-frame-index": ("consistency", "car0 first f0.xyz\n",
+                             "frame index must be an integer, got 'first'"),
+    "sequence-empty": ("consistency", "", "empty manifest"),
+}
+
+
+class TestCorruptInputs:
+    """Every corrupt input file ends the CLI with exit 1 and one stderr line."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("corrupt")
+        cfg = RunConfig.from_text(TINY_CFG_TEXT)
+        ckpt = work / "good.ckpt"
+        save_checkpoint(ckpt, CarveModelParams.initialize(cfg.carve_config(), 0),
+                        CheckpointMeta.from_config(cfg))
+        write_xyz(work / "in.xyz", PointCloud(np.random.default_rng(0).random((64, 3))))
+        return work, ckpt
+
+    def complete(self, ckpt, src, tmp_path):
+        return main(["complete", "--ckpt", str(ckpt), "--in", str(src),
+                     "--out", str(tmp_path / "out.xyz")])
+
+    def test_good_files_complete(self, files, tmp_path):
+        work, ckpt = files
+        assert self.complete(ckpt, work / "in.xyz", tmp_path) == 0
+
+    def test_truncated_checkpoint(self, files, tmp_path, capsys):
+        work, ckpt = files
+        raw = ckpt.read_bytes()
+        text_end = 12 + int.from_bytes(raw[8:12], "little") + 12
+        bad = tmp_path / "bad.ckpt"
+        capsys.readouterr()
+        for n in [*range(text_end + 9), len(raw) - 1]:
+            bad.write_bytes(raw[:n])
+            line = assert_one_line_failure(self.complete(bad, work / "in.xyz", tmp_path),
+                                           capsys, "truncated")
+            assert str(bad) in line
+
+    @pytest.mark.parametrize("case", list(CKPT_CASES))
+    def test_corrupt_checkpoint(self, files, tmp_path, capsys, case):
+        work, ckpt = files
+        corrupt, needle = CKPT_CASES[case]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(corrupt(ckpt.read_bytes()))
+        capsys.readouterr()
+        line = assert_one_line_failure(self.complete(bad, work / "in.xyz", tmp_path),
+                                       capsys, needle)
+        assert str(bad) in line
+
+    @pytest.mark.parametrize("case", [*PLY_CASES, "truncated-binary"])
+    def test_corrupt_ply(self, files, tmp_path, capsys, case):
+        _, ckpt = files
+        src = tmp_path / "bad.ply"
+        if case == "truncated-binary":
+            write_ply(src, PointCloud(np.random.default_rng(1).random((10, 3))))
+            src.write_bytes(src.read_bytes()[:-7])
+            needle = "truncated binary payload"
+        else:
+            data, needle = PLY_CASES[case]
+            src.write_bytes(data)
+        capsys.readouterr()
+        line = assert_one_line_failure(self.complete(ckpt, src, tmp_path), capsys, needle)
+        assert str(src) in line
+
+    @pytest.mark.parametrize("case", list(MANIFEST_CASES))
+    def test_corrupt_manifest(self, files, tmp_path, capsys, case):
+        _, ckpt = files
+        command, text, needle = MANIFEST_CASES[case]
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(text)
+        argv = [command, "--manifest", str(manifest)]
+        if command == "eval":
+            argv += ["--ckpt", str(ckpt), "--report", str(tmp_path / "r.txt")]
+        capsys.readouterr()
+        line = assert_one_line_failure(main(argv), capsys, needle)
+        assert str(manifest) in line

@@ -1,14 +1,14 @@
 """File formats: XYZ, PLY, config round trips, checkpoint container."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from pointcarve import (
-    CarveModelConfig,
     CarveModelParams,
     CheckpointMeta,
     PointCloud,
-
     RunConfig,
     load_checkpoint,
     save_checkpoint,
@@ -161,35 +161,42 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="preset"):
             RunConfig.preset("galaxy")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, value):
+        float_keys = [f.name for f in fields(RunConfig) if f.type == "float"]
+        assert "carve_threshold" in float_keys and "adam_eps" in float_keys
+        for key in float_keys:
+            with pytest.raises(ValueError, match=f"invalid config: {key} must be finite"):
+                RunConfig(**{key: value})
+            with pytest.raises(ValueError, match=f"invalid config: {key} must be finite"):
+                RunConfig.from_text(f"{key} = {value}\n")
+
     def test_comments_and_spacing(self):
         cfg = RunConfig.from_text("grid_res=16 # inline comment\nunet_stages = 2\n")
         assert cfg.grid_res == 16 and cfg.unet_stages == 2
 
 class TestCheckpoint:
+    TINY = RunConfig(grid_res=8, unet_stages=2, unet_base_width=2, feature_dim=4,
+                     refine_widths=(8, 6))
+
     def test_round_trip(self, tmp_path):
-        cfg = CarveModelConfig(
-            resolution=(8, 8, 8), stages=2, base_width=2, feature_dim=4,
-            refine_widths=(8, 6), dtype="float32",
-        )
-        params = CarveModelParams.initialize(cfg, seed=11)
-        meta = CheckpointMeta(n_per_axis=5, coarse_m=64, threshold=0.1,
-                              bounds_padding_partial=0.2)
+        cfg = self.TINY.replace(n_per_axis=5, coarse_m=64, carve_threshold=0.1,
+                                bounds_padding_partial=0.2)
+        params = CarveModelParams.initialize(cfg.carve_config(), seed=11)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, meta)
-        loaded, meta2 = load_checkpoint(path)
-        assert meta2 == meta
+        save_checkpoint(path, params, CheckpointMeta.from_config(cfg))
+        loaded, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
         assert loaded.config.resolution == (8, 8, 8)
         assert loaded.config.refine_widths == (8, 6)
         for name in params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
 
     def test_truncated_rejected(self, tmp_path):
-        cfg = CarveModelConfig(resolution=(8, 8, 8), stages=2, base_width=2,
-                             feature_dim=4, refine_widths=(8, 6), dtype="float32")
-        params = CarveModelParams.initialize(cfg, seed=0)
-        meta = CheckpointMeta(4, 32, 0.0, 0.15)
+        cfg = self.TINY.replace(n_per_axis=4, coarse_m=32)
+        params = CarveModelParams.initialize(cfg.carve_config(), seed=0)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, meta)
+        save_checkpoint(path, params, CheckpointMeta.from_config(cfg))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 100])
         with pytest.raises(ValueError, match="truncated"):
@@ -200,6 +207,32 @@ class TestCheckpoint:
         path.write_bytes(b"JUNK" + b"\x00" * 200)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_save_rejects_other_architecture(self, tmp_path):
+        params = CarveModelParams.initialize(self.TINY.carve_config(), seed=0)
+        other = CheckpointMeta.from_config(self.TINY.replace(feature_dim=8))
+        with pytest.raises(ValueError, match="does not match params"):
+            save_checkpoint(tmp_path / "model.ckpt", params, other)
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    def test_benchmark_harness_calls(self, tmp_path, preset):
+        # The calls perfbench/run.py and perfbench/make_reference.py make.
+        cfg = RunConfig.preset(preset)
+        init = CarveModelParams.initialize(cfg.carve_config(), 20210728)
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, init, CheckpointMeta.from_config(cfg))
+        params, loaded_cfg = load_checkpoint(p)
+        params64, cfg64 = load_checkpoint(p, dtype="float64")
+        assert loaded_cfg == cfg and cfg64 == cfg.replace(dtype="float64")
+        assert params.config == cfg.carve_config()
+        assert params64.config == cfg64.carve_config()
+        assert list(params.tensors) == list(init.tensors) == list(params64.tensors)
+        for name, arr in init.tensors.items():
+            assert params.tensors[name].dtype == np.float32
+            assert params64.tensors[name].dtype == np.float64
+            np.testing.assert_array_equal(params.tensors[name], arr)
+            np.testing.assert_array_equal(params64.tensors[name], arr.astype(np.float64))
 
 class TestManifests:
     def test_dataset_manifest(self, tmp_path):

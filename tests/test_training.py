@@ -23,6 +23,8 @@ from pointcarve.gradcheck import check_end_to_end
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
 from pointcarve.training import loss_and_grads_sample
 
+from conftest import degenerate_partial
+
 TINY_CFG = RunConfig(
     grid_res=8,
     unet_stages=2,
@@ -219,25 +221,10 @@ class TestDegenerateInputs:
     def params(self):
         return CarveModelParams.initialize(self.DESK.carve_config(), 0)
 
-    @staticmethod
-    def partial(kind):
-        rng = np.random.default_rng(5)
-        if kind == "planar":
-            pts = np.column_stack([rng.uniform(-0.4, 0.4, (200, 2)), np.full(200, 0.1)])
-        elif kind == "line":
-            pts = np.outer(rng.uniform(-0.5, 0.5, 100), [1.0, 0.5, -0.25]) + 0.2
-        elif kind == "two-point":
-            pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5]])
-        elif kind == "single-point":
-            pts = np.array([[0.1, 0.2, 0.3]])
-        else:  # all identical
-            pts = np.tile([0.1, -0.2, 0.3], (50, 1))
-        return PointCloud(pts)
-
     @pytest.mark.parametrize("kind", ["planar", "line", "two-point"])
     def test_flat_partials_complete_to_finite_points(self, params, kind):
         cfg = self.DESK
-        coarse, dense = complete_cloud(self.partial(kind), params, cfg)
+        coarse, dense = complete_cloud(degenerate_partial(kind), params, cfg)
         assert len(coarse) == cfg.coarse_m
         assert len(dense) == cfg.coarse_m * cfg.expansion
         assert np.all(np.isfinite(coarse.points)) and np.all(np.isfinite(dense.points))
@@ -245,4 +232,4 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("kind", ["single-point", "identical"])
     def test_point_partials_are_rejected(self, params, kind):
         with pytest.raises(ValueError, match="^degenerate cloud and eps_box is zero$"):
-            complete_cloud(self.partial(kind), params, self.DESK)
+            complete_cloud(degenerate_partial(kind), params, self.DESK)
