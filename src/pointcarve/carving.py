@@ -10,6 +10,11 @@ Memory layout of the inference forward:
 - The encoder-decoder keeps its activations in `nn.padded` buffers, each
   layer writing into the interior of the next layer's buffer, so no layer
   pads or copies its input. The activation runs in place.
+- One buffer per level holds the stem or encoder output, which is also the
+  skip input of the decoder at that level. Each decoder writes its own
+  buffer: it takes the coarser activation as `nn.conv3(..., up=y)`, which
+  convolves [upsample2(y), skip] without forming the upsampled copy or the
+  concatenation, and reads the skip while it writes.
 - The kernel head writes tap-major (K^3, H, W, M) planes; `KernelField`
   exposes them as an (H, W, M, K^3) view, and `cell_conv` reads one
   contiguous plane per tap.
@@ -306,11 +311,11 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     """Forward pass of the kernel-predicting encoder-decoder.
 
     Returns (kernel values, feature values, cache). The kernel values are
-    the (H, W, M, K^3) view of the kernel head's tap-major planes. Activations live in padded buffers (see `nn`), each layer writing
-    into the next one's. Without keep_cache those are the thread's workspace
+    the (H, W, M, K^3) view of the kernel head's tap-major planes.
+    Activations live in padded buffers (see `nn`), each layer writing into
+    the next one's. Without keep_cache those are the thread's workspace
     buffers and cache is None; with it they are fresh, and the cache holds
-    the padded input, the activations and the concatenations
-    `_unet_backward` reads.
+    the padded input and the activations `_unet_backward` reads.
     """
     cfg = params.config
     t = params.tensors
@@ -322,8 +327,6 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     grid = values.shape
     x = buffer("x", (*grid, 1))
     x[..., 0] = values
-    # Activations at level l (grid / 2^l) share one buffer: decoder e
-    # overwrites the skip at level e - 1, which its input has copied.
     skip = nn.conv3(x, t["stem.w"], t["stem.b"], out=buffer("level0", (*grid, cfg.base_width)))
     skips = [nn.leaky_relu(skip, out=skip)]
     for e in range(1, cfg.stages + 1):
@@ -331,12 +334,12 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
         pre = nn.conv3(skips[-1], t[f"enc{e}.w"], t[f"enc{e}.b"], stride=2, out=buffer(f"level{e}", shape))
         skips.append(nn.leaky_relu(pre, out=pre))
     y = skips[-1]
-    cats, acts = [], []
+    acts = []
     for e in range(cfg.stages, 0, -1):
         skip = skips[e - 1]
-        cat = buffer(f"cat{e}", (*skip.shape[:3], y.shape[-1] + skip.shape[-1]))
-        nn.upsample2_concat(y, skip, out=cat)
-        pre = nn.conv3(cat, t[f"dec{e}.w"], t[f"dec{e}.b"], out=buffer(f"level{e - 1}", skip.shape))
+        # Decoder e reads upsample2(y) and the skip while it writes its
+        # output, so the output has its own buffer.
+        pre = nn.conv3(skip, t[f"dec{e}.w"], t[f"dec{e}.b"], out=buffer(f"dec{e}", skip.shape), up=y)
         if e > 1:
             y = nn.leaky_relu(pre, out=pre)
         else:
@@ -345,13 +348,12 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
                      else nn.workspace("carving.unet.trunk", pre.shape, dtype))
             y = nn.leaky_relu(pre, out=trunk)
         if keep_cache:
-            cats.append(cat)
             acts.append(y)
     planes = nn.conv1(y, t["kernel_head.w"], t["kernel_head.b"], channels_first=True)
     feat = nn.conv1(y, t["feature_head.w"], t["feature_head.b"])
     cache = None
     if keep_cache:
-        cache = {"x": x, "skips": skips, "cats": cats, "acts": acts}
+        cache = {"x": x, "skips": skips, "acts": acts}
     return np.moveaxis(planes, 0, -1), feat, cache
 
 
@@ -379,14 +381,12 @@ def _unet_backward(
         # Reverse of decoder stage e (the decoder ran stages..1, so dec1 first).
         j = cfg.stages - e
         act = cache["acts"][j]
+        coarse = cache["skips"][e] if e == cfg.stages else cache["acts"][j - 1]
         # Padded, so the flat backward reads the upstream's halo in place.
         d_pre = nn.leaky_relu_grad(act, d_y, out=nn.padded(act.shape, np.result_type(act, d_y)))
-        d_cat, grads[f"dec{e}.w"], grads[f"dec{e}.b"] = nn.conv3_grads(
-            cache["cats"][j], t[f"dec{e}.w"], d_pre
+        d_skips[e - 1], grads[f"dec{e}.w"], grads[f"dec{e}.b"], d_y = nn.conv3_grads(
+            cache["skips"][e - 1], t[f"dec{e}.w"], d_pre, up=coarse
         )
-        c_up = cfg.stage_width(e)
-        d_skips[e - 1] = d_cat[..., c_up:]
-        d_y = nn.upsample2_grad(d_cat[..., :c_up])
     # d_y now targets the bottleneck activation skips[stages].
     d_act = d_y
     for e in range(cfg.stages, 0, -1):

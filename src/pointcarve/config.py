@@ -2,17 +2,25 @@
 
 The on-disk format is plain ``key = value`` lines ('#' starts a comment);
 unknown keys are rejected and every field is validated with an explicit
-message. `load` of a `save`d config reproduces the record exactly.
+message. Fields hold their declared types and string values hold no '#',
+line break or outer whitespace, so `from_text(to_text(c)) == c` (and the
+`config_hash` is kept) for every config that validates.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .carving import CarveModelConfig
+
+# Largest grid side. At 256^3 each float32 channel of a full-resolution
+# activation takes 64 MB (a desk-width stem output 0.5 GB), so a config text,
+# such as one stored in a checkpoint, cannot ask for a far larger grid.
+MAX_GRID_RES = 256
 
 _CONSTRUCTION_MODES = ("uniform", "none", "mirror", "gt")
 _SAMPLING_MODES = ("lattice", "random")
@@ -67,7 +75,8 @@ class RunConfig:
     val_count: int = 20
 
     def __post_init__(self):
-        object.__setattr__(self, "refine_widths", tuple(int(v) for v in self.refine_widths))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         self._validate()
 
     def _validate(self):
@@ -76,10 +85,18 @@ class RunConfig:
                 raise ValueError(f"invalid config: {msg}")
 
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type == "float":
-                value = getattr(self, f.name)
                 check(math.isfinite(value), f"{f.name} must be finite, got {value!r}")
+            if f.type == "str":
+                # Anything `from_text` would cut or strip cannot round-trip.
+                check(
+                    "#" not in value and len(f"<{value}>".splitlines()) == 1 and value == value.strip(),
+                    f"{f.name} must not contain '#' or a line break, "
+                    f"or start or end with whitespace, got {value!r}",
+                )
         check(self.grid_res >= 4, f"grid_res must be >= 4, got {self.grid_res}")
+        check(self.grid_res <= MAX_GRID_RES, f"grid_res must be <= {MAX_GRID_RES}, got {self.grid_res}")
         check(self.unet_stages >= 1, "unet_stages must be >= 1")
         check(
             self.grid_res % (2**self.unet_stages) == 0,
@@ -215,6 +232,24 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+
+
+def _typed(name: str, annotation: str, value):
+    """value as its field's declared type, so `to_text` renders it as parsed.
+
+    Integers are accepted for float fields; bools are not numbers here.
+    """
+    if "tuple" in annotation:
+        return tuple(int(v) for v in value)
+    if annotation == "float":
+        ok = isinstance(value, numbers.Real)
+    elif annotation == "int":
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, {"bool": bool, "str": str}[annotation])
+    if not ok or (annotation != "bool" and isinstance(value, bool)):
+        raise ValueError(f"invalid config: {name} must be {annotation}, got {value!r}")
+    return {"float": float, "int": int, "bool": bool, "str": str}[annotation](value)
 
 
 def _parse_value(annotation: str, rendered: str):

@@ -152,36 +152,48 @@ def check_cell_conv(seed: int, instances: int = 20) -> GradCheckResult:
     return GradCheckResult("cell_conv_grads", worst, TOL_DEFAULT, instances)
 
 
-# (grid, C_in, C_out, stride), one case per conv3_grads kernel and stride:
-# single-channel (stride 1, C_in = 1), flat (stride 1, C_in >= 2, few output
-# channels) and shifted copies (wide stride-1 layers and every stride 2).
+# (grid, C_in, C_out, stride, C_up), one case per conv3_grads kernel and
+# stride: single-channel (stride 1, C_in = 1), flat (stride 1, C_in >= 2, few
+# output channels) and shifted copies (wide stride-1 layers and every stride
+# 2). With C_up > 0 the layer input is [upsample2(up), x], up a C_up-channel
+# grid of half x's size, and x runs each stride-1 kernel once more.
 CONV3_CASES = (
-    ((4, 5, 6), 1, 3, 1),
-    ((5, 6, 4), 3, 2, 1),
-    ((4, 4, 6), 2, 16, 1),
-    ((4, 6, 4), 1, 2, 2),
-    ((6, 4, 4), 3, 4, 2),
+    ((4, 5, 6), 1, 3, 1, 0),
+    ((5, 6, 4), 3, 2, 1, 0),
+    ((4, 4, 6), 2, 16, 1, 0),
+    ((4, 6, 4), 1, 2, 2, 0),
+    ((6, 4, 4), 3, 4, 2, 0),
+    ((6, 4, 4), 1, 2, 1, 2),
+    ((4, 6, 4), 2, 3, 1, 3),
+    ((4, 4, 6), 2, 16, 1, 1),
 )
 
 
 def check_conv3(seed: int, instances: int = 20) -> GradCheckResult:
-    """conv3_grads' input, weight and bias gradients on CONV3_CASES in turn."""
+    """conv3_grads' input, weight and bias gradients (and up's) on CONV3_CASES in turn."""
     worst = 0.0
     for i in range(instances):
         rng = np.random.default_rng((seed, 6000 + i))
-        grid, cin, cout, stride = CONV3_CASES[i % len(CONV3_CASES)]
+        grid, cin, cout, stride, cup = CONV3_CASES[i % len(CONV3_CASES)]
         x = rng.standard_normal((*grid, cin))
-        w = rng.standard_normal((3, 3, 3, cin, cout))
+        w = rng.standard_normal((3, 3, 3, cup + cin, cout))
         b = rng.standard_normal(cout)
         upstream = rng.standard_normal((*(n // stride for n in grid), cout))
-        gx, gw, gb = nn.conv3_grads(x, w, upstream, stride)
+        if cup:
+            y = rng.standard_normal((*(n // 2 for n in grid), cup))
+            gx, gw, gb, gy = nn.conv3_grads(x, w, upstream, stride, up=y)
+        else:
+            y, gy = None, None
+            gx, gw, gb = nn.conv3_grads(x, w, upstream, stride)
 
-        def phi(x_, w_, b_):
-            return float(np.sum(upstream * nn.conv3(x_, w_, b_, stride)))
+        def phi(x_, w_, b_, y_=y):
+            return float(np.sum(upstream * nn.conv3(x_, w_, b_, stride, up=y_)))
 
         worst = max(worst, _fd_compare(lambda v: phi(v, w, b), x, gx, rng))
         worst = max(worst, _fd_compare(lambda v: phi(x, v, b), w, gw, rng))
         worst = max(worst, _fd_compare(lambda v: phi(x, w, v), b, gb, rng))
+        if cup:
+            worst = max(worst, _fd_compare(lambda v: phi(x, w, b, v), y, gy, rng))
     return GradCheckResult("conv3_grads", worst, TOL_DEFAULT, instances)
 
 

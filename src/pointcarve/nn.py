@@ -9,11 +9,11 @@ buffer made by `padded`, which hands out its (H, W, M, C) interior view, so
 every array a layer takes or returns keeps its logical shape. `conv3` and
 `conv3_grads` read the halo around such a view in place of padding a copy;
 any other array is first copied into the interior of a workspace buffer.
-`conv3`, `leaky_relu`, `leaky_relu_grad` and `upsample2_concat` write into
-an `out` array (`conv3` makes a fresh padded one when out is None), so a
-network that hands each layer the interior of the next layer's buffer runs
-without a pad or a copy. Only interiors are written, except by the flat
-kernel, which re-zeroes the halo faces its padding rows spill onto.
+`conv3`, `leaky_relu` and `leaky_relu_grad` write into an `out` array
+(`conv3` makes a fresh padded one when out is None), so a network that
+hands each layer the interior of the next layer's buffer runs without a pad
+or a copy. Only interiors are written, except by the flat kernels, which
+re-zero the halo faces their padding rows spill onto.
 
 Workspace. `workspace(role, shape, dtype)` is the calling thread's buffer
 for that key: zeroed when first made, then reused by every later call with
@@ -21,33 +21,56 @@ the same key. It may hold only values that die before the public function
 that filled them returns; a workspace buffer never appears in a returned
 value or a kept tape. Buffers live as long as their thread, one per key.
 
-`conv3` picks one of two kernels from the layer's stride and C_in; neither
+Flat layout. Flattened to rows of ((H+2)(W+2)(M+2), C_in), tap (dx, dy, dz)
+of every output row is the input row at offset dx*(W+2)(M+2) + dy*(M+2) +
+dz, so each tap is one GEMM on a contiguous row slice. Output rows keep the
+padded W/M layout, which is the output buffer's own layout one step in from
+its corner, so the GEMMs write into it directly. Rows go in chunks of
+FLAT_CHUNK_ROWS, so the input rows and the accumulator stay in cache across
+the taps.
+
+`conv3` picks one of three kernels from the layer's stride and C_in; none
 allocates a copy of each tap's shifted view of the input.
 
-- Shifted GEMMs on the flattened padded grid, for stride-1 layers with
-  C_in >= FLAT_MIN_CIN (the decoders). Flattened to rows of
-  ((H+2)(W+2)(M+2), C_in), tap (dx, dy, dz) of every output row is the
-  input row at offset dx*(W+2)(M+2) + dy*(M+2) + dz, so each tap is one
-  GEMM on a contiguous row slice. Output rows keep the padded W/M layout,
-  which is the output buffer's own layout one step in from its corner, so
-  the GEMMs write into it directly. Rows go in chunks of FLAT_CHUNK_ROWS,
-  so the input rows and the accumulator stay in cache across the 27 taps.
+- Shifted GEMMs on the flat layout, for stride-1 layers with C_in >= 2.
+- The flat layout with channels-first columns, for the stem (stride 1,
+  C_in = 1), where each tap GEMM would degenerate to an outer product: per
+  row chunk the 27 taps' contiguous row slices are stacked into a (27, n)
+  block, and one (n, 27) @ (27, C_out) GEMM writes the output rows.
 - im2col in x-slabs of about IM2COL_SLAB_ELEMS column elements, one GEMM
-  per slab, for the stem (C_in = 1, where each tap GEMM degenerates to an
-  outer product) and the stride-2 encoders. The bias add moves each slab's
+  per slab, for the stride-2 encoders. The bias add moves each slab's
   product into the output's interior.
 
-`conv3_grads` has three kernels.
+Sub-pixel decoders. `conv3(x, w, b, up=y)` convolves the concatenation
+[upsample2(y), x] of a x2 nearest-upsampled coarse input y and a skip x
+without forming it; w's first C_up input channels read y. The skip
+channels run through the kernels above. Along each axis, a 3-tap window
+over an upsampled input sees only two coarse voxels: at output parity 0,
+coarse -1 through tap 0 and coarse 0 through taps 1 + 2; at parity 1,
+coarse 0 through taps 0 + 1 and coarse +1 through tap 2. So each of the 8
+output parities is a 2x2x2 conv of y at coarse resolution with weights
+summed from w's taps (`_parity_weights`): 8 shifted GEMMs on y's flat
+layout instead of 27 on the upsampled one (Shi et al., "Real-Time Single
+Image and Video Super-Resolution Using an Efficient Sub-Pixel CNN", 2016).
+One strided add per slab of coarse x-planes moves the 8 parity results into
+the output (a pixel shuffle).
 
-- The flat layout, for the decoders while its padded rows cost less than
-  the copies they save (FLAT_GRADS_MAX_WASTE). The weight gradient
-  accumulates per row chunk. The input gradient is the flat convolution of
-  the upstream with the taps mirrored on all three axes and C_in, C_out
-  swapped.
+`conv3_grads` has three kernels, and the same split for `up`.
+
+- The flat layout, for stride-1 layers with C_in >= 2 while its padded rows
+  cost less than the copies they save (FLAT_GRADS_MAX_WASTE). The weight
+  gradient accumulates per row chunk. The input gradient is the flat
+  convolution of the upstream with the taps mirrored on all three axes and
+  C_in, C_out swapped.
 - The flat layout with the upstream stored channels-first, for the stem
   (stride 1, C_in = 1), where every tap product is a matrix-vector product.
 - 27 GEMMs on copied tap views, for the stride-2 encoders and the smallest
   decoder grids. An im2col backward was no faster there.
+- With `up`, the upstream's 8 parity sub-grids are copied once into y's
+  padded layout. Each parity's 8 weight gradients accumulate per row chunk
+  like the flat kernel's and map back onto the 27 taps through the adjoint
+  of the tap sums; y's gradient is one flat convolution of the 8 sub-grids
+  with the mirrored parity weights, transposed.
 
 Each of them skips the input gradient when called with input_grad=False,
 as the stem is: its input is the partial cloud's grid, which has no
@@ -58,10 +81,7 @@ arrays runs several times slower than `np.maximum`, while keeping the
 reference forms' results bit for bit: `leaky_relu` is max(x, slope*x) and
 may run in place; its gradient scales by max(sign(y), slope), which is the
 same for y the pre-activation or the activation (both are > 0 exactly
-where the other is); `conv1` and `linear` add the bias in place;
-`upsample2_concat` writes the upsampled copies straight into the
-concatenation, and `upsample2_grad` adds the 8 copies in the order numpy's
-sum over them uses.
+where the other is); `conv1` and `linear` add the bias in place.
 """
 
 from __future__ import annotations
@@ -74,10 +94,6 @@ import numpy as np
 
 LEAKY_SLOPE = 0.1
 
-# Stride-1 layers with at least this many input channels use shifted GEMMs.
-# At C_in = 1 they are 6-12x slower than im2col, at C_in = 2..16 about 2x
-# faster (single thread, float32, 32^3 and 64^3 grids).
-FLAT_MIN_CIN = 2
 # Output rows per shifted-GEMM chunk: a (4096, C_in) float32 input slice is
 # at most 3 MB for the widest decoder (C_in = 192) and 0.8 MB for paper
 # dec1. Chunks of 1024..8192 rows timed within noise of each other.
@@ -98,6 +114,7 @@ SINGLE_CHANNEL_CHUNK_ROWS = 16384
 FLAT_GRADS_MAX_WASTE = 8
 
 _TAPS = tuple(itertools.product(range(3), repeat=3))
+# Output parities of an upsampled conv, and the 2x2x2 coarse taps of each.
 _TAPS_2 = tuple(itertools.product(range(2), repeat=3))
 
 _local = threading.local()
@@ -187,10 +204,6 @@ def leaky_relu_grad(y: np.ndarray, upstream: np.ndarray, out: np.ndarray | None 
     return np.multiply(upstream, np.maximum(np.sign(y), LEAKY_SLOPE), out=out)
 
 
-def _uses_flat(x: np.ndarray, stride: int) -> bool:
-    return stride == 1 and x.shape[-1] >= FLAT_MIN_CIN
-
-
 def _flat_layout(xp: np.ndarray):
     """(padded buffer as rows, tap row offsets, number of output rows).
 
@@ -206,50 +219,111 @@ def _flat_rows(H: int, W: int, M: int) -> int:
     return (H - 1) * (W + 2) * (M + 2) + (W - 1) * (M + 2) + M
 
 
-def conv3(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, out: np.ndarray | None = None
-) -> np.ndarray:
-    """3x3x3 convolution, zero padding 1, stride 1 or 2.
-
-    Writes into `out`, the interior view of a `padded` buffer of the
-    output's shape (a fresh one when None), and returns it.
-    """
-    H, W, M, _ = x.shape
-    if out is None:
-        out = padded((H // stride, W // stride, M // stride, w.shape[-1]), x.dtype)
-    xp = _padded_input(x, "conv3.x")
-    if _uses_flat(x, stride):
-        outp = _halo(out)
-        if outp is None:
-            raise ValueError("conv3 out must be the interior view of an nn.padded buffer")
-        _conv3_flat(xp, w, b, outp)
-    else:
-        _conv3_im2col(xp, w, b, stride, out)
-    return out
-
-
-def _conv3_flat(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None, outp: np.ndarray) -> None:
-    cin = xp.shape[-1]
-    cout = w.shape[-1]
-    flat, offsets, rows = _flat_layout(xp)
-    taps = w.reshape(27, cin, cout)
-    # Output row r is row r + offsets[13] of the padded output: one step in
-    # from the corner on each axis.
-    out = outp.reshape(-1, cout)[offsets[13] :]
-    tmp = workspace("conv3.part", (FLAT_CHUNK_ROWS, cout), outp.dtype)
+def _shifted_gemms(flat: np.ndarray, pairs, out: np.ndarray, rows: int, b=None) -> None:
+    """out[r] = sum over (o, m) in pairs of flat[r + o] @ m (+ b), r < rows."""
+    (o0, m0), *rest = pairs
+    tmp = workspace("conv3.part", (FLAT_CHUNK_ROWS, out.shape[-1]), out.dtype)
     for s in range(0, rows, FLAT_CHUNK_ROWS):
         e = min(s + FLAT_CHUNK_ROWS, rows)
         acc = out[s:e]
         part = tmp[: e - s]
-        np.matmul(flat[s:e], taps[0], out=acc)
-        for o, wk in zip(offsets[1:], taps[1:]):
+        np.matmul(flat[s + o0 : e + o0], m0, out=acc)
+        for o, wk in rest:
             np.matmul(flat[s + o : e + o], wk, out=part)
             acc += part
         if b is not None:
             acc += b
-    # The rows of the padding columns landed on the W and M halo faces.
+
+
+def _shifted_weight_grads(flat: np.ndarray, offsets, up: np.ndarray, gtaps: np.ndarray) -> None:
+    """gtaps[k] += sum over rows r of flat[r + offsets[k]]^T up[r]."""
+    part = np.empty(gtaps.shape[1:], gtaps.dtype)
+    for s in range(0, len(up), FLAT_CHUNK_ROWS):
+        e = min(s + FLAT_CHUNK_ROWS, len(up))
+        u = up[s:e]
+        for k, o in enumerate(offsets):
+            np.matmul(flat[s + o : e + o].T, u, out=part)
+            gtaps[k] += part
+
+
+def _zero_faces(outp: np.ndarray) -> None:
+    """Re-zero the W and M halo faces that a flat kernel's padding rows hit."""
     for face in (outp[1:-1, 0], outp[1:-1, -1], outp[1:-1, :, 0], outp[1:-1, :, -1]):
         face[...] = 0
+
+
+def conv3(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, out: np.ndarray | None = None,
+    *, up: np.ndarray | None = None,
+) -> np.ndarray:
+    """3x3x3 convolution, zero padding 1, stride 1 or 2.
+
+    With `up`, a (H/2, W/2, M/2, C_up) coarse input, the layer input is
+    [upsample2(up), x] (stride 1) and w's first C_up input channels read up.
+    Writes into `out`, the interior view of a `padded` buffer of the
+    output's shape (a fresh one when None), and returns it.
+    """
+    H, W, M, cin = x.shape
+    c_up = 0 if up is None else _check_up(x, w, up, stride)
+    if out is None:
+        out = padded((H // stride, W // stride, M // stride, w.shape[-1]), x.dtype)
+    xp = _padded_input(x, "conv3.x")
+    w_x = w[..., c_up:, :]
+    if stride == 1:
+        outp = _halo(out)
+        if outp is None:
+            raise ValueError("conv3 out must be the interior view of an nn.padded buffer")
+        if cin == 1:
+            _conv3_single_channel(xp, w_x, b, outp)
+        else:
+            _conv3_flat(xp, w_x, b, outp)
+    else:
+        _conv3_im2col(xp, w_x, b, stride, out)
+    if up is not None:
+        _upsampled_conv3(_padded_input(up, "conv3.up"), w[..., :c_up, :], out)
+    return out
+
+
+def _check_up(x: np.ndarray, w: np.ndarray, up: np.ndarray, stride: int) -> int:
+    """C_up, after checking that up, x and w make an upsampled stride-1 layer."""
+    if stride != 1:
+        raise ValueError("conv3 with up= needs stride 1")
+    if tuple(2 * n for n in up.shape[:3]) != x.shape[:3]:
+        raise ValueError(f"up grid {up.shape[:3]} is not half of x grid {x.shape[:3]}")
+    if w.shape[3] != up.shape[3] + x.shape[3]:
+        raise ValueError(
+            f"w has {w.shape[3]} input channels, expected {up.shape[3]} (up) + {x.shape[3]} (x)"
+        )
+    return up.shape[3]
+
+
+def _conv3_flat(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None, outp: np.ndarray) -> None:
+    cin, cout = w.shape[-2:]
+    flat, offsets, rows = _flat_layout(xp)
+    # Output row r is row r + offsets[13] of the padded output: one step in
+    # from the corner on each axis.
+    out = outp.reshape(-1, cout)[offsets[13] :]
+    _shifted_gemms(flat, zip(offsets, w.reshape(27, cin, cout)), out, rows, b)
+    # The rows of the padding columns landed on the W and M halo faces.
+    _zero_faces(outp)
+
+
+def _conv3_single_channel(xp: np.ndarray, w: np.ndarray, b: np.ndarray, outp: np.ndarray) -> None:
+    cout = w.shape[-1]
+    flat, offsets, rows = _flat_layout(xp)
+    xs = flat[:, 0]
+    taps = w.reshape(27, cout)
+    out = outp.reshape(-1, cout)[offsets[13] :]
+    col = workspace("conv3.col1", (27, FLAT_CHUNK_ROWS), xp.dtype)
+    for s in range(0, rows, FLAT_CHUNK_ROWS):
+        e = min(s + FLAT_CHUNK_ROWS, rows)
+        c = col[:, : e - s]
+        for k, o in enumerate(offsets):
+            c[k] = xs[s + o : e + o]
+        acc = out[s:e]
+        np.matmul(c.T, taps, out=acc)
+        acc += b
+    _zero_faces(outp)
 
 
 def _conv3_im2col(
@@ -274,22 +348,104 @@ def _conv3_im2col(
         np.add(p.reshape(n, Wo, Mo, cout), b, out=out[i : i + n])
 
 
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Axis 0's 3 taps as (parity, coarse tap) sums: [[0, 1+2], [0+1, 2]]."""
+    return np.stack([a[0], a[1] + a[2], a[0] + a[1], a[2]]).reshape(2, 2, *a.shape[1:])
+
+
+def _unfold(g: np.ndarray) -> np.ndarray:
+    """Adjoint of `_fold`: leading (parity, coarse tap) axes back to 3 taps."""
+    return np.stack([g[0, 0] + g[1, 0], g[0, 1] + g[1, 0], g[0, 1] + g[1, 1]])
+
+
+def _parity_weights(w: np.ndarray) -> np.ndarray:
+    """(8, 8, C_up, C_out): the coarse-tap weights of each output parity.
+
+    Entry [p, t] for parity p and coarse tap t (both indexed as in _TAPS_2)
+    sums w's taps on each axis as `_fold` does.
+    """
+    wc = w
+    for axis in (0, 2, 4):
+        wc = _fold(np.moveaxis(wc, axis, 0))
+    # (pz, tz, py, ty, px, tx, C_up, C_out) -> (px, py, pz, tx, ty, tz, ...)
+    return wc.transpose(4, 2, 0, 5, 3, 1, 6, 7).reshape(8, 8, *w.shape[3:])
+
+
+def _parity_weight_grads(gwc: np.ndarray) -> np.ndarray:
+    """Adjoint of `_parity_weights`: (8, 8, C_up, C_out) -> (3, 3, 3, ...)."""
+    g = gwc.reshape(2, 2, 2, 2, 2, 2, *gwc.shape[2:]).transpose(2, 5, 1, 4, 0, 3, 6, 7)
+    for axis in (4, 2, 0):
+        g = np.moveaxis(_unfold(g), 0, axis)
+    return g
+
+
+def _parity_offsets(Wp: int, Mp: int) -> list[list[int]]:
+    """Row offset in y's flat layout of coarse tap t of parity p: [p][t].
+
+    Parity p's output at coarse voxel i reads y at i + p + t - 1 on each
+    axis, padded index i + p + t.
+    """
+    return [[(px + tx) * Wp * Mp + (py + ty) * Mp + pz + tz for tx, ty, tz in _TAPS_2]
+            for px, py, pz in _TAPS_2]
+
+
+def _upsampled_conv3(yp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """Adds the conv of w over upsample2(y) into out; yp is y's padded buffer.
+
+    Runs in slabs of whole coarse x-planes: 8 shifted GEMMs per parity into
+    a workspace, then one strided add of the slab's 8 parity grids into the
+    matching fine x-planes of out. Rows of the padding columns, and in the
+    last slab the rows past the last voxel, are never read back.
+    """
+    Hp, Wp, Mp, _ = yp.shape
+    H, W, M = Hp - 2, Wp - 2, Mp - 2
+    cout = w.shape[-1]
+    flat = yp.reshape(Hp * Wp * Mp, -1)
+    wc = _parity_weights(w)
+    offsets = _parity_offsets(Wp, Mp)
+    plane = Wp * Mp
+    rows = _flat_rows(H, W, M)
+    step = min(H, max(1, FLAT_CHUNK_ROWS // plane))
+    acc = workspace("conv3.parity", (8, step * plane, cout), out.dtype)
+    # Splitting axes never copies, padded interior views included.
+    fine = out.reshape(H, 2, W, 2, M, 2, cout)
+    for i in range(0, H, step):
+        n = min(step, H - i)
+        s, e = i * plane, min((i + n) * plane, rows)
+        for p in range(8):
+            _shifted_gemms(flat[s:], zip(offsets[p], wc[p]), acc[p], e - s)
+        part = acc[:, : n * plane].reshape(2, 2, 2, n, Wp, Mp, cout)[:, :, :, :, :W, :M]
+        fine[i : i + n] += part.transpose(3, 0, 4, 1, 5, 2, 6)
+
+
 def conv3_grads(
     x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int = 1, *,
-    input_grad: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of conv3 w.r.t. (input, weights, bias).
+    input_grad: bool = True, up: np.ndarray | None = None,
+):
+    """Gradients of conv3 w.r.t. (input, weights, bias), and up's last.
 
-    With input_grad=False the input gradient is neither computed nor
-    returned (None in its place), for a layer whose input is not trained.
+    Returns (gx, gw, gb), or (gx, gw, gb, gup) when called with `up`. With
+    input_grad=False the input gradients are neither computed nor returned
+    (None in their place), for a layer whose input is not trained.
     """
     gb = _bias_grad(upstream.reshape(-1, w.shape[-1]))
+    if up is None:
+        return (*_conv3_grads(x, w, upstream, stride, input_grad), gb)
+    c_up = _check_up(x, w, up, stride)
+    gx, gw_x = _conv3_grads(x, w[..., c_up:, :], upstream, stride, input_grad)
+    gup, gw_up = _upsampled_conv3_grads(
+        _padded_input(up, "conv3.up"), w[..., :c_up, :], upstream, input_grad
+    )
+    return gx, np.concatenate([gw_up, gw_x], axis=3), gb, gup
+
+
+def _conv3_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int, input_grad: bool):
     xp = _padded_input(x, "conv3.x")
     if stride == 1 and x.shape[-1] == 1:
-        return (*_conv3_single_channel_grads(xp, w, upstream, input_grad), gb)
-    if _uses_flat(x, stride) and _flat_grads_waste(x, w) < FLAT_GRADS_MAX_WASTE:
-        return (*_conv3_flat_grads(xp, w, upstream, input_grad), gb)
-    return (*_conv3_shifted_grads(xp, w, upstream, stride, input_grad), gb)
+        return _conv3_single_channel_grads(xp, w, upstream, input_grad)
+    if stride == 1 and _flat_grads_waste(x, w) < FLAT_GRADS_MAX_WASTE:
+        return _conv3_flat_grads(xp, w, upstream, input_grad)
+    return _conv3_shifted_grads(xp, w, upstream, stride, input_grad)
 
 
 def _bias_grad(up: np.ndarray) -> np.ndarray:
@@ -315,15 +471,8 @@ def _conv3_flat_grads(xp: np.ndarray, w: np.ndarray, upstream: np.ndarray, input
     # row r + offsets[13] (one step in from the corner on each axis).
     upp = _padded_input(upstream, "conv3.upstream")
     up = upp.reshape(-1, cout)[offsets[13] : offsets[13] + rows]
-    gw = np.zeros_like(w)
-    gtaps = gw.reshape(27, cin, cout)
-    part = np.empty((cin, cout), gw.dtype)
-    for s in range(0, rows, FLAT_CHUNK_ROWS):
-        e = min(s + FLAT_CHUNK_ROWS, rows)
-        u = up[s:e]
-        for k, o in enumerate(offsets):
-            np.matmul(flat[s + o : e + o].T, u, out=part)
-            gtaps[k] += part
+    gw = np.zeros(w.shape, w.dtype)
+    _shifted_weight_grads(flat, offsets, up, gw.reshape(27, cin, cout))
     if not input_grad:
         return None, gw
     # The input gradient is the same convolution of the upstream with the
@@ -331,6 +480,40 @@ def _conv3_flat_grads(xp: np.ndarray, w: np.ndarray, upstream: np.ndarray, input
     gx = padded((*upstream.shape[:3], cin), upstream.dtype)
     _conv3_flat(upp, w[::-1, ::-1, ::-1].swapaxes(3, 4), None, gx.base)
     return gx, gw
+
+
+def _upsampled_conv3_grads(yp: np.ndarray, w: np.ndarray, upstream: np.ndarray, input_grad: bool):
+    """(gy, gw) of `_upsampled_conv3` for the upstream of its output."""
+    Hp, Wp, Mp, cup = yp.shape
+    H, W, M = Hp - 2, Wp - 2, Mp - 2
+    cout = w.shape[-1]
+    # The upstream's 8 parity grids, each in y's padded layout; only the
+    # interiors are written, so the halo stays zero.
+    g = workspace("conv3.parity_upstream", (8, Hp, Wp, Mp, cout), upstream.dtype)
+    g.reshape(2, 2, 2, Hp, Wp, Mp, cout)[:, :, :, 1:-1, 1:-1, 1:-1] = upstream.reshape(
+        H, 2, W, 2, M, 2, cout
+    ).transpose(1, 3, 5, 0, 2, 4, 6)
+    gflat = g.reshape(8, -1, cout)
+    flat = yp.reshape(-1, cup)
+    offsets = _parity_offsets(Wp, Mp)
+    rows = _flat_rows(H, W, M)
+    center = Wp * Mp + Mp + 1
+    gwc = np.zeros((8, 8, cup, cout), w.dtype)
+    for p in range(8):
+        _shifted_weight_grads(flat, offsets[p], gflat[p, center : center + rows], gwc[p])
+    gw = _parity_weight_grads(gwc)
+    if not input_grad:
+        return None, gw
+    # y at padded index j receives tap t of parity p from that parity's
+    # output at padded index j + 2 - p - t (per axis): the mirrored offset.
+    wc = _parity_weights(w)
+    size = Hp * Wp * Mp
+    pairs = [(p * size + 2 * center - o, wc[p, t].T)
+             for p in range(8) for t, o in enumerate(offsets[p])]
+    gy = padded((H, W, M, cup), upstream.dtype)
+    _shifted_gemms(g.reshape(-1, cout), pairs, gy.base.reshape(-1, cup)[center:], rows)
+    _zero_faces(gy.base)
+    return gy, gw
 
 
 def _conv3_single_channel_grads(
@@ -413,38 +596,6 @@ def conv1_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
     flat = x.reshape(-1, cin)
     gx = (up @ w.T).reshape(x.shape)
     return gx, flat.T @ up, _bias_grad(up)
-
-
-def upsample2_concat(x: np.ndarray, skip: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Nearest-neighbor x2 upsampling of x on the three spatial axes, then
-    concatenated with skip on the channel axis (x's channels first).
-
-    Written straight into `out` (fresh when None), in place of three
-    `repeat` copies and a concatenation.
-    """
-    H, W, M, c = x.shape
-    if out is None:
-        out = np.empty((2 * H, 2 * W, 2 * M, c + skip.shape[-1]), x.dtype)
-    # Splitting axes never copies, padded interior views included.
-    out.reshape(H, 2, W, 2, M, 2, -1)[..., :c] = x[:, None, :, None, :, None]
-    out[..., c:] = skip
-    return out
-
-
-def upsample2_grad(upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of the upsampling in `upsample2_concat`: each coarse voxel
-    sums its 8 fine copies.
-
-    The 8 copies are added one after another in C order, the order
-    `reshape(...).sum(axis=(1, 3, 5))` uses, so the result equals that sum
-    bit for bit at 2-5x its speed.
-    """
-    H, W, M, c = upstream.shape
-    v = upstream.reshape(H // 2, 2, W // 2, 2, M // 2, 2, c)
-    out = v[:, 0, :, 0, :, 0] + v[:, 0, :, 0, :, 1]
-    for dx, dy, dz in _TAPS_2[2:]:
-        out += v[:, dx, :, dy, :, dz]
-    return out
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

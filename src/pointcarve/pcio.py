@@ -109,7 +109,14 @@ def read_ply(path: str | Path) -> PointCloud:
                 tokens = fh.readline().split()
                 if len(tokens) != len(properties):
                     raise ValueError(f"{path}: vertex {i}: expected {len(properties)} fields")
-                rows.append([float(t) for t in tokens])
+                row = []
+                for t in tokens:
+                    try:
+                        row.append(float(t))
+                    except ValueError:
+                        bad = t.decode("ascii", "replace")
+                        raise ValueError(f"{path}: vertex {i}: malformed number {bad!r}") from None
+                rows.append(row)
             data = np.array(rows, dtype=np.float64).reshape(n_vertices, len(properties))
             cols = {name: data[:, k] for k, (_, name) in enumerate(properties)}
         else:

@@ -327,6 +327,8 @@ CKPT_CASES = {
     "flipped-config-byte": (_flip_config_byte, "does not match its stored hash"),
     "grid_res-0": (lambda raw: rewrite_config(raw, "grid_res = 8", "grid_res = 0"),
                    "grid_res must be >= 4"),
+    "grid_res-2048": (lambda raw: rewrite_config(raw, "grid_res = 8", "grid_res = 2048"),
+                      "grid_res must be <= 256"),
     "unet_stages-0": (lambda raw: rewrite_config(raw, "unet_stages = 2", "unet_stages = 0"),
                       "unet_stages must be >= 1"),
     "kernel_size-4": (lambda raw: rewrite_config(raw, "kernel_size = 3", "kernel_size = 4"),
@@ -349,6 +351,9 @@ PLY_CASES = {
     "bare-format": (
         ("ply\nformat\nelement vertex 1\n" + _PLY_XYZ + "end_header\n0 0 0\n").encode(),
         "malformed PLY header line 'format'"),
+    "ascii-bad-number": (
+        ("ply\nformat ascii 1.0\nelement vertex 2\n" + _PLY_XYZ + "end_header\n0 0 0\n1 x 3\n").encode(),
+        "vertex 1: malformed number 'x'"),
 }
 
 MANIFEST_CASES = {

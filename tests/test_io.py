@@ -13,6 +13,7 @@ from pointcarve import (
     load_checkpoint,
     save_checkpoint,
 )
+from pointcarve.config import MAX_GRID_RES
 from pointcarve.pcio import (
     read_dataset_manifest,
     read_ply,
@@ -170,6 +171,62 @@ class TestRunConfig:
                 RunConfig(**{key: value})
             with pytest.raises(ValueError, match=f"invalid config: {key} must be finite"):
                 RunConfig.from_text(f"{key} = {value}\n")
+
+    # Every field moved off its default, and data_manifest texts that must
+    # survive the `key = value` format: '=', inner spaces, non-ASCII.
+    ROUND_TRIP = [
+        RunConfig(),
+        RunConfig.preset("paper"),
+        RunConfig(grid_res=256, unet_stages=2, unet_base_width=3, kernel_size=5, feature_dim=7,
+                  refine_widths=(9, 6), coarse_m=77, carve_threshold=-0.0, dtype="float64",
+                  block_construction="mirror", n_per_axis=4, block_sampling="random",
+                  mirror_axis="z", gt_points_count=5, bounds_padding_gt=0.1,
+                  bounds_padding_partial=1e-300, eps_box_frac=0.1 + 0.2, alpha=2.0,
+                  t_variants=0, sensoraug=False, detach_anchors=True, lr=3e-5,
+                  lr_halve_every=1, adam_beta1=0.0, adam_beta2=0.5, adam_eps=1e-12,
+                  batch_size=1, epochs=1, max_steps=9, seed=-3, sensor_vfov_deg=1.5,
+                  sensor_hfov_deg=179.0, depth_buffer_res=16, depth_eps=2.0,
+                  min_visible_frac=0.5, data_manifest="m.txt", val_count=0),
+        RunConfig(data_manifest="dir with space/a=b.txt"),
+        RunConfig(data_manifest="données/ü.txt", lr=1, alpha=0),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(ROUND_TRIP)))
+    def test_text_round_trip_is_identity(self, index):
+        cfg = self.ROUND_TRIP[index]
+        back = RunConfig.from_text(cfg.to_text())
+        assert back == cfg and back.config_hash() == cfg.config_hash()
+        assert back.to_text() == cfg.to_text()
+
+    @pytest.mark.parametrize("value", ["a#b", "#", "a\nb", "a\rb", "a\x0bb", "a\u2028b", " a", "a\t"])
+    def test_string_values_that_cannot_round_trip_rejected(self, value):
+        with pytest.raises(ValueError, match="invalid config: data_manifest must not contain '#'"):
+            RunConfig(data_manifest=value)
+
+    def test_field_types(self):
+        # Integers are floats' values; everything else must have its own type.
+        cfg = RunConfig(lr=1, carve_threshold=0)
+        assert type(cfg.lr) is float and "lr = 1.0\n" in cfg.to_text()
+        for key, value, kind in [("grid_res", 32.0, "int"), ("seed", True, "int"),
+                                 ("lr", True, "float"), ("sensoraug", 1, "bool"),
+                                 ("dtype", 3, "str"), ("data_manifest", None, "str")]:
+            with pytest.raises(ValueError, match=f"invalid config: {key} must be {kind}, got"):
+                RunConfig(**{key: value})
+
+    def test_existing_config_text_and_hashes_unchanged(self):
+        # The canonical texts of the presets hash as they did before the
+        # field type and string rules (values computed by the earlier code).
+        assert RunConfig().config_hash() == "53b430f6c35c"
+        assert RunConfig.preset("paper").config_hash() == "761c6a51bc0e"
+        text = "# desk\ngrid_res = 32  # inline\nlr = 0.0001\nsensoraug = true\ndata_manifest =\n"
+        assert RunConfig.from_text(text) == RunConfig()
+
+    def test_grid_res_upper_bound(self):
+        assert RunConfig(grid_res=MAX_GRID_RES).grid_res == 256
+        with pytest.raises(ValueError, match="invalid config: grid_res must be <= 256, got 2048"):
+            RunConfig(grid_res=2048)
+        with pytest.raises(ValueError, match="grid_res must be <= 256"):
+            RunConfig.from_text("grid_res = 512\n")
 
     def test_comments_and_spacing(self):
         cfg = RunConfig.from_text("grid_res=16 # inline comment\nunet_stages = 2\n")

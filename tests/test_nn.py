@@ -46,22 +46,32 @@ def make_case(rng, grid, cin, cout, stride, dtype):
 def kernels(grid, cin, cout, stride):
     """The (conv3, conv3_grads) kernels a case runs."""
     x, w = np.empty((*grid, cin)), np.empty((3, 3, 3, cin, cout))
-    forward = "flat" if nn._uses_flat(x, stride) else "im2col"
-    if stride == 1 and cin == 1:
-        return forward, "single-channel"
-    if forward == "flat" and nn._flat_grads_waste(x, w) < nn.FLAT_GRADS_MAX_WASTE:
-        return forward, "flat"
-    return forward, "shifted"
+    if stride == 2:
+        return "im2col", "shifted"
+    if cin == 1:
+        return "single-channel", "single-channel"
+    if nn._flat_grads_waste(x, w) < nn.FLAT_GRADS_MAX_WASTE:
+        return "flat", "flat"
+    return "flat", "shifted"
 
 
 def test_cases_cover_every_kernel():
     assert {kernels(g, cin, cout, s) for g, cin, cout, s in CASES} == {
-        ("flat", "flat"), ("flat", "shifted"), ("im2col", "single-channel"), ("im2col", "shifted")
+        ("flat", "flat"), ("flat", "shifted"), ("single-channel", "single-channel"),
+        ("im2col", "shifted"),
     }
     rows = {cin: nn._flat_rows(*g) for g, cin, _, s in CASES if s == 1 and g[0] > 4}
     assert rows[1] > nn.SINGLE_CHANNEL_CHUNK_ROWS and rows[3] > nn.FLAT_CHUNK_ROWS
     slab_x = [nn.IM2COL_SLAB_ELEMS // ((g[1] // s) * (g[2] // s) * 27 * cin) for g, cin, _, s in CASES]
     assert any(0 < n < g[0] // s for n, (g, _, _, s) in zip(slab_x, CASES))
+    # The upsampled layers run every stride-1 kernel on their skip channels,
+    # more than one slab of coarse x-planes, and planes longer than a chunk.
+    assert {kernels(2 * np.array(g), cs, cout, 1) for g, _, cs, cout in UP_CASES} == {
+        ("flat", "flat"), ("flat", "shifted"), ("single-channel", "single-channel")
+    }
+    planes = [(g[1] + 2) * (g[2] + 2) for g, *_ in UP_CASES]
+    assert any(max(1, nn.FLAT_CHUNK_ROWS // p) < g[0] for p, (g, *_) in zip(planes, UP_CASES))
+    assert any(p > nn.FLAT_CHUNK_ROWS for p in planes)
 
 
 @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -135,28 +145,38 @@ def test_leaky_relu_grad_equals_where_form(dtype, updtype):
 @pytest.mark.parametrize("shape", [(2, 4, 6, 3), (8, 8, 8, 16), (16, 16, 16, 8)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_upsample2_concat_and_grad(shape, dtype):
+    # conv3 with up= and its gradients equal conv3 of the explicit
+    # concatenation [upsample2(y), skip], with the upsampling's adjoint
+    # summing each coarse voxel's 8 fine copies.
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(shape).astype(dtype)
-    skip = rng.standard_normal((2 * shape[0], 2 * shape[1], 2 * shape[2], 5)).astype(dtype)
-    ref = np.concatenate([x.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2), skip], axis=-1)
-    np.testing.assert_array_equal(nn.upsample2_concat(x, skip), ref)
-    # The adjoint, on the channel slice of a wider array as in the U-Net
-    # backward, against numpy's own sum over the 8 copies.
-    wide = (rng.standard_normal(ref.shape) * 10.0 ** rng.uniform(-3, 3, ref.shape)).astype(dtype)
-    up = wide[..., : shape[3]]
-    H, W, M, c = up.shape
-    expected = up.reshape(H // 2, 2, W // 2, 2, M // 2, 2, c).sum(axis=(1, 3, 5))
-    np.testing.assert_array_equal(nn.upsample2_grad(up), expected)
-
+    y, skip, w, b, u = make_up_case(rng, shape[:3], shape[3], 5, 4, dtype)
+    ref, cat = upsampled_reference(y, skip, w, b)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    out = nn.conv3(skip, w, b, up=y)
+    assert out.dtype == dtype
+    assert np.abs(out - ref).max() <= tol * np.abs(ref).max()
+    gx, gw, gb, gy = nn.conv3_grads(skip, w, u, up=y)
+    g64 = nn.conv3_grads(cat, w.astype(np.float64), u.astype(np.float64))
+    H, W, M, c = shape
+    gy_ref = g64[0][..., :c].reshape(H, 2, W, 2, M, 2, c).sum(axis=(1, 3, 5))
+    for got, want in ((gx, g64[0][..., c:]), (gw, g64[1]), (gb, g64[2]), (gy, gy_ref)):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def test_gradcheck_conv3_covers_every_backward_kernel():
     from pointcarve.gradcheck import CONV3_CASES, check_conv3
 
-    assert {kernels(g, cin, cout, s)[1] for g, cin, cout, s in CONV3_CASES} == {
+    plain = [case[:4] for case in CONV3_CASES if not case[4]]
+    upsampled = [case[:4] for case in CONV3_CASES if case[4]]
+    assert {kernels(g, cin, cout, s)[1] for g, cin, cout, s in plain} == {
         "single-channel", "flat", "shifted"
     }
-    assert {(s, min(cin, 2)) for _, cin, _, s in CONV3_CASES} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert {(s, min(cin, 2)) for _, cin, _, s in plain} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    # With up=, the skip channels again run every stride-1 backward kernel.
+    assert {kernels(g, cin, cout, s)[1] for g, cin, cout, s in upsampled} == {
+        "single-channel", "flat", "shifted"
+    }
     result = check_conv3(seed=3, instances=len(CONV3_CASES))
     assert result.passed, f"max rel err {result.max_rel_err}"
 
@@ -248,13 +268,95 @@ def test_leaky_relu_grad_reads_activation_or_pre_activation(dtype):
 
 
 def test_upsample2_concat_into_padded_buffer():
+    # conv3 with up= writes only the interior of a garbage-filled padded
+    # output and reads padded and plain inputs alike.
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((3, 4, 2, 2))
-    skip = rng.standard_normal((6, 8, 4, 3))
-    out = nn.padded((6, 8, 4, 5), x.dtype)
-    assert nn.upsample2_concat(x, skip, out=out) is out
-    np.testing.assert_array_equal(out, nn.upsample2_concat(x, skip))
+    y, skip, w, b, u = make_up_case(rng, (3, 4, 2), 2, 3, 5, np.float64)
+    plain = nn.conv3(skip, w, b, up=y)
+    yin, xin = nn.padded(y.shape, y.dtype), nn.padded(skip.shape, skip.dtype)
+    yin[...], xin[...] = y, skip
+    out = nn.padded(plain.shape, plain.dtype, "test.up_out")
+    out[...] = np.nan
+    assert nn.conv3(xin, w, b, out=out, up=yin) is out
     assert _halo_is_zero(out)
+    np.testing.assert_array_equal(out, plain)
+    up = nn.padded(u.shape, u.dtype)
+    up[...] = u
+    grads = nn.conv3_grads(skip, w, u, up=y)
+    for got, want in zip(nn.conv3_grads(xin, w, up, up=yin), grads):
+        np.testing.assert_array_equal(got, want)
+    assert _halo_is_zero(grads[0]) and _halo_is_zero(grads[3])
+
+
+# (coarse grid, C_up, C_skip, C_out). Grids are not cubes; the skip runs
+# the single-channel, flat and shifted backward kernels; (9, 30, 30) spans
+# three slabs of coarse x-planes and (2, 66, 64) planes longer than a chunk.
+UP_CASES = [
+    ((1, 1, 1), 1, 1, 1),
+    ((2, 3, 4), 1, 2, 3),
+    ((3, 2, 2), 4, 1, 2),
+    ((2, 2, 3), 3, 5, 16),
+    ((4, 3, 5), 7, 6, 4),
+    ((9, 30, 30), 2, 2, 3),
+    ((2, 66, 64), 1, 2, 2),
+]
+
+
+def make_up_case(rng, coarse, cup, cskip, cout, dtype):
+    fine = tuple(2 * n for n in coarse)
+    y = rng.standard_normal((*coarse, cup)).astype(dtype)
+    skip = rng.standard_normal((*fine, cskip)).astype(dtype)
+    w = rng.standard_normal((3, 3, 3, cup + cskip, cout)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    u = rng.standard_normal((*fine, cout)).astype(dtype)
+    return y, skip, w, b, u
+
+
+def upsampled_reference(y, skip, w, b):
+    """conv3 in float64 over the explicit [upsample2(y), skip], and that input."""
+    y, skip, w, b = (a.astype(np.float64) for a in (y, skip, w, b))
+    cat = np.concatenate([y.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2), skip], axis=-1)
+    return nn.conv3(cat, w, b), cat
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("coarse,cup,cskip,cout", UP_CASES)
+def test_upsampled_conv3_matches_reference(coarse, cup, cskip, cout, dtype, rtol):
+    rng = np.random.default_rng(cup * 10 + cskip)
+    y, skip, w, b, _ = make_up_case(rng, coarse, cup, cskip, cout, dtype)
+    ref, _ = upsampled_reference(y, skip, w, b)
+    out = nn.conv3(skip, w, b, up=y)
+    assert out.shape == ref.shape and out.dtype == dtype
+    assert np.abs(out - ref).max() <= rtol * np.abs(ref).max()
+    assert _halo_is_zero(out)
+
+
+@pytest.mark.parametrize("coarse,cup,cskip,cout", UP_CASES)
+def test_upsampled_conv3_grads_match_reference(coarse, cup, cskip, cout):
+    rng = np.random.default_rng(cup + cskip + cout)
+    y, skip, w, b, u = make_up_case(rng, coarse, cup, cskip, cout, np.float64)
+    _, cat = upsampled_reference(y, skip, w, b)
+    gcat, gw_ref, gb_ref = nn.conv3_grads(cat, w, u)
+    gy_ref = gcat[..., :cup].reshape(coarse[0], 2, coarse[1], 2, coarse[2], 2, cup).sum(axis=(1, 3, 5))
+    gx, gw, gb, gy = nn.conv3_grads(skip, w, u, up=y)
+    for got, want in ((gx, gcat[..., cup:]), (gw, gw_ref), (gb, gb_ref), (gy, gy_ref)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    gx_skipped, gw_only, gb_only, gy_skipped = nn.conv3_grads(skip, w, u, up=y, input_grad=False)
+    assert gx_skipped is None and gy_skipped is None
+    np.testing.assert_array_equal(gw_only, gw)
+    np.testing.assert_array_equal(gb_only, gb)
+
+
+def test_upsampled_conv3_rejects_mismatched_inputs():
+    y, skip = np.ones((2, 2, 2, 3)), np.ones((4, 4, 4, 2))
+    w, b = np.ones((3, 3, 3, 5, 2)), np.zeros(2)
+    with pytest.raises(ValueError, match="stride 1"):
+        nn.conv3(skip, w, b, stride=2, up=y)
+    with pytest.raises(ValueError, match="half"):
+        nn.conv3(skip, w, b, up=np.ones((2, 2, 3, 3)))
+    with pytest.raises(ValueError, match="input channels"):
+        nn.conv3_grads(skip, np.ones((3, 3, 3, 4, 2)), np.ones((4, 4, 4, 2)), up=y)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
