@@ -395,7 +395,9 @@ def _unet_backward(
             cache["skips"][e - 1], t[f"enc{e}.w"], d_pre, stride=2
         )
         d_act = d_in + d_skips[e - 1]
-    d_pre = nn.leaky_relu_grad(cache["skips"][0], d_act)
+    act = cache["skips"][0]
+    # Padded too: the stem's flat backward reads its halo in place.
+    d_pre = nn.leaky_relu_grad(act, d_act, out=nn.padded(act.shape, np.result_type(act, d_act)))
     _, grads["stem.w"], grads["stem.b"] = nn.conv3_grads(
         cache["x"], t["stem.w"], d_pre, input_grad=False
     )

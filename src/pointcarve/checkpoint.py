@@ -10,8 +10,9 @@ Layout (integers little-endian; documented in docs/formats.md):
     tensors      raw float32, little-endian, in declared parameter order
 
 The config text fixes the architecture and every pipeline setting, so a
-loaded model runs the pipeline it was trained with. Parameters are stored
-as float32 regardless of the compute dtype.
+loaded model runs the pipeline it was trained with. It must be exactly the
+to_text() of the config it parses to. Parameters are stored as float32
+regardless of the compute dtype.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ def load_checkpoint(
     if hashlib.sha256(text).hexdigest()[:_HASH_LEN].encode() != stored_hash:
         raise ValueError(f"{path}: config text does not match its stored hash")
     config = RunConfig.from_text(text.decode(), source=f"{path}: config")
+    # Any other text that parses to this config would load under a hash
+    # other than the stored one.
+    if config.to_text().encode() != text:
+        raise ValueError(f"{path}: config text is not canonical")
     if dtype is not None:
         config = config.replace(dtype=dtype)
     cfg = config.carve_config()

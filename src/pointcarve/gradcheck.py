@@ -57,22 +57,22 @@ def _fd_compare(
     x0: np.ndarray,
     analytic: np.ndarray,
     rng: np.random.Generator,
-    h: float = FD_STEP,
+    max_probes: int = MAX_PROBES,
 ) -> float:
     """Max relative error between analytic and central-difference gradients
-    on a random coordinate subset of up to MAX_PROBES entries."""
+    on a random coordinate subset of up to max_probes entries."""
     flat0 = x0.ravel()
     aflat = analytic.ravel()
     n = flat0.size
-    probes = np.arange(n) if n <= MAX_PROBES else rng.choice(n, MAX_PROBES, replace=False)
+    probes = np.arange(n) if n <= max_probes else rng.choice(n, max_probes, replace=False)
     fd = np.empty(len(probes))
     for k, i in enumerate(probes):
         xp = flat0.copy()
-        xp[i] += h
+        xp[i] += FD_STEP
         up = phi(xp.reshape(x0.shape))
-        xp[i] -= 2 * h
+        xp[i] -= 2 * FD_STEP
         down = phi(xp.reshape(x0.shape))
-        fd[k] = (up - down) / (2 * h)
+        fd[k] = (up - down) / (2 * FD_STEP)
     return _rel_err(aflat[probes], fd)
 
 
@@ -152,11 +152,11 @@ def check_cell_conv(seed: int, instances: int = 20) -> GradCheckResult:
     return GradCheckResult("cell_conv_grads", worst, TOL_DEFAULT, instances)
 
 
-# (grid, C_in, C_out, stride, C_up), one case per conv3_grads kernel and
-# stride: single-channel (stride 1, C_in = 1), flat (stride 1, C_in >= 2, few
-# output channels) and shifted copies (wide stride-1 layers and every stride
-# 2). With C_up > 0 the layer input is [upsample2(up), x], up a C_up-channel
-# grid of half x's size, and x runs each stride-1 kernel once more.
+# (grid, C_in, C_out, stride, C_up). Stride 1 runs the flat backward: at
+# C_in = 1 (the stem's column GEMM), at C_in >= 2 with few output channels,
+# and wide (C_out = 16). Stride 2 runs the copied-tap kernel at C_in = 1 and
+# >= 2. With C_up > 0 the layer input is [upsample2(up), x], up a
+# C_up-channel grid of half x's size, and x runs the flat backward once more.
 CONV3_CASES = (
     ((4, 5, 6), 1, 3, 1, 0),
     ((5, 6, 4), 3, 2, 1, 0),
@@ -293,23 +293,12 @@ def check_end_to_end(seed: int) -> GradCheckResult:
     params = CarveModelParams.initialize(config.carve_config(), seed)
 
     result = loss_and_grads_sample(partial, gt, params, config, aug_seed=0)
-    analytic_flat = params.flatten_grads(result.grads)
-    flat0 = params.flat()
-    probes = rng.choice(flat0.size, 16, replace=False)
 
     def phi(vec):
         p = params.with_flat(vec)
         return loss_and_grads_sample(partial, gt, p, config, aug_seed=0).loss.total
 
-    fd = np.empty(len(probes))
-    for k, idx in enumerate(probes):
-        vp = flat0.copy()
-        vp[idx] += FD_STEP
-        up = phi(vp)
-        vp[idx] -= 2 * FD_STEP
-        down = phi(vp)
-        fd[k] = (up - down) / (2 * FD_STEP)
-    err = _rel_err(analytic_flat[probes], fd)
+    err = _fd_compare(phi, params.flat(), params.flatten_grads(result.grads), rng, max_probes=16)
     return GradCheckResult("end_to_end_loss", err, TOL_CHAMFER, 1)
 
 

@@ -55,17 +55,16 @@ Image and Video Super-Resolution Using an Efficient Sub-Pixel CNN", 2016).
 One strided add per slab of coarse x-planes moves the 8 parity results into
 the output (a pixel shuffle).
 
-`conv3_grads` has three kernels, and the same split for `up`.
+`conv3_grads` picks one of two kernels by stride, and has a third for `up`.
 
-- The flat layout, for stride-1 layers with C_in >= 2 while its padded rows
-  cost less than the copies they save (FLAT_GRADS_MAX_WASTE). The weight
-  gradient accumulates per row chunk. The input gradient is the flat
+- The flat layout, for every stride-1 layer. The weight gradient
+  accumulates per row chunk: 27 tap GEMMs, or for the stem (C_in = 1) one
+  (27, n) @ (n, C_out) GEMM on the forward's channels-first column block,
+  the transpose of the forward's GEMM. The input gradient is the flat
   convolution of the upstream with the taps mirrored on all three axes and
   C_in, C_out swapped.
-- The flat layout with the upstream stored channels-first, for the stem
-  (stride 1, C_in = 1), where every tap product is a matrix-vector product.
-- 27 GEMMs on copied tap views, for the stride-2 encoders and the smallest
-  decoder grids. An im2col backward was no faster there.
+- 27 GEMMs on copied tap views, for the stride-2 encoders. An im2col
+  backward was no faster there.
 - With `up`, the upstream's 8 parity sub-grids are copied once into y's
   padded layout. Each parity's 8 weight gradients accumulate per row chunk
   like the flat kernel's and map back onto the 27 taps through the adjoint
@@ -102,16 +101,6 @@ FLAT_CHUNK_ROWS = 4096
 IM2COL_SLAB_ELEMS = 1 << 18
 # Elements per slab of `leaky_relu`'s scaled copy.
 LEAKY_SLAB_ELEMS = 1 << 16
-# Rows per chunk of the C_in = 1 backward, whose 54 matrix-vector products
-# per chunk cost more in call overhead at 4096 rows (desk stem: 4.5 ms at
-# 4096, 3.1 ms at 16384, 2.8 ms at 32768; paper stem: 43 ms at 16384, 52 ms
-# at 32768).
-SINGLE_CHANNEL_CHUNK_ROWS = 16384
-# The flat backward runs while _flat_grads_waste stays below this. Measured
-# waste per decoder: 1.0 (dec1) and 4.1 (dec2), where flat is 25-50% faster
-# than the copying kernel; 16.4-16.6 (dec3, desk and paper), where it is ~10%
-# slower.
-FLAT_GRADS_MAX_WASTE = 8
 
 _TAPS = tuple(itertools.product(range(3), repeat=3))
 # Output parities of an upsampled conv, and the 2x2x2 coarse taps of each.
@@ -235,12 +224,31 @@ def _shifted_gemms(flat: np.ndarray, pairs, out: np.ndarray, rows: int, b=None) 
             acc += b
 
 
+def _tap_columns(xs: np.ndarray, offsets, s: int, e: int) -> np.ndarray:
+    """The (taps, e - s) workspace block whose row k is xs[s + offsets[k] : e + offsets[k]].
+
+    A single-channel input's taps as columns, so that one GEMM replaces an
+    outer product per tap.
+    """
+    col = workspace("conv3.col1", (27, FLAT_CHUNK_ROWS), xs.dtype)[: len(offsets), : e - s]
+    for k, o in enumerate(offsets):
+        col[k] = xs[s + o : e + o]
+    return col
+
+
 def _shifted_weight_grads(flat: np.ndarray, offsets, up: np.ndarray, gtaps: np.ndarray) -> None:
-    """gtaps[k] += sum over rows r of flat[r + offsets[k]]^T up[r]."""
+    """gtaps[k] += sum over rows r of flat[r + offsets[k]]^T up[r].
+
+    With one input channel, each chunk is the transpose of the forward's
+    column GEMM: (taps, n) @ (n, C_out).
+    """
     part = np.empty(gtaps.shape[1:], gtaps.dtype)
     for s in range(0, len(up), FLAT_CHUNK_ROWS):
         e = min(s + FLAT_CHUNK_ROWS, len(up))
         u = up[s:e]
+        if flat.shape[1] == 1:
+            gtaps[:, 0] += _tap_columns(flat[:, 0], offsets, s, e) @ u
+            continue
         for k, o in enumerate(offsets):
             np.matmul(flat[s + o : e + o].T, u, out=part)
             gtaps[k] += part
@@ -256,7 +264,7 @@ def conv3(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, out: np.ndarray | None = None,
     *, up: np.ndarray | None = None,
 ) -> np.ndarray:
-    """3x3x3 convolution, zero padding 1, stride 1 or 2.
+    """3x3x3 convolution, zero padding 1, stride 1 or 2 (even grid sides).
 
     With `up`, a (H/2, W/2, M/2, C_up) coarse input, the layer input is
     [upsample2(up), x] (stride 1) and w's first C_up input channels read up.
@@ -264,6 +272,7 @@ def conv3(
     output's shape (a fresh one when None), and returns it.
     """
     H, W, M, cin = x.shape
+    _check_stride(x.shape, stride)
     c_up = 0 if up is None else _check_up(x, w, up, stride)
     if out is None:
         out = padded((H // stride, W // stride, M // stride, w.shape[-1]), x.dtype)
@@ -282,6 +291,13 @@ def conv3(
     if up is not None:
         _upsampled_conv3(_padded_input(up, "conv3.up"), w[..., :c_up, :], out)
     return out
+
+
+def _check_stride(shape, stride: int) -> None:
+    if stride not in (1, 2):
+        raise ValueError(f"conv3 stride must be 1 or 2, got {stride!r} for grid {tuple(shape[:3])}")
+    if stride == 2 and any(n % 2 for n in shape[:3]):
+        raise ValueError(f"conv3 at stride 2 needs even grid sides, got {tuple(shape[:3])}")
 
 
 def _check_up(x: np.ndarray, w: np.ndarray, up: np.ndarray, stride: int) -> int:
@@ -314,14 +330,10 @@ def _conv3_single_channel(xp: np.ndarray, w: np.ndarray, b: np.ndarray, outp: np
     xs = flat[:, 0]
     taps = w.reshape(27, cout)
     out = outp.reshape(-1, cout)[offsets[13] :]
-    col = workspace("conv3.col1", (27, FLAT_CHUNK_ROWS), xp.dtype)
     for s in range(0, rows, FLAT_CHUNK_ROWS):
         e = min(s + FLAT_CHUNK_ROWS, rows)
-        c = col[:, : e - s]
-        for k, o in enumerate(offsets):
-            c[k] = xs[s + o : e + o]
         acc = out[s:e]
-        np.matmul(c.T, taps, out=acc)
+        np.matmul(_tap_columns(xs, offsets, s, e).T, taps, out=acc)
         acc += b
     _zero_faces(outp)
 
@@ -428,6 +440,7 @@ def conv3_grads(
     input_grad=False the input gradients are neither computed nor returned
     (None in their place), for a layer whose input is not trained.
     """
+    _check_stride(x.shape, stride)
     gb = _bias_grad(upstream.reshape(-1, w.shape[-1]))
     if up is None:
         return (*_conv3_grads(x, w, upstream, stride, input_grad), gb)
@@ -441,9 +454,7 @@ def conv3_grads(
 
 def _conv3_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int, input_grad: bool):
     xp = _padded_input(x, "conv3.x")
-    if stride == 1 and x.shape[-1] == 1:
-        return _conv3_single_channel_grads(xp, w, upstream, input_grad)
-    if stride == 1 and _flat_grads_waste(x, w) < FLAT_GRADS_MAX_WASTE:
+    if stride == 1:
         return _conv3_flat_grads(xp, w, upstream, input_grad)
     return _conv3_shifted_grads(xp, w, upstream, stride, input_grad)
 
@@ -451,17 +462,6 @@ def _conv3_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray, stride: int
 def _bias_grad(up: np.ndarray) -> np.ndarray:
     """Column sums of (rows, C) as a GEMV: sum(axis=0) is 3-16x slower."""
     return np.ones(len(up), up.dtype) @ up
-
-
-def _flat_grads_waste(x: np.ndarray, w: np.ndarray) -> float:
-    """Extra GEMM work of the flat backward per copied input value.
-
-    The flat backward computes every row of the padded layout, rows / N - 1
-    more than the N output voxels, each a C_in x C_out product; the copying
-    kernel instead copies C_in values per voxel and tap.
-    """
-    H, W, M = x.shape[:3]
-    return (_flat_rows(H, W, M) / (H * W * M) - 1) * w.shape[-1]
 
 
 def _conv3_flat_grads(xp: np.ndarray, w: np.ndarray, upstream: np.ndarray, input_grad: bool):
@@ -514,43 +514,6 @@ def _upsampled_conv3_grads(yp: np.ndarray, w: np.ndarray, upstream: np.ndarray, 
     _shifted_gemms(g.reshape(-1, cout), pairs, gy.base.reshape(-1, cup)[center:], rows)
     _zero_faces(gy.base)
     return gy, gw
-
-
-def _conv3_single_channel_grads(
-    xp: np.ndarray, w: np.ndarray, upstream: np.ndarray, input_grad: bool
-):
-    # Stride 1, C_in = 1, on the flat padded layout. Every tap product is a
-    # matrix-vector product; over channels-last upstream rows of C_out values
-    # these run 2-3x slower than over one channel's contiguous row, so the
-    # upstream is laid out channels-first.
-    H, W, M = upstream.shape[:3]
-    cout = w.shape[-1]
-    flat, offsets, rows = _flat_layout(xp)
-    xs = flat[:, 0]
-    upT = np.zeros((cout, H + 2, W + 2, M + 2), upstream.dtype)
-    upT[:, 1:-1, 1:-1, 1:-1] = np.moveaxis(upstream, 3, 0)
-    upT = upT.reshape(cout, -1)
-    taps = w.reshape(27, cout)
-    gw = np.zeros_like(taps)
-    gx = np.zeros(H * (W + 2) * (M + 2), xp.dtype)
-    part_w = np.empty(cout, gw.dtype)
-    part_x = np.empty(SINGLE_CHANNEL_CHUNK_ROWS, xp.dtype)
-    for s in range(0, rows, SINGLE_CHANNEL_CHUNK_ROWS):
-        e = min(s + SINGLE_CHANNEL_CHUNK_ROWS, rows)
-        u = upT[:, offsets[13] + s : offsets[13] + e]
-        acc = gx[s:e]
-        part = part_x[: e - s]
-        for k, o in enumerate(offsets):
-            np.matmul(u, xs[s + o : e + o], out=part_w)
-            gw[k] += part_w
-            if input_grad:
-                # Input voxel r receives tap k from output row r + 1 - d_k: the
-                # mirrored tap 26 - k read at offset o of the padded upstream.
-                np.matmul(taps[26 - k], upT[:, s + o : e + o], out=part)
-                acc += part
-    if not input_grad:
-        return None, gw.reshape(w.shape)
-    return gx.reshape(H, W + 2, M + 2)[:, :W, :M, None], gw.reshape(w.shape)
 
 
 def _conv3_shifted_grads(

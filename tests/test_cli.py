@@ -337,6 +337,18 @@ CKPT_CASES = {
                                                      "refine_widths = 0,3"),
                           "refine_widths must all be >= 3"),
     "trailing-bytes": (lambda raw: raw + b"\x00" * 4, "4 trailing bytes"),
+    # Text that parses, but not to itself under to_text().
+    "value-cut-at-hash": (lambda raw: rewrite_config(raw, "data_manifest = \n",
+                                                     "data_manifest = a#b\n"),
+                          "config text is not canonical"),
+    "trailing-comment": (lambda raw: rewrite_config(raw, "seed = 3\n", "seed = 3  # note\n"),
+                         "config text is not canonical"),
+    "padded-value": (lambda raw: rewrite_config(raw, "grid_res = 8", "grid_res =     8"),
+                     "config text is not canonical"),
+    "bool-yes": (lambda raw: rewrite_config(raw, "sensoraug = false", "sensoraug = yes"),
+                 "config text is not canonical"),
+    "omitted-line": (lambda raw: rewrite_config(raw, "seed = 3\n", ""),
+                     "config text is not canonical"),
 }
 
 _PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"

@@ -7,7 +7,7 @@ import pytest
 from pointcarve import nn
 
 # (grid, C_in, C_out, stride). The 26^3 and 18^3 grids span more than one
-# row chunk of the C_in = 1 and the flat kernels, and several im2col slabs.
+# row chunk of the flat kernels, at C_in = 1 and 3, and several im2col slabs.
 CASES = [
     ((4, 6, 8), 1, 3, 1),
     ((4, 6, 8), 3, 2, 1),
@@ -43,35 +43,45 @@ def make_case(rng, grid, cin, cout, stride, dtype):
     return x, w, b, u
 
 
-def kernels(grid, cin, cout, stride):
-    """The (conv3, conv3_grads) kernels a case runs."""
-    x, w = np.empty((*grid, cin)), np.empty((3, 3, 3, cin, cout))
+def kernels(cin, stride):
+    """The (conv3, conv3_grads) kernels a layer runs."""
     if stride == 2:
         return "im2col", "shifted"
-    if cin == 1:
-        return "single-channel", "single-channel"
-    if nn._flat_grads_waste(x, w) < nn.FLAT_GRADS_MAX_WASTE:
-        return "flat", "flat"
-    return "flat", "shifted"
+    return ("single-channel" if cin == 1 else "flat"), "flat"
 
 
 def test_cases_cover_every_kernel():
-    assert {kernels(g, cin, cout, s) for g, cin, cout, s in CASES} == {
-        ("flat", "flat"), ("flat", "shifted"), ("single-channel", "single-channel"),
-        ("im2col", "shifted"),
+    assert {kernels(cin, s) for _, cin, _, s in CASES} == {
+        ("flat", "flat"), ("single-channel", "flat"), ("im2col", "shifted"),
     }
+    # The flat backward also runs the wide stride-1 layers.
+    assert any(s == 1 and cin > 1 and cout >= 16 for _, cin, cout, s in CASES)
     rows = {cin: nn._flat_rows(*g) for g, cin, _, s in CASES if s == 1 and g[0] > 4}
-    assert rows[1] > nn.SINGLE_CHANNEL_CHUNK_ROWS and rows[3] > nn.FLAT_CHUNK_ROWS
+    assert rows[1] > nn.FLAT_CHUNK_ROWS and rows[3] > nn.FLAT_CHUNK_ROWS
     slab_x = [nn.IM2COL_SLAB_ELEMS // ((g[1] // s) * (g[2] // s) * 27 * cin) for g, cin, _, s in CASES]
     assert any(0 < n < g[0] // s for n, (g, _, _, s) in zip(slab_x, CASES))
     # The upsampled layers run every stride-1 kernel on their skip channels,
     # more than one slab of coarse x-planes, and planes longer than a chunk.
-    assert {kernels(2 * np.array(g), cs, cout, 1) for g, _, cs, cout in UP_CASES} == {
-        ("flat", "flat"), ("flat", "shifted"), ("single-channel", "single-channel")
+    assert {kernels(cs, 1) for _, _, cs, _ in UP_CASES} == {
+        ("flat", "flat"), ("single-channel", "flat")
     }
     planes = [(g[1] + 2) * (g[2] + 2) for g, *_ in UP_CASES]
     assert any(max(1, nn.FLAT_CHUNK_ROWS // p) < g[0] for p, (g, *_) in zip(planes, UP_CASES))
     assert any(p > nn.FLAT_CHUNK_ROWS for p in planes)
+
+
+@pytest.mark.parametrize("grid,cin,cout,stride", CASES)
+def test_conv3_grads_runs_the_listed_kernel(grid, cin, cout, stride, monkeypatch):
+    ran = []
+    for name, label in (("_conv3_flat_grads", "flat"), ("_conv3_shifted_grads", "shifted")):
+        def spy(*args, _kernel=getattr(nn, name), _label=label):
+            ran.append(_label)
+            return _kernel(*args)
+        monkeypatch.setattr(nn, name, spy)
+    x, w, _, u = make_case(np.random.default_rng(0), grid, cin, cout, stride, np.float32)
+    nn.conv3_grads(x, w, u, stride)
+    nn.conv3_grads(x, w, u, stride, input_grad=False)
+    assert ran == [kernels(cin, stride)[1]] * 2
 
 
 @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -169,14 +179,15 @@ def test_gradcheck_conv3_covers_every_backward_kernel():
 
     plain = [case[:4] for case in CONV3_CASES if not case[4]]
     upsampled = [case[:4] for case in CONV3_CASES if case[4]]
-    assert {kernels(g, cin, cout, s)[1] for g, cin, cout, s in plain} == {
-        "single-channel", "flat", "shifted"
-    }
+    assert {kernels(cin, s)[1] for _, cin, _, s in plain} == {"flat", "shifted"}
     assert {(s, min(cin, 2)) for _, cin, _, s in plain} == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    # With up=, the skip channels again run every stride-1 backward kernel.
-    assert {kernels(g, cin, cout, s)[1] for g, cin, cout, s in upsampled} == {
-        "single-channel", "flat", "shifted"
+    # The flat backward at C_in = 1, with few output channels and wide.
+    assert {(min(cin, 2), cout >= 16) for _, cin, cout, s in plain if s == 1} == {
+        (1, False), (2, False), (2, True)
     }
+    # With up=, the skip channels run the flat backward at C_in = 1 and >= 2.
+    assert {kernels(cin, s)[1] for _, cin, _, s in upsampled} == {"flat"}
+    assert {min(cin, 2) for _, cin, _, _ in upsampled} == {1, 2}
     result = check_conv3(seed=3, instances=len(CONV3_CASES))
     assert result.passed, f"max rel err {result.max_rel_err}"
 
@@ -205,6 +216,22 @@ def test_conv3_on_padded_buffers_equals_plain_arrays(grid, cin, cout, stride):
     for plain, fed in zip(nn.conv3_grads(x, w, u, stride), nn.conv3_grads(xin, w, up, stride)):
         np.testing.assert_array_equal(plain, fed)
     np.testing.assert_array_equal(x, xin)
+
+
+def test_conv3_rejects_strides_and_grids_it_cannot_run():
+    w, b = np.ones((3, 3, 3, 2, 3)), np.zeros(3)
+    odd = np.ones((5, 6, 4, 2))
+    for call in (lambda: nn.conv3(odd, w, b, 2),
+                 lambda: nn.conv3_grads(odd, w, np.ones((2, 3, 2, 3)), 2)):
+        with pytest.raises(ValueError, match=r"even grid sides, got \(5, 6, 4\)"):
+            call()
+    x = np.ones((4, 4, 4, 2))
+    for stride in (0, 3):
+        for call in (lambda: nn.conv3(x, w, b, stride),
+                     lambda: nn.conv3_grads(x, w, np.ones((4, 4, 4, 3)), stride)):
+            message = rf"stride must be 1 or 2, got {stride} for grid \(4, 4, 4\)"
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_conv3_flat_out_must_be_padded():
@@ -289,8 +316,9 @@ def test_upsample2_concat_into_padded_buffer():
 
 
 # (coarse grid, C_up, C_skip, C_out). Grids are not cubes; the skip runs
-# the single-channel, flat and shifted backward kernels; (9, 30, 30) spans
-# three slabs of coarse x-planes and (2, 66, 64) planes longer than a chunk.
+# the flat backward at C_skip = 1 and >= 2, with up to 16 output channels;
+# (9, 30, 30) spans three slabs of coarse x-planes and (2, 66, 64) planes
+# longer than a chunk.
 UP_CASES = [
     ((1, 1, 1), 1, 1, 1),
     ((2, 3, 4), 1, 2, 3),
