@@ -3,7 +3,8 @@ partial cloud's grid, applied to the block's grid, then mapped back to points.
 
 Every grid cell owns its own K^3 convolution kernel (no weight sharing); the
 kernels are produced by a volumetric encoder-decoder over the partial cloud's
-gridding, which also emits a feature grid consumed by the refinement stage.
+gridding, whose feature head also gives the refinement stage its per-point
+features.
 
 Memory layout of the inference forward:
 
@@ -18,11 +19,18 @@ Memory layout of the inference forward:
 - The kernel head writes tap-major (K^3, H, W, M) planes; `KernelField`
   exposes them as an (H, W, M, K^3) view, and `cell_conv` reads one
   contiguous plane per tap.
+- The feature head runs only at the vertices `refine` samples: the 8
+  corners of each coarse point's cell, at most 8m of the grid's H*W*M
+  (about 6 % at the desk and paper presets). `engrave` carves first, then
+  gathers those vertices' trunk rows, sorted and unique, into one head GEMM.
+  `EngraveResult.features` is a `FeatureGrid` holding that (U, F) table
+  and its flat vertex indices; `predict_kernels` still computes the whole
+  grid, which lists every vertex.
 - Without a kept cache, those padded buffers and every other temporary come
   from the calling thread's `nn.workspace` and are reused by the next call.
-  A workspace buffer never leaves the function that fills it: the kernel
-  and feature grids, `EngraveResult`, `predict_kernels`' results and a kept
-  `unet_cache` are fresh arrays their caller owns.
+  A workspace buffer never leaves the public function that fills it: the
+  kernel field, the feature table, `EngraveResult`, `predict_kernels`'
+  results and a kept `unet_cache` are fresh arrays their caller owns.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 
 from . import nn
 from .cloud import PointBlock, PointCloud
-from .gridding import FeatureGrid, VoxelGrid, gridding, gridding_reverse
+from .gridding import FeatureGrid, VoxelGrid, _corner_table, gridding, gridding_reverse
 from .refine import RefineHeadParams
 
 
@@ -308,14 +316,17 @@ def cell_conv_grads(
 
 
 def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool = False):
-    """Forward pass of the kernel-predicting encoder-decoder.
+    """Forward pass of the kernel-predicting encoder-decoder, up to the
+    kernel head.
 
-    Returns (kernel values, feature values, cache). The kernel values are
-    the (H, W, M, K^3) view of the kernel head's tap-major planes.
+    Returns (kernel values, trunk, cache). The kernel values are the
+    (H, W, M, K^3) view of the kernel head's tap-major planes; the trunk is
+    the (H, W, M, C) activation both heads read, for `_feature_head`.
     Activations live in padded buffers (see `nn`), each layer writing into
     the next one's. Without keep_cache those are the thread's workspace
-    buffers and cache is None; with it they are fresh, and the cache holds
-    the padded input and the activations `_unet_backward` reads.
+    buffers, the trunk included (valid until this thread's next forward),
+    and cache is None; with it they are fresh, and the cache holds the
+    padded input and the activations `_unet_backward` reads.
     """
     cfg = params.config
     t = params.tensors
@@ -350,17 +361,33 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
         if keep_cache:
             acts.append(y)
     planes = nn.conv1(y, t["kernel_head.w"], t["kernel_head.b"], channels_first=True)
-    feat = nn.conv1(y, t["feature_head.w"], t["feature_head.b"])
     cache = None
     if keep_cache:
         cache = {"x": x, "skips": skips, "acts": acts}
-    return np.moveaxis(planes, 0, -1), feat, cache
+    return np.moveaxis(planes, 0, -1), y, cache
+
+
+def _trunk_rows(trunk: np.ndarray, voxels: np.ndarray) -> np.ndarray:
+    """A fresh (U, C) copy of the trunk at the listed flat voxel indices."""
+    return trunk.reshape(-1, trunk.shape[-1])[voxels]
+
+
+def _feature_head(trunk: np.ndarray, params: CarveModelParams, voxels: np.ndarray) -> np.ndarray:
+    """The feature head's fresh (U, F) rows at the listed flat voxels.
+
+    Row for row, the same product and bias add as `nn.conv1` over the
+    whole trunk.
+    """
+    t = params.tensors
+    return nn.linear(_trunk_rows(trunk, voxels), t["feature_head.w"], t["feature_head.b"])
 
 
 def _unet_backward(
-    cache: dict, params: CarveModelParams, d_kern: np.ndarray, d_feat: np.ndarray
+    cache: dict, params: CarveModelParams, d_kern: np.ndarray, voxels: np.ndarray,
+    d_table: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients of the encoder-decoder given head upstreams.
+    """Parameter gradients of the encoder-decoder given head upstreams: the
+    kernel field's, and the (U, F) feature table's at the flat `voxels`.
 
     Each activation's gradient reads the sign of the kept activation, which
     equals the pre-activation's (see `nn.leaky_relu_grad`).
@@ -369,13 +396,16 @@ def _unet_backward(
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
     trunk = cache["acts"][-1]
-    d_trunk_k, grads["kernel_head.w"], grads["kernel_head.b"] = nn.conv1_grads(
+    d_y, grads["kernel_head.w"], grads["kernel_head.b"] = nn.conv1_grads(
         trunk, t["kernel_head.w"], d_kern
     )
-    d_trunk_f, grads["feature_head.w"], grads["feature_head.b"] = nn.conv1_grads(
-        trunk, t["feature_head.w"], d_feat
+    d_rows, grads["feature_head.w"], grads["feature_head.b"] = nn.linear_grads(
+        _trunk_rows(trunk, voxels), t["feature_head.w"], d_table
     )
-    d_y = d_trunk_k + d_trunk_f
+    # The voxels are unique, so a fancy-index += adds each row once.
+    d_flat = d_y.reshape(-1, d_y.shape[-1])
+    d_flat[voxels] += d_rows
+    d_y = d_flat.reshape(trunk.shape)
     d_skips = [None] * (cfg.stages + 1)
     for e in range(1, cfg.stages + 1):
         # Reverse of decoder stage e (the decoder ran stages..1, so dec1 first).
@@ -407,22 +437,30 @@ def _unet_backward(
 def predict_kernels(
     partial_grid: VoxelGrid, params: CarveModelParams
 ) -> tuple[KernelField, FeatureGrid]:
-    """Predict per-cell carve kernels and refinement features from P-hat."""
+    """Predict per-cell carve kernels and the whole refinement feature grid
+    from P-hat. `engrave` evaluates the feature head only where `refine`
+    samples it; this is the dense reference."""
     if partial_grid.values.shape != params.config.resolution:
         raise ValueError(
             f"grid resolution {partial_grid.values.shape} does not match "
             f"configured model resolution {params.config.resolution}"
         )
-    kern, feat, _ = _unet_forward(partial_grid.values, params)
+    t = params.tensors
+    kern, trunk, _ = _unet_forward(partial_grid.values, params)
+    features = nn.conv1(trunk, t["feature_head.w"], t["feature_head.b"])
     return (
         KernelField(kern, params.config.kernel_size),
-        FeatureGrid(feat, partial_grid.range),
+        FeatureGrid(features, partial_grid.range),
     )
 
 
 @dataclass
 class EngraveResult:
-    """Output and forward intermediates of `engrave`, kept for the backward."""
+    """Output and forward intermediates of `engrave`, kept for the backward.
+
+    `features` holds the feature head's rows at the corners of the coarse
+    points' cells only: a (U, F) table, U <= 8 * len(coarse).
+    """
 
     coarse: PointCloud
     features: FeatureGrid
@@ -442,20 +480,26 @@ def engrave(
     """Carve the block into a coarse cloud of exactly m points.
 
     Composition of gridding (block and partial, sharing the block's range),
-    kernel prediction, cell-wise convolution and gridding reverse. With
-    keep_cache the encoder-decoder's activations are kept for `_unet_backward`.
+    kernel prediction, cell-wise convolution and gridding reverse, then the
+    feature head at the vertices `refine` will sample around the coarse
+    points. With keep_cache the encoder-decoder's activations are kept for
+    `_unet_backward`.
     """
     cfg = params.config
     block_grid = gridding(
         PointCloud(block.all_points()), cfg.resolution, block.range, cfg.np_dtype
     )
     partial_grid = gridding(block.partial, cfg.resolution, block.range, cfg.np_dtype)
-    kern_vals, feat_vals, cache = _unet_forward(partial_grid.values, params, keep_cache)
+    kern_vals, trunk, cache = _unet_forward(partial_grid.values, params, keep_cache)
     kernels = KernelField(kern_vals, cfg.kernel_size)
     carved = cell_conv(block_grid, kernels)
+    coarse = gridding_reverse(carved, m, threshold)
+    voxels = np.unique(_corner_table(coarse.points, cfg.resolution, block.range)[0])
     return EngraveResult(
-        coarse=gridding_reverse(carved, m, threshold),
-        features=FeatureGrid(feat_vals, block.range),
+        coarse=coarse,
+        features=FeatureGrid(
+            _feature_head(trunk, params, voxels), block.range, voxels, cfg.resolution
+        ),
         block_grid=block_grid,
         kernels=kernels,
         carved=carved,

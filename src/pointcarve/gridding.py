@@ -45,26 +45,58 @@ class VoxelGrid:
 
 @dataclass(frozen=True)
 class FeatureGrid:
-    """Dense feature field: an H x W x M x F array over `range`."""
+    """Feature field on an H x W x M vertex lattice over `range`, held as a
+    table of rows at listed vertices.
+
+    Row u of the (U, F) `table` holds the features of the vertex whose flat
+    C-order index is `voxels[u]`; `voxels` is sorted and unique, and sampling
+    reads listed vertices only. Built from a dense (H, W, M, F) `values`
+    array, the grid lists every vertex and `table` is a view of `values`.
+    Built with `voxels` and `resolution`, `values` is the (U, F) table
+    itself: `engrave` keeps the feature head's rows at the corners of its
+    coarse points this way.
+    """
 
     values: np.ndarray
     range: BoundingRange
+    voxels: np.ndarray | None = None
+    resolution: tuple[int, int, int] | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if v.ndim != 4:
-            raise ValueError(f"feature grid values must be 4D, got shape {v.shape}")
+        if self.voxels is None:
+            if v.ndim != 4:
+                raise ValueError(f"feature grid values must be 4D, got shape {v.shape}")
+            res = v.shape[:3]
+            voxels = np.arange(int(np.prod(res)))
+        else:
+            if self.resolution is None:
+                raise ValueError("a feature table needs the grid resolution")
+            res = tuple(int(n) for n in self.resolution)
+            voxels = np.asarray(self.voxels)
+            if v.ndim != 2 or voxels.shape != (len(v),):
+                raise ValueError(
+                    f"feature table must be ({len(voxels)}, F) for {len(voxels)} voxels, "
+                    f"got shape {v.shape}"
+                )
+            if voxels.dtype.kind not in "iu" or (len(voxels) and (
+                voxels[0] < 0 or voxels[-1] >= np.prod(res) or np.any(voxels[1:] <= voxels[:-1])
+            )):
+                raise ValueError("feature voxels must be sorted, unique flat vertex indices")
         if not np.all(np.isfinite(v)):
             raise ValueError("feature grid values contain non-finite entries")
         object.__setattr__(self, "values", v)
-
-    @property
-    def resolution(self) -> tuple[int, int, int]:
-        return self.values.shape[:3]
+        object.__setattr__(self, "voxels", voxels)
+        object.__setattr__(self, "resolution", res)
 
     @property
     def channels(self) -> int:
-        return self.values.shape[3]
+        return self.values.shape[-1]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (U, F) rows, in `voxels` order."""
+        return self.values.reshape(-1, self.channels)
 
 
 # GridGradient is shape-matched to the grid it differentiates; a plain array
@@ -238,9 +270,20 @@ def feature_sample(features: FeatureGrid, query: PointCloud) -> PointCloud:
     return PointCloud(query.points, vals)
 
 
+def _table_corners(features: FeatureGrid, points: np.ndarray):
+    """`_corner_table` of the points with each vertex index replaced by its
+    row in `features.table`. Raises if a corner is not listed."""
+    idx, w, axis_w = _corner_table(points, features.resolution, features.range)
+    voxels = features.voxels
+    rows = np.searchsorted(voxels, idx)
+    if idx.size and (rows.max() >= len(voxels) or not np.array_equal(voxels[rows], idx)):
+        raise ValueError("query reads a vertex the feature grid does not list")
+    return rows, w, axis_w
+
+
 def _feature_sample_values(features: FeatureGrid, points: np.ndarray) -> np.ndarray:
-    idx, w, _ = _corner_table(points, features.resolution, features.range)
-    vals = features.values.reshape(-1, features.channels)[idx]
+    rows, w, _ = _table_corners(features, points)
+    vals = features.table[rows]
     out = np.zeros((len(points), features.channels), dtype=features.values.dtype)
     for k in range(8):
         out += w[:, k, None] * vals[:, k]
@@ -250,22 +293,24 @@ def _feature_sample_values(features: FeatureGrid, points: np.ndarray) -> np.ndar
 def feature_sample_grad(
     features: FeatureGrid, query: PointCloud, upstream: np.ndarray
 ) -> GridGradient:
-    """Adjoint of `feature_sample` w.r.t. the feature-grid values."""
+    """Adjoint of `feature_sample` w.r.t. the feature values.
+
+    Shaped like `features.values`: (U, F) for a table, (H, W, M, F) for a
+    dense grid. Listed vertices that no query reads get zero.
+    """
     upstream = np.asarray(upstream)
     if upstream.shape != (len(query), features.channels):
         raise ValueError(
             f"upstream must have shape ({len(query)}, {features.channels}), "
             f"got {upstream.shape}"
         )
-    idx, w, _ = _corner_table(query.points, features.resolution, features.range)
-    # C order, so `flat` is a view of `grad` whatever the grid's layout.
-    grad = np.zeros(features.values.shape, features.values.dtype)
-    flat = grad.reshape(-1, features.channels)
+    rows, w, _ = _table_corners(features, query.points)
+    grad = np.zeros((len(features.voxels), features.channels), features.values.dtype)
     for k in range(8):
         # Cast before scattering: np.add.at is many times slower when it
-        # has to cast each float64 contribution to a float32 grid itself.
-        np.add.at(flat, idx[:, k], (w[:, k, None] * upstream).astype(flat.dtype, copy=False))
-    return grad
+        # has to cast each float64 contribution to a float32 table itself.
+        np.add.at(grad, rows[:, k], (w[:, k, None] * upstream).astype(grad.dtype, copy=False))
+    return grad.reshape(features.values.shape)
 
 
 def feature_sample_query_grad(
@@ -278,8 +323,8 @@ def feature_sample_query_grad(
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     points = query.points
-    idx, _, axis_w = _corner_table(points, features.resolution, features.range)
-    vals = features.values.reshape(-1, features.channels)[idx]
+    rows, _, axis_w = _table_corners(features, points)
+    vals = features.table[rows]
     # d(fraction)/d(world coordinate), zeroed where the query was clamped.
     du = (np.asarray(features.resolution) - 1) / features.range.extent
     inside = (points > features.range.lo) & (points < features.range.hi)

@@ -271,18 +271,19 @@ def conv3(
     Writes into `out`, the interior view of a `padded` buffer of the
     output's shape (a fresh one when None), and returns it.
     """
-    H, W, M, cin = x.shape
     _check_stride(x.shape, stride)
     c_up = 0 if up is None else _check_up(x, w, up, stride)
+    shape = _out_shape(x, w, stride)
     if out is None:
-        out = padded((H // stride, W // stride, M // stride, w.shape[-1]), x.dtype)
+        out = padded(shape, x.dtype)
+    _check_shape("out", out, shape)
     xp = _padded_input(x, "conv3.x")
     w_x = w[..., c_up:, :]
     if stride == 1:
         outp = _halo(out)
         if outp is None:
             raise ValueError("conv3 out must be the interior view of an nn.padded buffer")
-        if cin == 1:
+        if x.shape[3] == 1:
             _conv3_single_channel(xp, w_x, b, outp)
         else:
             _conv3_flat(xp, w_x, b, outp)
@@ -298,6 +299,15 @@ def _check_stride(shape, stride: int) -> None:
         raise ValueError(f"conv3 stride must be 1 or 2, got {stride!r} for grid {tuple(shape[:3])}")
     if stride == 2 and any(n % 2 for n in shape[:3]):
         raise ValueError(f"conv3 at stride 2 needs even grid sides, got {tuple(shape[:3])}")
+
+
+def _out_shape(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, ...]:
+    return (*(n // stride for n in x.shape[:3]), w.shape[-1])
+
+
+def _check_shape(role: str, arr: np.ndarray, expected: tuple[int, ...]) -> None:
+    if arr.shape != expected:
+        raise ValueError(f"conv3 {role} must have shape {expected}, got {arr.shape}")
 
 
 def _check_up(x: np.ndarray, w: np.ndarray, up: np.ndarray, stride: int) -> int:
@@ -441,6 +451,7 @@ def conv3_grads(
     (None in their place), for a layer whose input is not trained.
     """
     _check_stride(x.shape, stride)
+    _check_shape("upstream", upstream, _out_shape(x, w, stride))
     gb = _bias_grad(upstream.reshape(-1, w.shape[-1]))
     if up is None:
         return (*_conv3_grads(x, w, upstream, stride, input_grad), gb)

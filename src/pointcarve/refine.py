@@ -110,7 +110,9 @@ def refine_grads(
     upstream: np.ndarray,
 ) -> tuple[RefineHeadParams, np.ndarray, np.ndarray]:
     """Adjoints of the `refine` call that recorded `tape` w.r.t. (head
-    parameters, feature grid, coarse coords).
+    parameters, feature values, coarse coords). The feature gradient is
+    shaped like the tape's `features.values`: the (U, F) table of the
+    vertices it lists, for the features `engrave` returns.
 
     The coarse-coordinate gradient has two paths: the identity path (each
     dense point starts at its source) and the feature-sampling path (moving

@@ -171,7 +171,7 @@ def _backward_sample(
     d_dense: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for one forward pass given cloud upstreams."""
-    head_grads, d_featgrid, d_coarse_refine = refine_grads(
+    head_grads, d_table, d_coarse_refine = refine_grads(
         fwd.refine_tape, params.refine_head, d_dense
     )
     d_coarse_total = np.asarray(d_coarse, dtype=np.float64) + d_coarse_refine
@@ -181,7 +181,9 @@ def _backward_sample(
     _, d_kern = cell_conv_grads(
         fwd.engrave.block_grid, fwd.engrave.kernels, d_carved, grid_grad=False
     )
-    grads = _unet_backward(fwd.engrave.unet_cache, params, d_kern, d_featgrid)
+    grads = _unet_backward(
+        fwd.engrave.unet_cache, params, d_kern, fwd.engrave.features.voxels, d_table
+    )
     for i, (gw, gb) in enumerate(zip(head_grads.weights, head_grads.biases)):
         grads[f"refine{i}.w"] = gw
         grads[f"refine{i}.b"] = gb

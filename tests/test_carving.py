@@ -212,7 +212,9 @@ class TestEngrave:
         carved = cell_conv(block_grid, kern)
         coarse2 = gridding_reverse(carved, 32, 0.0)
         np.testing.assert_array_equal(result.coarse.points, coarse2.points)
-        np.testing.assert_array_equal(result.features.values, feat2.values)
+        np.testing.assert_array_equal(
+            result.features.values, feat2.table[result.features.voxels]
+        )
         np.testing.assert_array_equal(result.block_grid.values, block_grid.values)
         np.testing.assert_array_equal(result.kernels.values, kern.values)
         np.testing.assert_array_equal(result.carved.values, carved.values)
@@ -239,6 +241,73 @@ class TestEngrave:
         a = engrave(block, params, 24).coarse
         b = engrave(block, params, 24).coarse
         np.testing.assert_array_equal(a.points, b.points)
+
+
+def _run_config(preset):
+    """desk, or the RunConfig of TINY."""
+    from pointcarve import RunConfig
+
+    if preset == "desk":
+        return RunConfig.preset("desk")
+    return RunConfig(grid_res=8, unet_stages=2, unet_base_width=2, feature_dim=4,
+                     refine_widths=(8, 6), coarse_m=64, n_per_axis=4, dtype="float64")
+
+
+class TestFeaturesAtSampledVoxels:
+    """engrave evaluates the feature head only at the vertices refine reads."""
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_matches_the_dense_reference_bit_for_bit(self, preset):
+        from pointcarve import feature_sample, refine
+        from pointcarve.training import complete_cloud, make_block
+
+        cfg = _run_config(preset)
+        model = cfg.carve_config()
+        params = CarveModelParams.initialize(model, 21)
+        partial = random_cloud(np.random.default_rng(22), 300, -0.5, 0.5)
+        bounds = compute_bounds(partial, cfg.bounds_padding_partial)
+        block = make_block(partial, bounds, cfg)
+        result = engrave(block, params, cfg.coarse_m, cfg.carve_threshold, keep_cache=False)
+
+        # Reference: the whole feature grid, sampled at the coarse points.
+        block_grid = gridding(
+            PointCloud(block.all_points()), model.resolution, bounds, model.np_dtype
+        )
+        kern, dense_features = predict_kernels(
+            gridding(block.partial, model.resolution, bounds, model.np_dtype), params
+        )
+        coarse = gridding_reverse(cell_conv(block_grid, kern), cfg.coarse_m, cfg.carve_threshold)
+        dense = refine(coarse, dense_features, params.refine_head)[0]
+
+        np.testing.assert_array_equal(result.coarse.points, coarse.points)
+        np.testing.assert_array_equal(
+            result.features.values, dense_features.table[result.features.voxels]
+        )
+        np.testing.assert_array_equal(feature_sample(result.features, coarse).features,
+                                      feature_sample(dense_features, coarse).features)
+        got_coarse, got_dense = complete_cloud(partial, params, cfg)
+        np.testing.assert_array_equal(got_coarse.points, coarse.points)
+        np.testing.assert_array_equal(got_dense.points, dense.points)
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_no_array_is_feature_grid_sized(self, preset):
+        from pointcarve.training import forward_sample
+
+        cfg = _run_config(preset)
+        model = cfg.carve_config()
+        params = CarveModelParams.initialize(model, 23)
+        partial = random_cloud(np.random.default_rng(24), 300, -0.5, 0.5)
+        bounds = compute_bounds(partial, cfg.bounds_padding_partial)
+        grid_size = int(np.prod(model.resolution)) * model.feature_dim
+        for keep_cache in (False, True):
+            fwd = forward_sample(partial, bounds, params, cfg, keep_cache=keep_cache)
+            arrays = _arrays(fwd)
+            assert len(arrays) > 10
+            assert [a.shape for a in arrays if a.size == grid_size] == []
+            features = fwd.engrave.features
+            assert features is fwd.refine_tape.features
+            assert features.values.shape == (len(features.voxels), model.feature_dim)
+            assert len(features.voxels) <= 8 * cfg.coarse_m
 
 
 class TestParamsContainer:
@@ -307,6 +376,16 @@ class TestNoAliasing:
         calls(inputs[1])
         for arr, before in zip(kept, snapshot):
             np.testing.assert_array_equal(arr, before)
+
+    def test_feature_table_is_fresh(self):
+        from pointcarve import nn
+
+        params = CarveModelParams.initialize(TINY, seed=8)
+        partial = random_cloud(np.random.default_rng(14), 48)
+        block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
+        table = engrave(block, params, 24).features.values
+        assert table.base is None
+        assert not any(np.shares_memory(table, buf) for buf in nn._local.buffers.values())
 
     def test_threads_keep_their_own_workspace(self):
         import sys

@@ -15,7 +15,12 @@ from pointcarve import (
     gridding_reverse_grad,
 )
 from pointcarve.gradcheck import check_feature_sample, check_gridding_reverse
-from pointcarve.gridding import _feature_sample_values, _reverse_select, feature_sample_query_grad
+from pointcarve.gridding import (
+    _corner_table,
+    _feature_sample_values,
+    _reverse_select,
+    feature_sample_query_grad,
+)
 
 from conftest import random_cloud
 
@@ -288,6 +293,63 @@ class TestFeatureSampleGrad:
         grid = FeatureGrid(rng.random((*RES, 4)), unit_range)
         with pytest.raises(ValueError, match="upstream"):
             feature_sample_grad(grid, random_cloud(rng, 10), np.zeros((10, 3)))
+
+
+class TestFeatureTable:
+    """A FeatureGrid that lists some vertices samples like the dense grid
+    it was gathered from, and its adjoint is the dense one at those rows."""
+
+    def table_of(self, dense, query, extra=()):
+        """dense's rows at the corners the query reads plus `extra` vertices."""
+        idx = np.concatenate([_corner_table(query.points, dense.resolution, dense.range)[0].ravel(),
+                              np.asarray(extra, dtype=np.int64)])
+        voxels = np.unique(idx)
+        return FeatureGrid(dense.table[voxels], dense.range, voxels, dense.resolution)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_table_gradient_is_dense_gradient_at_listed_voxels(self, rng, unit_range, dtype):
+        res = (6, 5, 7)
+        dense = FeatureGrid(rng.standard_normal((*res, 3)).astype(dtype), unit_range)
+        query = random_cloud(rng, 9, -0.1, 1.1)
+        unread = [0, 17, int(np.prod(res)) - 1]
+        table = self.table_of(dense, query, unread)
+        assert table.values.shape == (len(table.voxels), 3) and len(table.voxels) <= 8 * 9 + 3
+        upstream = rng.standard_normal((9, 3)).astype(dtype)
+        np.testing.assert_array_equal(feature_sample(table, query).features,
+                                      feature_sample(dense, query).features)
+        dense_grad = feature_sample_grad(dense, query, upstream).reshape(-1, 3)
+        table_grad = feature_sample_grad(table, query, upstream)
+        assert table_grad.shape == table.values.shape and table_grad.dtype == dtype
+        np.testing.assert_array_equal(table_grad, dense_grad[table.voxels])
+        unlisted = np.setdiff1d(np.arange(len(dense_grad)), table.voxels)
+        np.testing.assert_array_equal(dense_grad[unlisted], 0.0)
+        read = np.isin(table.voxels, _corner_table(query.points, res, unit_range)[0])
+        assert (~read).any()
+        np.testing.assert_array_equal(table_grad[~read], 0.0)
+        np.testing.assert_array_equal(feature_sample_query_grad(table, query, upstream),
+                                      feature_sample_query_grad(dense, query, upstream))
+
+    def test_query_outside_the_listed_vertices_rejected(self, rng, unit_range):
+        dense = FeatureGrid(rng.standard_normal((*RES, 2)), unit_range)
+        table = self.table_of(dense, PointCloud(np.array([[0.1, 0.1, 0.1]])))
+        far = PointCloud(np.array([[0.9, 0.9, 0.9]]))
+        for call in (lambda: feature_sample(table, far),
+                     lambda: feature_sample_grad(table, far, np.ones((1, 2))),
+                     lambda: feature_sample_query_grad(table, far, np.ones((1, 2)))):
+            with pytest.raises(ValueError, match="does not list"):
+                call()
+
+    def test_table_construction_checks(self, unit_range):
+        table = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="resolution"):
+            FeatureGrid(table, unit_range, np.array([0, 1, 2]))
+        for voxels in ([0, 2, 1], [0, 1, 1], [-1, 0, 1], [0, 1, 64], [0.0, 1.0, 2.0]):
+            with pytest.raises(ValueError, match="sorted, unique flat vertex indices"):
+                FeatureGrid(table, unit_range, np.array(voxels), RES)
+        with pytest.raises(ValueError, match=r"must be \(2, F\)"):
+            FeatureGrid(table, unit_range, np.array([0, 1]), RES)
+        grid = FeatureGrid(table, unit_range, np.array([0, 5, 63]), RES)
+        assert grid.resolution == RES and grid.channels == 2
 
 
 def reference_corners(points, res, range):

@@ -1,6 +1,8 @@
 """nn.conv3 against a per-voxel oracle, conv3_grads by the adjoint identity,
 and the elementwise layers against their reference forms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,32 @@ def test_conv3_rejects_strides_and_grids_it_cannot_run():
             message = rf"stride must be 1 or 2, got {stride} for grid \(4, 4, 4\)"
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+def test_conv3_rejects_mis_shaped_out_and_upstream():
+    # A (5, 5, 5, 3) out for a (4, 4, 4, 2) input used to return wrong values
+    # (sum 4614 instead of 6000), and a (5, 5, 5, 3) upstream a wrong gradient.
+    x, w, b = np.ones((4, 4, 4, 2)), np.ones((3, 3, 3, 2, 3)), np.zeros(3)
+    assert nn.conv3(x, w, b).sum() == 6000
+    w_up, y = np.ones((3, 3, 3, 3, 3)), np.ones((2, 2, 2, 1))
+
+    def out(*shape):
+        return nn.padded(shape, np.float64)
+
+    cases = [
+        (lambda: nn.conv3(x, w, b, out=out(5, 5, 5, 3)), "out", (4, 4, 4, 3), (5, 5, 5, 3)),
+        (lambda: nn.conv3(x, w, b, out=out(4, 4, 3, 3)), "out", (4, 4, 4, 3), (4, 4, 3, 3)),
+        (lambda: nn.conv3(x, w, b, 2, out=out(3, 3, 3, 3)), "out", (2, 2, 2, 3), (3, 3, 3, 3)),
+        (lambda: nn.conv3(x, w_up, b, out=out(4, 4, 4, 2), up=y), "out", (4, 4, 4, 3), (4, 4, 4, 2)),
+        (lambda: nn.conv3_grads(x, w, np.ones((5, 5, 5, 3))), "upstream", (4, 4, 4, 3), (5, 5, 5, 3)),
+        (lambda: nn.conv3_grads(x, w, np.ones((4, 4, 4, 3)), 2), "upstream", (2, 2, 2, 3), (4, 4, 4, 3)),
+        (lambda: nn.conv3_grads(x, w_up, np.ones((4, 4, 4, 2)), up=y),
+         "upstream", (4, 4, 4, 3), (4, 4, 4, 2)),
+    ]
+    for call, role, expected, given in cases:
+        message = f"conv3 {role} must have shape {expected}, got {given}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_conv3_flat_out_must_be_padded():

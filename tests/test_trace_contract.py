@@ -42,3 +42,30 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
         changed = [k for k, v in namespace.items() if after[name].get(k) is not v]
         assert changed == [], f"{name} not restored: {changed}"
     assert pointcarve.CarveModelParams.__post_init__ is post_init
+
+
+def test_traced_tiny_sample_and_completion_run(monkeypatch):
+    # Layers are named while they run (a conv's weight must be a registered
+    # params tensor), which installing alone does not exercise.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    training = importlib.import_module("pointcarve.training")
+
+    config = pointcarve.RunConfig(
+        grid_res=8, unet_stages=2, unet_base_width=2, feature_dim=4, refine_widths=(8, 6),
+        coarse_m=64, n_per_axis=4, dtype="float64", t_variants=1, val_count=0,
+    )
+    gt, _ = pointcarve.gen_shape(pointcarve.SyntheticShapeSpec("box", count=96, seed=3))
+    partial = pointcarve.PointCloud(gt.points[: len(gt) // 2])
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        params = pointcarve.CarveModelParams.initialize(config.carve_config(), 3)
+        training.loss_and_grads_sample(partial, gt, params, config, aug_seed=0)
+        training.complete_cloud(partial, params, config)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    for name in ("nn.conv1.heads.fwd", "nn.conv1.heads.bwd", "nn.conv3.dec1.bwd",
+                 "gridding.feature_sample.bwd", "refine.fwd", "training.sample"):
+        assert name in names
