@@ -16,9 +16,15 @@ Memory layout of the inference forward:
   buffer: it takes the coarser activation as `nn.conv3(..., up=y)`, which
   convolves [upsample2(y), skip] without forming the upsampled copy or the
   concatenation, and reads the skip while it writes.
-- The kernel head writes tap-major (K^3, H, W, M) planes; `KernelField`
-  exposes them as an (H, W, M, K^3) view, and `cell_conv` reads one
-  contiguous plane per tap.
+- Every decoder's activation runs in place, so the trunk both heads read
+  is the interior of dec1's padded buffer.
+- The kernel head's K^3 * H * W * M values never exist as a whole.
+  `engrave` carves with a `KernelField` that is the head over the trunk,
+  and `cell_conv` evaluates its taps one slab of x-planes at a time
+  (KERNEL_SLAB_VOXELS), each slab one `nn.conv1` into (K^3, slab) planes
+  that are freed before the next slab's are made. `cell_conv_grads` feeds
+  each slab's tap gradient, in a workspace buffer, straight to the head's
+  backward on that trunk slab.
 - The feature head runs only at the vertices `refine` samples: the 8
   corners of each coarse point's cell, at most 8m of the grid's H*W*M
   (about 6 % at the desk and paper presets). `engrave` carves first, then
@@ -45,39 +51,93 @@ from .gridding import FeatureGrid, VoxelGrid, _corner_table, gridding, gridding_
 from .refine import RefineHeadParams
 
 
+# Voxels per slab of whole x-planes (at least one plane) in which
+# `cell_conv` and `cell_conv_grads` evaluate a kernel head: at K = 3 a
+# slab's taps are 1.7 MB of float32.
+KERNEL_SLAB_VOXELS = 1 << 14
+
+
 @dataclass(frozen=True)
 class KernelField:
-    """One K^3 kernel per grid vertex: an (H, W, M, K^3) array.
+    """One K^3 kernel per grid vertex, in one of two forms.
 
     Kernel taps are ordered lexicographically over offsets
     (dx, dy, dz) in [-K//2, K//2]^3; the center tap sits at index (K^3-1)//2.
-    A predicted field is stored tap-major: `values` is the (H, W, M, K^3)
-    view of contiguous (K^3, H, W, M) planes, which `planes` returns. Any
-    (H, W, M, K^3) array works too; its planes are then strided views.
+
+    - Explicit: `values` is an (H, W, M, K^3) array, checked finite here.
+    - A kernel head over a trunk (`from_head`): `values` is None, `trunk`
+      is an (H, W, M, C) activation and `head` its (C, K^3) weights and
+      (K^3,) bias, so cell c's kernel is w.T @ trunk[c] + b. The values
+      never exist as a whole: `taps` evaluates one slab of x-planes at a
+      time and checks that slab for non-finite values.
     """
 
-    values: np.ndarray
+    values: np.ndarray | None
     kernel_size: int
+    trunk: np.ndarray | None = None
+    head: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values)
         k = self.kernel_size
         if k < 1 or k % 2 == 0:
             raise ValueError(f"kernel size must be odd and >= 1, got {k}")
+        if (self.values is None) == (self.trunk is None):
+            raise ValueError("a kernel field needs either values or a trunk, not both")
+        if self.trunk is not None:
+            w, b = self.head
+            if self.trunk.ndim != 4 or w.shape != (self.trunk.shape[3], k**3) or b.shape != (k**3,):
+                raise ValueError(
+                    f"kernel head ({w.shape}, {b.shape}) does not map trunk {self.trunk.shape} "
+                    f"to {k**3} taps"
+                )
+            return
+        v = np.asarray(self.values)
         if v.ndim != 4 or v.shape[3] != k**3:
             raise ValueError(f"kernel field must be (H, W, M, {k**3}), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("kernel field contains non-finite values")
+        _check_finite(v)
         object.__setattr__(self, "values", v)
+
+    @staticmethod
+    def from_head(trunk: np.ndarray, params: "CarveModelParams") -> "KernelField":
+        """The params' kernel head over the (H, W, M, C) trunk."""
+        t = params.tensors
+        return KernelField(
+            None, params.config.kernel_size, trunk, (t["kernel_head.w"], t["kernel_head.b"])
+        )
 
     @property
     def resolution(self) -> tuple[int, int, int]:
-        return self.values.shape[:3]
+        return (self.trunk if self.values is None else self.values).shape[:3]
 
     @property
-    def planes(self) -> np.ndarray:
-        """The (K^3, H, W, M) tap planes: contiguous for a predicted field."""
-        return np.moveaxis(self.values, -1, 0)
+    def dtype(self) -> np.dtype:
+        if self.values is not None:
+            return self.values.dtype
+        return np.result_type(self.trunk, *self.head)
+
+    def taps(self, s: int, e: int) -> np.ndarray:
+        """The (K^3, e - s, W, M) tap planes of x-planes [s, e).
+
+        A view of explicit values; for a kernel head, fresh planes from one
+        `nn.conv1` on the trunk's slab.
+        """
+        if self.values is not None:
+            return np.moveaxis(self.values[s:e], -1, 0)
+        w, b = self.head
+        return _check_finite(nn.conv1(self.trunk[s:e], w, b, channels_first=True))
+
+
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("kernel field contains non-finite values")
+    return values
+
+
+def _slabs(H: int, plane: int) -> list[tuple[int, int]]:
+    """[s, e) ranges of whole x-planes, each at most KERNEL_SLAB_VOXELS
+    voxels (or one plane of `plane` voxels)."""
+    step = max(1, KERNEL_SLAB_VOXELS // plane)
+    return [(s, min(s + step, H)) for s in range(0, H, step)]
 
 
 def kernel_offsets(kernel_size: int) -> np.ndarray:
@@ -248,7 +308,9 @@ class CarveModelParams:
 def cell_conv(block_grid: VoxelGrid, kernels: KernelField) -> VoxelGrid:
     """Convolve each grid value with its own kernel (zero padding outside).
 
-    output(c) = sum over offsets o of kernel_c(o) * input(c + o).
+    output(c) = sum over offsets o of kernel_c(o) * input(c + o), added in
+    tap order. Runs in slabs of x-planes, reading each slab's taps from
+    `kernels.taps`.
     """
     if kernels.resolution != block_grid.values.shape:
         raise ValueError(
@@ -256,14 +318,19 @@ def cell_conv(block_grid: VoxelGrid, kernels: KernelField) -> VoxelGrid:
             f"grid resolution {block_grid.values.shape}"
         )
     g = block_grid.values
-    planes = kernels.planes
     gp = _padded_grid(g, kernels.kernel_size // 2)
     H, W, M = g.shape
     out = np.zeros_like(g)
-    tmp = nn.workspace("cell_conv.tap", g.shape, np.result_type(planes, g))
-    for idx, (dx, dy, dz) in enumerate(_shifts(kernels.kernel_size)):
-        np.multiply(planes[idx], gp[dx : dx + H, dy : dy + W, dz : dz + M], out=tmp)
-        out += tmp
+    shifts = _shifts(kernels.kernel_size)
+    for s, e in _slabs(H, W * M):
+        taps = kernels.taps(s, e)
+        acc = out[s:e]
+        tmp = nn.workspace("cell_conv.tap", acc.shape, np.result_type(taps, g))
+        for idx, (dx, dy, dz) in enumerate(shifts):
+            np.multiply(taps[idx], gp[s + dx : e + dx, dy : dy + W, dz : dz + M], out=tmp)
+            acc += tmp
+        # Freed before the next slab's are made: one slab's taps at a time.
+        del taps
     return VoxelGrid(out, block_grid.range)
 
 
@@ -282,13 +349,19 @@ def _padded_grid(g: np.ndarray, r: int) -> np.ndarray:
 
 def cell_conv_grads(
     block_grid: VoxelGrid, kernels: KernelField, upstream: np.ndarray, *, grid_grad: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Exact adjoints of cell_conv w.r.t. (grid values, kernel values).
+) -> tuple[np.ndarray | None, np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Exact adjoints of cell_conv w.r.t. (grid values, kernel field).
 
     With grid_grad=False the grid gradient is skipped (None in its place),
-    for callers that only train the kernels. The kernel gradient is built
-    tap by tap in contiguous (K^3, H, W, M) planes and returned as an
-    (H, W, M, K^3) view of them, the layout of a predicted KernelField.
+    for callers that only train the kernels. Runs in cell_conv's slabs:
+    each slab's kernel gradient is its (K^3, slab) tap planes, upstream
+    times the shifted grid. The kernel gradient takes the field's form:
+
+    - explicit values: their gradient, built in contiguous (K^3, H, W, M)
+      planes and returned as an (H, W, M, K^3) view of them;
+    - a kernel head: (trunk, weight, bias) gradients, from one
+      `nn.conv1_grads` per slab on that slab's planes. The weight and bias
+      gradients add up over the slabs in order.
     """
     g = block_grid.values
     if kernels.resolution != g.shape:
@@ -301,14 +374,32 @@ def cell_conv_grads(
     r = K // 2
     gp = _padded_grid(g, r)
     grad_gp = np.zeros_like(gp) if grid_grad else None
-    kern = kernels.planes
-    planes = np.empty((K**3, H, W, M), kernels.values.dtype)
-    for idx, (dx, dy, dz) in enumerate(_shifts(K)):
-        sl = (slice(dx, dx + H), slice(dy, dy + W), slice(dz, dz + M))
-        np.multiply(upstream, gp[sl], out=planes[idx])
-        if grid_grad:
-            grad_gp[sl] += upstream * kern[idx]
-    grad_kern = np.moveaxis(planes, 0, -1)
+    head = kernels.values is None
+    if head:
+        w, b = kernels.head
+        d_trunk = np.empty(kernels.trunk.shape, kernels.dtype)
+        d_w, d_b = np.zeros(w.shape, kernels.dtype), np.zeros(b.shape, kernels.dtype)
+    else:
+        planes = np.empty((K**3, H, W, M), kernels.dtype)
+    shifts = _shifts(K)
+    for s, e in _slabs(H, W * M):
+        up = upstream[s:e]
+        taps = kernels.taps(s, e) if grid_grad else None
+        if head:
+            d_taps = nn.workspace("cell_conv.tap_grads", (K**3, e - s, W, M), kernels.dtype)
+        else:
+            d_taps = planes[:, s:e]
+        for idx, (dx, dy, dz) in enumerate(shifts):
+            sl = (slice(s + dx, e + dx), slice(dy, dy + W), slice(dz, dz + M))
+            np.multiply(up, gp[sl], out=d_taps[idx])
+            if grid_grad:
+                grad_gp[sl] += up * taps[idx]
+        if head:
+            d_trunk[s:e], d_ws, d_bs = nn.conv1_grads(kernels.trunk[s:e], w, d_taps)
+            d_w += d_ws
+            d_b += d_bs
+        del taps
+    grad_kern = (d_trunk, d_w, d_b) if head else np.moveaxis(planes, 0, -1)
     if not grid_grad:
         return None, grad_kern
     crop = slice(r, -r) if r else slice(None)
@@ -316,17 +407,16 @@ def cell_conv_grads(
 
 
 def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool = False):
-    """Forward pass of the kernel-predicting encoder-decoder, up to the
-    kernel head.
+    """Forward pass of the kernel-predicting encoder-decoder, up to its heads.
 
-    Returns (kernel values, trunk, cache). The kernel values are the
-    (H, W, M, K^3) view of the kernel head's tap-major planes; the trunk is
-    the (H, W, M, C) activation both heads read, for `_feature_head`.
-    Activations live in padded buffers (see `nn`), each layer writing into
-    the next one's. Without keep_cache those are the thread's workspace
-    buffers, the trunk included (valid until this thread's next forward),
-    and cache is None; with it they are fresh, and the cache holds the
-    padded input and the activations `_unet_backward` reads.
+    Returns (trunk, cache): the trunk is the (H, W, M, C) activation both
+    heads read, the interior of dec1's padded buffer. Activations live in
+    padded buffers (see `nn`), each layer writing into the next one's and
+    each activation running in place. Without keep_cache those are the
+    thread's workspace buffers, the trunk included (valid until this
+    thread's next forward), and cache is None; with it they are fresh, and
+    the cache holds the padded input and the activations `_unet_backward`
+    reads, the trunk last.
     """
     cfg = params.config
     t = params.tensors
@@ -351,25 +441,21 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
         # Decoder e reads upsample2(y) and the skip while it writes its
         # output, so the output has its own buffer.
         pre = nn.conv3(skip, t[f"dec{e}.w"], t[f"dec{e}.b"], out=buffer(f"dec{e}", skip.shape), up=y)
-        if e > 1:
-            y = nn.leaky_relu(pre, out=pre)
-        else:
-            # The heads read the trunk as (voxels, C) rows: contiguous, unpadded.
-            trunk = (np.empty(pre.shape, dtype) if keep_cache
-                     else nn.workspace("carving.unet.trunk", pre.shape, dtype))
-            y = nn.leaky_relu(pre, out=trunk)
+        y = nn.leaky_relu(pre, out=pre)
         if keep_cache:
             acts.append(y)
-    planes = nn.conv1(y, t["kernel_head.w"], t["kernel_head.b"], channels_first=True)
     cache = None
     if keep_cache:
         cache = {"x": x, "skips": skips, "acts": acts}
-    return np.moveaxis(planes, 0, -1), y, cache
+    return y, cache
 
 
 def _trunk_rows(trunk: np.ndarray, voxels: np.ndarray) -> np.ndarray:
-    """A fresh (U, C) copy of the trunk at the listed flat voxel indices."""
-    return trunk.reshape(-1, trunk.shape[-1])[voxels]
+    """A fresh (U, C) copy of the trunk at the listed flat voxel indices.
+
+    Indexes the three axes, so a padded interior is not copied whole.
+    """
+    return trunk[np.unravel_index(voxels, trunk.shape[:3])]
 
 
 def _feature_head(trunk: np.ndarray, params: CarveModelParams, voxels: np.ndarray) -> np.ndarray:
@@ -383,11 +469,14 @@ def _feature_head(trunk: np.ndarray, params: CarveModelParams, voxels: np.ndarra
 
 
 def _unet_backward(
-    cache: dict, params: CarveModelParams, d_kern: np.ndarray, voxels: np.ndarray,
+    cache: dict, params: CarveModelParams, kernel_grads: tuple, voxels: np.ndarray,
     d_table: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients of the encoder-decoder given head upstreams: the
-    kernel field's, and the (U, F) feature table's at the flat `voxels`.
+    """Parameter gradients of the encoder-decoder given the heads' backward:
+    the kernel head's (trunk, weight, bias) gradients from
+    `_kernel_head_grads`, and the upstream of the (U, F)
+    feature table at the flat `voxels`. The trunk gradient is updated in
+    place.
 
     Each activation's gradient reads the sign of the kept activation, which
     equals the pre-activation's (see `nn.leaky_relu_grad`).
@@ -396,9 +485,7 @@ def _unet_backward(
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
     trunk = cache["acts"][-1]
-    d_y, grads["kernel_head.w"], grads["kernel_head.b"] = nn.conv1_grads(
-        trunk, t["kernel_head.w"], d_kern
-    )
+    d_y, grads["kernel_head.w"], grads["kernel_head.b"] = kernel_grads
     d_rows, grads["feature_head.w"], grads["feature_head.b"] = nn.linear_grads(
         _trunk_rows(trunk, voxels), t["feature_head.w"], d_table
     )
@@ -446,10 +533,11 @@ def predict_kernels(
             f"configured model resolution {params.config.resolution}"
         )
     t = params.tensors
-    kern, trunk, _ = _unet_forward(partial_grid.values, params)
+    trunk, _ = _unet_forward(partial_grid.values, params)
+    kern = nn.conv1(trunk, t["kernel_head.w"], t["kernel_head.b"], channels_first=True)
     features = nn.conv1(trunk, t["feature_head.w"], t["feature_head.b"])
     return (
-        KernelField(kern, params.config.kernel_size),
+        KernelField(np.moveaxis(kern, 0, -1), params.config.kernel_size),
         FeatureGrid(features, partial_grid.range),
     )
 
@@ -465,7 +553,6 @@ class EngraveResult:
     coarse: PointCloud
     features: FeatureGrid
     block_grid: VoxelGrid
-    kernels: KernelField
     carved: VoxelGrid
     unet_cache: dict | None
 
@@ -490,9 +577,8 @@ def engrave(
         PointCloud(block.all_points()), cfg.resolution, block.range, cfg.np_dtype
     )
     partial_grid = gridding(block.partial, cfg.resolution, block.range, cfg.np_dtype)
-    kern_vals, trunk, cache = _unet_forward(partial_grid.values, params, keep_cache)
-    kernels = KernelField(kern_vals, cfg.kernel_size)
-    carved = cell_conv(block_grid, kernels)
+    trunk, cache = _unet_forward(partial_grid.values, params, keep_cache)
+    carved = cell_conv(block_grid, KernelField.from_head(trunk, params))
     coarse = gridding_reverse(carved, m, threshold)
     voxels = np.unique(_corner_table(coarse.points, cfg.resolution, block.range)[0])
     return EngraveResult(
@@ -501,7 +587,17 @@ def engrave(
             _feature_head(trunk, params, voxels), block.range, voxels, cfg.resolution
         ),
         block_grid=block_grid,
-        kernels=kernels,
         carved=carved,
         unet_cache=cache,
     )
+
+
+def _kernel_head_grads(
+    result: EngraveResult, params: CarveModelParams, d_carved: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel head's (trunk, weight, bias) gradients given the carved
+    grid's upstream, for an `engrave` run with keep_cache: `cell_conv_grads`
+    on the head over the kept trunk, slab by slab.
+    """
+    kernels = KernelField.from_head(result.unet_cache["acts"][-1], params)
+    return cell_conv_grads(result.block_grid, kernels, d_carved, grid_grad=False)[1]

@@ -547,7 +547,8 @@ def _conv3_shifted_grads(
 
 
 def conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray, channels_first: bool = False) -> np.ndarray:
-    """Pointwise (1x1x1) convolution of a contiguous (H, W, M, C_in) input.
+    """Pointwise (1x1x1) convolution of an (H, W, M, C_in) input (a strided
+    one is copied to rows first).
 
     Returns (H, W, M, C_out), or with channels_first the (C_out, H, W, M)
     planes, computed as w.T @ x.T (bit-equal to the channels-last product).
@@ -565,8 +566,12 @@ def conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray, channels_first: bool = Fa
 
 
 def conv1_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
+    """Gradients of conv1 w.r.t. (input, weights, bias) given the upstream of
+    its channels-first output: contiguous (C_out, H, W, M) planes, read in
+    place as transposed rows.
+    """
     H, W, M, cin = x.shape
-    up = upstream.reshape(-1, w.shape[-1])
+    up = upstream.reshape(w.shape[-1], -1).T
     flat = x.reshape(-1, cin)
     gx = (up @ w.T).reshape(x.shape)
     return gx, flat.T @ up, _bias_grad(up)

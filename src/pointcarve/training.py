@@ -16,8 +16,8 @@ import numpy as np
 from .carving import (
     CarveModelParams,
     EngraveResult,
+    _kernel_head_grads,
     _unet_backward,
-    cell_conv_grads,
     engrave,
 )
 from .cloud import (
@@ -178,11 +178,9 @@ def _backward_sample(
     d_carved = gridding_reverse_grad(
         fwd.engrave.carved, config.coarse_m, config.carve_threshold, d_coarse_total
     )
-    _, d_kern = cell_conv_grads(
-        fwd.engrave.block_grid, fwd.engrave.kernels, d_carved, grid_grad=False
-    )
+    kernel_grads = _kernel_head_grads(fwd.engrave, params, d_carved)
     grads = _unet_backward(
-        fwd.engrave.unet_cache, params, d_kern, fwd.engrave.features.voxels, d_table
+        fwd.engrave.unet_cache, params, kernel_grads, fwd.engrave.features.voxels, d_table
     )
     for i, (gw, gb) in enumerate(zip(head_grads.weights, head_grads.biases)):
         grads[f"refine{i}.w"] = gw

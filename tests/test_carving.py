@@ -1,5 +1,7 @@
 """Cell-wise convolution, the kernel predictor and the engrave composition."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -216,7 +218,6 @@ class TestEngrave:
             result.features.values, feat2.table[result.features.voxels]
         )
         np.testing.assert_array_equal(result.block_grid.values, block_grid.values)
-        np.testing.assert_array_equal(result.kernels.values, kern.values)
         np.testing.assert_array_equal(result.carved.values, carved.values)
         assert result.unet_cache is None
 
@@ -310,6 +311,163 @@ class TestFeaturesAtSampledVoxels:
             assert len(features.voxels) <= 8 * cfg.coarse_m
 
 
+def _slab_planes(monkeypatch, resolution, planes):
+    """Run kernel heads in slabs of `planes` x-planes; returns the slabs."""
+    from pointcarve import carving
+
+    H, W, M = resolution
+    monkeypatch.setattr(carving, "KERNEL_SLAB_VOXELS", planes * W * M)
+    return carving._slabs(H, W * M)
+
+
+class TestKernelHeadInSlabs:
+    """cell_conv evaluates the kernel head slab by slab; no whole field exists."""
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_uneven_slabs_match_the_explicit_reference_bit_for_bit(self, preset, monkeypatch):
+        from pointcarve import refine
+        from pointcarve.training import complete_cloud, make_block
+
+        cfg = _run_config(preset)
+        model = cfg.carve_config()
+        params = CarveModelParams.initialize(model, 31)
+        partial = random_cloud(np.random.default_rng(32), 300, -0.5, 0.5)
+        bounds = compute_bounds(partial, cfg.bounds_padding_partial)
+        block = make_block(partial, bounds, cfg)
+
+        # Reference: the whole explicit field, applied in one slab.
+        _slab_planes(monkeypatch, model.resolution, model.resolution[0])
+        block_grid = gridding(
+            PointCloud(block.all_points()), model.resolution, bounds, model.np_dtype
+        )
+        kern, dense_features = predict_kernels(
+            gridding(block.partial, model.resolution, bounds, model.np_dtype), params
+        )
+        carved = cell_conv(block_grid, kern)
+        coarse = gridding_reverse(carved, cfg.coarse_m, cfg.carve_threshold)
+        dense = refine(coarse, dense_features, params.refine_head)[0]
+
+        slabs = _slab_planes(monkeypatch, model.resolution, 3)
+        assert len(slabs) > 2 and slabs[-1][1] - slabs[-1][0] != 3
+        for keep_cache in (False, True):
+            result = engrave(block, params, cfg.coarse_m, cfg.carve_threshold, keep_cache)
+            np.testing.assert_array_equal(result.carved.values, carved.values)
+        np.testing.assert_array_equal(cell_conv(block_grid, kern).values, carved.values)
+        got_coarse, got_dense = complete_cloud(partial, params, cfg)
+        np.testing.assert_array_equal(got_coarse.points, coarse.points)
+        np.testing.assert_array_equal(got_dense.points, dense.points)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_end_to_end_gradient_across_slabs(self, seed, monkeypatch):
+        from pointcarve.gradcheck import check_end_to_end
+
+        assert len(_slab_planes(monkeypatch, (8, 8, 8), 3)) == 3
+        result = check_end_to_end(seed)
+        assert result.passed, f"max rel err {result.max_rel_err}"
+
+    @pytest.mark.parametrize("grid_grad", [False, True])
+    def test_head_gradients_match_the_whole_grid_chain(self, grid_grad, monkeypatch):
+        from pointcarve import nn
+
+        rng = np.random.default_rng(33)
+        trunk = nn.padded((7, 5, 6, 4), np.float64)
+        trunk[...] = rng.standard_normal(trunk.shape)
+        w, b = rng.standard_normal((4, 27)), rng.standard_normal(27)
+        grid = VoxelGrid(rng.random((7, 5, 6)), _range_unit())
+        upstream = rng.standard_normal((7, 5, 6))
+        explicit = KernelField(nn.conv1(trunk, w, b), 3)
+        ref_grid, d_kern = cell_conv_grads(grid, explicit, upstream, grid_grad=grid_grad)
+        d_trunk_ref, d_w_ref, d_b_ref = nn.conv1_grads(trunk, w, np.ascontiguousarray(np.moveaxis(d_kern, -1, 0)))
+
+        assert len(_slab_planes(monkeypatch, (7, 5, 6), 3)) == 3
+        head = KernelField(None, 3, trunk, (w, b))
+        np.testing.assert_array_equal(
+            cell_conv(grid, head).values, cell_conv(grid, explicit).values
+        )
+        got_grid, (d_trunk, d_w, d_b) = cell_conv_grads(grid, head, upstream, grid_grad=grid_grad)
+        np.testing.assert_array_equal(d_trunk, d_trunk_ref)
+        np.testing.assert_allclose(d_w, d_w_ref, rtol=1e-12)
+        np.testing.assert_allclose(d_b, d_b_ref, rtol=1e-12)
+        if grid_grad:
+            np.testing.assert_allclose(got_grid, ref_grid, rtol=1e-12, atol=1e-14)
+        else:
+            assert got_grid is None
+
+    def test_non_finite_slab_rejected(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        trunk = rng.standard_normal((6, 4, 4, 2))
+        trunk[5, 0, 0, 0] = np.inf  # in the last of three slabs
+        head = KernelField(None, 3, trunk, (rng.standard_normal((2, 27)), np.zeros(27)))
+        _slab_planes(monkeypatch, (6, 4, 4), 2)
+        grid = VoxelGrid(rng.random((6, 4, 4)), _range_unit())
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite values"):
+            cell_conv(grid, head)
+
+    def test_field_needs_values_or_a_head(self, rng):
+        with pytest.raises(ValueError, match="either values or a trunk"):
+            KernelField(None, 3)
+        with pytest.raises(ValueError, match="does not map trunk"):
+            KernelField(None, 3, rng.random((4, 4, 4, 2)), (rng.random((3, 27)), np.zeros(27)))
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_no_array_is_kernel_field_sized(self, preset):
+        from pointcarve.training import forward_sample
+
+        cfg = _run_config(preset)
+        model = cfg.carve_config()
+        params = CarveModelParams.initialize(model, 35)
+        partial = random_cloud(np.random.default_rng(36), 300, -0.5, 0.5)
+        bounds = compute_bounds(partial, cfg.bounds_padding_partial)
+        field_size = int(np.prod(model.resolution)) * model.kernel_size**3
+        for keep_cache in (False, True):
+            arrays = _arrays(forward_sample(partial, bounds, params, cfg, keep_cache=keep_cache))
+            assert len(arrays) > 10
+            assert [a.shape for a in arrays if a.size == field_size] == []
+
+    def test_heads_see_one_slab_at_a_time(self, monkeypatch):
+        from pointcarve import carving, nn
+        from pointcarve.training import complete_cloud, loss_and_grads_sample
+
+        cfg = _run_config("desk")
+        params = CarveModelParams.initialize(cfg.carve_config(), 37)
+        gt = random_cloud(np.random.default_rng(38), 600, -0.5, 0.5)
+        partial = PointCloud(gt.points[gt.points[:, 0] < 0.1])
+        seen, outputs = [], []
+
+        def spy(fn):
+            def wrapper(x, *args, **kwargs):
+                seen.append((fn.__name__, int(np.prod(x.shape[:3]))))
+                if fn.__name__ == "conv1":
+                    # The previous slab's taps are gone before these are made.
+                    assert [ref for ref in outputs if ref() is not None] == []
+                    out = fn(x, *args, **kwargs)
+                    outputs.append(weakref.ref(out))
+                    return out
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        for name in ("conv1", "conv1_grads"):
+            monkeypatch.setattr(nn, name, spy(getattr(nn, name)))
+        complete_cloud(partial, params, cfg)
+        loss_and_grads_sample(partial, gt, params, cfg, aug_seed=1)
+        assert {name for name, _ in seen} == {"conv1", "conv1_grads"}
+        assert max(voxels for _, voxels in seen) <= carving.KERNEL_SLAB_VOXELS < 32**3
+        assert len(outputs) >= 4
+
+    def test_no_trunk_workspace_buffer(self):
+        from pointcarve import nn
+        from pointcarve.training import complete_cloud
+
+        cfg = _run_config("desk")
+        params = CarveModelParams.initialize(cfg.carve_config(), 39)
+        partial = random_cloud(np.random.default_rng(40), 300, -0.5, 0.5)
+        for _ in range(2):
+            complete_cloud(partial, params, cfg)
+        roles = {role for role, *_ in nn._local.buffers}
+        assert "carving.unet.dec1" in roles
+        assert "carving.unet.trunk" not in roles
+
+
 class TestParamsContainer:
     def test_flat_round_trip(self):
         params = CarveModelParams.initialize(TINY, seed=8)
@@ -387,15 +545,31 @@ class TestNoAliasing:
         assert table.base is None
         assert not any(np.shares_memory(table, buf) for buf in nn._local.buffers.values())
 
-    def test_threads_keep_their_own_workspace(self):
+    def test_threads_keep_their_own_workspace(self, monkeypatch):
         import sys
         import threading
 
+        from pointcarve import gen_shape, SyntheticShapeSpec
+        from pointcarve.training import complete_cloud, loss_and_grads_sample
+
         params = CarveModelParams.initialize(TINY, seed=8)
+        cfg = _run_config("tiny")
         rng = np.random.default_rng(13)
         grids = [VoxelGrid(rng.random((8, 8, 8)), _range_unit()) for _ in range(6)]
-        expected = [predict_kernels(g, params)[0].values.copy() for g in grids]
-        results: dict[tuple[int, int], np.ndarray] = {}
+        gts = [gen_shape(SyntheticShapeSpec(fam, count=96, seed=i))[0]
+               for i, fam in enumerate(["box", "sphere", "torus"] * 2)]
+        partials = [PointCloud(gt.points[: len(gt) // 2]) for gt in gts]
+        # The served path reads the trunk from a workspace buffer slab by slab.
+        _slab_planes(monkeypatch, (8, 8, 8), 3)
+
+        def work_on(i):
+            coarse, dense = complete_cloud(partials[i], params, cfg)
+            step = loss_and_grads_sample(partials[i], gts[i], params, cfg, aug_seed=i)
+            return [predict_kernels(grids[i], params)[0].values, coarse.points, dense.points,
+                    np.float64(step.loss.total), *step.grads.values()]
+
+        expected = [[a.copy() for a in work_on(i)] for i in range(len(grids))]
+        results: dict[tuple[int, int], list[np.ndarray]] = {}
         # More threads than cores, switching often, each cycling through
         # the inputs from a different start.
         switch = sys.getswitchinterval()
@@ -403,16 +577,18 @@ class TestNoAliasing:
         try:
             def work(tid):
                 for k in range(8):
-                    i = (tid + k) % len(grids)
-                    results[tid, k] = predict_kernels(grids[i], params)[0].values
+                    results[tid, k] = work_on((tid + k) % len(grids))
             threads = [threading.Thread(target=work, args=(tid,)) for tid in range(4)]
             for th in threads:
                 th.start()
             for th in threads:
-                th.join(timeout=60)
+                th.join(timeout=120)
         finally:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert len(results) == 32
         for (tid, k), got in results.items():
-            np.testing.assert_array_equal(got, expected[(tid + k) % len(grids)])
+            want = expected[(tid + k) % len(grids)]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
