@@ -218,7 +218,7 @@ def check_refine(seed: int, instances: int = 20) -> GradCheckResult:
     for i in range(instances):
         rng = np.random.default_rng((seed, 3000 + i))
         features, params, coarse, upstream = _tiny_refine_instance(rng)
-        _, tape = refine(coarse, features, params)
+        _, tape = refine(coarse, features, params, keep_cache=True)
         grads, grad_feat, grad_coarse = refine_grads(tape, params, upstream)
 
         def phi_with_params(weights, biases):

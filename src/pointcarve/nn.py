@@ -9,11 +9,12 @@ buffer made by `padded`, which hands out its (H, W, M, C) interior view, so
 every array a layer takes or returns keeps its logical shape. `conv3` and
 `conv3_grads` read the halo around such a view in place of padding a copy;
 any other array is first copied into the interior of a workspace buffer.
-`conv3`, `leaky_relu` and `leaky_relu_grad` write into an `out` array
-(`conv3` makes a fresh padded one when out is None), so a network that
-hands each layer the interior of the next layer's buffer runs without a pad
-or a copy. Only interiors are written, except by the flat kernels, which
-re-zero the halo faces their padding rows spill onto.
+`conv3`, `linear`, `leaky_relu` and `leaky_relu_grad` write into an `out`
+array (`conv3` makes a fresh padded one when out is None), so a network
+that hands each layer the interior of the next layer's buffer, or a row
+chunk of it, runs without a pad or a copy. Only interiors are written,
+except by the flat kernels, which re-zero the halo faces their padding rows
+spill onto.
 
 Workspace. `workspace(role, shape, dtype)` is the calling thread's buffer
 for that key: zeroed when first made, then reused by every later call with
@@ -577,8 +578,9 @@ def conv1_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):
     return gx, flat.T @ up, _bias_grad(up)
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = x @ w
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w + b, into `out` (fresh when None)."""
+    out = np.matmul(x, w, out=out)
     out += b
     return out
 

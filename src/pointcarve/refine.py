@@ -4,6 +4,15 @@ fully-connected stack produce r offset vectors per coarse point.
 The dense cloud replicates each coarse point r times and displaces the
 copies, so |dense| = r * |coarse| and a zero-initialized final layer leaves
 every copy on its source point.
+
+Memory. `refine` runs the MLP over the coarse points in row chunks of
+REFINE_CHUNK_ROWS. Without a kept tape each hidden layer's chunk lives in
+one of the calling thread's `nn.workspace` buffers, so inference never
+holds an (m, width) hidden activation. At the paper preset (m = 2048,
+widths 1792, 2448 and 112) those would be 34 MiB of float32 a call; the
+chunk buffers are 8.5 MiB, reused by every call. A training forward keeps
+each layer's whole activation on its tape for `refine_grads`, and its
+chunks are row slices of those.
 """
 
 from __future__ import annotations
@@ -20,6 +29,12 @@ from .gridding import (
     feature_sample_grad,
     feature_sample_query_grad,
 )
+
+# Coarse points per chunk of the MLP. With OpenBLAS 0.3.31 on one thread,
+# chunks of 512 and 1024 rows give the paper preset's dense cloud
+# byte-identical to a whole-batch forward, in float32 and float64; chunks of
+# 128 and 256 rows changed its float32 rounding.
+REFINE_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -66,10 +81,11 @@ class RefineHeadParams:
 
 @dataclass
 class RefineTape:
-    """What `refine_grads` reads of one `refine` call: its inputs plus every
-    layer's input and the head's output. The hidden activations ran in
-    place over their pre-activations; their gradients read the activation's
-    sign, which equals the pre-activation's."""
+    """What `refine_grads` reads of one `refine` call with keep_cache: its
+    inputs plus every layer's input and the head's output, each a fresh
+    (m, width) array. The hidden activations ran in place over their
+    pre-activations; their gradients read the activation's sign, which
+    equals the pre-activation's."""
 
     coarse: PointCloud
     features: FeatureGrid
@@ -77,16 +93,28 @@ class RefineTape:
 
 
 def refine(
-    coarse: PointCloud, features: FeatureGrid, params: RefineHeadParams
-) -> tuple[PointCloud, RefineTape]:
+    coarse: PointCloud, features: FeatureGrid, params: RefineHeadParams, keep_cache: bool = False
+) -> tuple[PointCloud, RefineTape | None]:
     """Expand the coarse cloud to r points per input point via learned offsets.
 
-    Returns (dense, tape); pass the tape to `refine_grads` for the backward.
-    Output ordering: dense index = coarse index * r + offset index.
+    Returns (dense, tape): with keep_cache the tape for `refine_grads`, else
+    None. Output ordering: dense index = coarse index * r + offset index.
+
+    The MLP runs over the coarse points in chunks of REFINE_CHUNK_ROWS rows.
+    Each layer's chunk is a row slice of the tape's (m, width) array, or
+    without keep_cache a per-thread `nn.workspace` buffer, so the served
+    path never holds a whole hidden activation. The last layer writes into
+    the (m, 3r) offsets either way.
     """
     if len(coarse) == 0:
         raise ValueError("empty input")
     dtype = params.weights[0].dtype
+    biggest, limit = float(np.abs(coarse.points).max()), float(np.finfo(dtype).max)
+    if biggest > limit:
+        raise ValueError(
+            f"coarse coordinates overflow {dtype}: largest magnitude {biggest:.3g} "
+            f"exceeds {limit:.3g}"
+        )
     feats = _feature_sample_values(features, coarse.points).astype(dtype, copy=False)
     if feats.shape[1] + 3 != params.input_dim:
         raise ValueError(
@@ -94,14 +122,26 @@ def refine(
             f"first-layer input width {params.input_dim}"
         )
     x = np.concatenate([feats, coarse.points.astype(dtype)], axis=1)
-    acts = [x]
-    n = len(params.weights)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        y = nn.linear(acts[-1], w, b)
-        acts.append(nn.leaky_relu(y, out=y) if i < n - 1 else y)
-    offsets = acts[-1].astype(np.float64).reshape(len(coarse), -1, 3)
+    m, n = len(coarse), len(params.weights)
+    # Layer i writes rows [s, e) of a whole array (the tape's, and always the
+    # last layer's), or the first e - s rows of its workspace buffer.
+    whole = [keep_cache or i == n - 1 for i in range(n)]
+    outs = [
+        np.empty((m, w.shape[1]), dtype) if whole[i]
+        else nn.workspace(f"refine.act{i + 1}", (REFINE_CHUNK_ROWS, w.shape[1]), dtype)
+        for i, w in enumerate(params.weights)
+    ]
+    for s in range(0, m, REFINE_CHUNK_ROWS):
+        e = min(s + REFINE_CHUNK_ROWS, m)
+        h = x[s:e]
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            h = nn.linear(h, w, b, out=outs[i][s:e] if whole[i] else outs[i][: e - s])
+            if i < n - 1:
+                nn.leaky_relu(h, out=h)
+    offsets = outs[-1].astype(np.float64).reshape(m, -1, 3)
     dense = (coarse.points[:, None, :] + offsets).reshape(-1, 3)
-    return PointCloud(dense), RefineTape(coarse, features, acts)
+    tape = RefineTape(coarse, features, [x, *outs]) if keep_cache else None
+    return PointCloud(dense), tape
 
 
 def refine_grads(

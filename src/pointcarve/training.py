@@ -123,7 +123,7 @@ def make_block(
 class SampleForward:
     engrave: EngraveResult
     dense: PointCloud
-    refine_tape: RefineTape
+    refine_tape: RefineTape | None  # None without keep_cache
 
 
 def forward_sample(
@@ -136,7 +136,7 @@ def forward_sample(
 ) -> SampleForward:
     block = make_block(partial, range, config, gt)
     result = engrave(block, params, config.coarse_m, config.carve_threshold, keep_cache)
-    dense, tape = refine(result.coarse, result.features, params.refine_head)
+    dense, tape = refine(result.coarse, result.features, params.refine_head, keep_cache)
     return SampleForward(engrave=result, dense=dense, refine_tape=tape)
 
 

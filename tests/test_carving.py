@@ -1,5 +1,6 @@
 """Cell-wise convolution, the kernel predictor and the engrave composition."""
 
+import importlib
 import weakref
 
 import numpy as np
@@ -306,7 +307,10 @@ class TestFeaturesAtSampledVoxels:
             assert len(arrays) > 10
             assert [a.shape for a in arrays if a.size == grid_size] == []
             features = fwd.engrave.features
-            assert features is fwd.refine_tape.features
+            if keep_cache:
+                assert features is fwd.refine_tape.features
+            else:
+                assert fwd.refine_tape is None
             assert features.values.shape == (len(features.voxels), model.feature_dim)
             assert len(features.voxels) <= 8 * cfg.coarse_m
 
@@ -468,6 +472,91 @@ class TestKernelHeadInSlabs:
         assert "carving.unet.trunk" not in roles
 
 
+def _refine_chunks(monkeypatch, rows):
+    """Run refine's MLP in chunks of `rows` coarse points."""
+    # By module path: the package rebinds `refine` to the function.
+    monkeypatch.setattr(importlib.import_module("pointcarve.refine"), "REFINE_CHUNK_ROWS", rows)
+
+
+def _whole_batch_dense(coarse, features, head):
+    """The refinement MLP over every coarse point at once, one GEMM a layer."""
+    from pointcarve import feature_sample, nn
+
+    dtype = head.weights[0].dtype
+    h = np.concatenate([feature_sample(features, coarse).features.astype(dtype),
+                        coarse.points.astype(dtype)], axis=1)
+    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
+        h = h @ w
+        h += b
+        if i < len(head.weights) - 1:
+            h = np.maximum(h, nn.LEAKY_SLOPE * h)
+    offsets = h.astype(np.float64).reshape(len(coarse), -1, 3)
+    return (coarse.points[:, None, :] + offsets).reshape(-1, 3)
+
+
+class TestRefineInChunks:
+    """refine runs its MLP over the coarse points in row chunks."""
+
+    @staticmethod
+    def _engraved(cfg, seed):
+        from pointcarve.training import make_block
+
+        params = CarveModelParams.initialize(cfg.carve_config(), seed)
+        partial = random_cloud(np.random.default_rng(seed + 1), 300, -0.5, 0.5)
+        block = make_block(partial, compute_bounds(partial, cfg.bounds_padding_partial), cfg)
+        result = engrave(block, params, cfg.coarse_m, cfg.carve_threshold)
+        return partial, params, result
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_uneven_chunks_match_the_tape_and_one_chunk(self, preset, dtype, monkeypatch):
+        from pointcarve import refine
+
+        cfg = _run_config(preset).replace(dtype=dtype)
+        _, params, result = self._engraved(cfg, 41)
+        coarse, features, head = result.coarse, result.features, params.refine_head
+        m = len(coarse)
+        _refine_chunks(monkeypatch, m)
+        one, one_tape = refine(coarse, features, head, keep_cache=True)
+
+        _refine_chunks(monkeypatch, 3)
+        assert m % 3
+        served, no_tape = refine(coarse, features, head)
+        taped, tape = refine(coarse, features, head, keep_cache=True)
+        assert no_tape is None
+        np.testing.assert_array_equal(served.points, taped.points)
+        widths = [w.shape[0] for w in head.weights] + [head.weights[-1].shape[1]]
+        assert [a.shape for a in tape.acts] == [(m, width) for width in widths]
+        if dtype == "float64":
+            np.testing.assert_allclose(served.points, one.points, rtol=1e-12)
+            for got, want in zip(tape.acts, one_tape.acts):
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_desk_completion_is_the_whole_batch_forward(self):
+        from pointcarve.training import complete_cloud
+
+        # desk's coarse_m fits in one chunk, so its dense cloud keeps the
+        # whole-batch GEMMs' rounding bit for bit.
+        cfg = _run_config("desk")
+        assert cfg.coarse_m <= importlib.import_module("pointcarve.refine").REFINE_CHUNK_ROWS
+        partial, params, result = self._engraved(cfg, 43)
+        coarse, dense = complete_cloud(partial, params, cfg)
+        np.testing.assert_array_equal(coarse.points, result.coarse.points)
+        np.testing.assert_array_equal(
+            dense.points, _whole_batch_dense(result.coarse, result.features, params.refine_head)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gradients_across_chunks(self, seed, monkeypatch):
+        from pointcarve.gradcheck import check_end_to_end, check_refine
+
+        _refine_chunks(monkeypatch, 3)  # 5 coarse points in check_refine, 64 end to end
+        result = check_refine(seed, instances=3)
+        assert result.passed, f"refine max rel err {result.max_rel_err}"
+        result = check_end_to_end(seed)
+        assert result.passed, f"end-to-end max rel err {result.max_rel_err}"
+
+
 class TestParamsContainer:
     def test_flat_round_trip(self):
         params = CarveModelParams.initialize(TINY, seed=8)
@@ -559,8 +648,10 @@ class TestNoAliasing:
         gts = [gen_shape(SyntheticShapeSpec(fam, count=96, seed=i))[0]
                for i, fam in enumerate(["box", "sphere", "torus"] * 2)]
         partials = [PointCloud(gt.points[: len(gt) // 2]) for gt in gts]
-        # The served path reads the trunk from a workspace buffer slab by slab.
+        # The served path reads the trunk from a workspace buffer slab by slab,
+        # and runs refine's hidden layers in workspace chunks (64 = 12 * 5 + 4).
         _slab_planes(monkeypatch, (8, 8, 8), 3)
+        _refine_chunks(monkeypatch, 5)
 
         def work_on(i):
             coarse, dense = complete_cloud(partials[i], params, cfg)

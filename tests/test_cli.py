@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file contracts."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -285,7 +286,8 @@ class TestCheckpointServesTrainingConfig:
 
 
 class TestDegenerateComplete:
-    """`complete` on partials with no volume (library half: TestDegenerateInputs)."""
+    """`complete` on partials with no volume (library half: TestDegenerateInputs)
+    or beyond the model's float range."""
 
     DESK = RunConfig.preset("desk")
 
@@ -311,6 +313,21 @@ class TestDegenerateComplete:
         code = main(["complete", "--ckpt", str(desk_ckpt), "--in", str(src), "--out", str(out)])
         line = assert_one_line_failure(code, capsys, "degenerate")
         assert line == "error: degenerate cloud and eps_box is zero"
+        assert not out.exists()
+
+    def test_float32_overflow_exit_1(self, desk_ckpt, tmp_path, capsys):
+        # Finite in float64, so it reads and grids; refine's float32 cast overflows.
+        points = np.random.default_rng(6).random((64, 3))
+        points[0, 0] = 1e300
+        src, out = tmp_path / "in.xyz", tmp_path / "out.xyz"
+        write_xyz(src, PointCloud(points))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["complete", "--ckpt", str(desk_ckpt), "--in", str(src),
+                         "--out", str(out)])
+        line = assert_one_line_failure(code, capsys, "overflow float32")
+        assert line.startswith("error: coarse coordinates overflow float32: largest magnitude")
         assert not out.exists()
 
 

@@ -424,3 +424,17 @@ def test_conv1_channels_first_is_bit_equal(dtype):
     planes = nn.conv1(x, w, b, channels_first=True)
     assert planes.shape == (27, 8, 6, 4) and planes.flags.c_contiguous
     np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), nn.conv1(x, w, b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_writes_into_out_bit_equal(dtype):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((9, 5)).astype(dtype)
+    w = rng.standard_normal((5, 7)).astype(dtype)
+    b = rng.standard_normal(7).astype(dtype)
+    buf = np.full((12, 7), np.nan, dtype)
+    got = nn.linear(x, w, b, out=buf[2:11])
+    assert np.shares_memory(got, buf)
+    np.testing.assert_array_equal(got, nn.linear(x, w, b))
+    np.testing.assert_array_equal(got, x @ w + b)
+    assert np.isnan(buf[:2]).all() and np.isnan(buf[11:]).all()

@@ -1,6 +1,8 @@
 """Refinement head: offset expansion and its adjoints."""
 
 import importlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -62,11 +64,41 @@ class TestRefine:
             dense, _ = refine(random_cloud(rng, m), feature_grid, head())
             assert len(dense) == m * 2
 
+    def test_served_forward_holds_no_whole_hidden_activation(self, rng, unit_range):
+        # After a warm-up call has made the workspace chunks, a call without a
+        # tape allocates far less than one (m, width) hidden activation.
+        m, width = 2048, 1792
+        grid = FeatureGrid(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), unit_range)
+        params = RefineHeadParams.initialize(7, (width, 24), seed=2, dtype=np.float32)
+        coarse = random_cloud(rng, m)
+        want = refine(coarse, grid, params)[0].points
+        tracemalloc.start()
+        try:
+            dense, tape = refine(coarse, grid, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * width * 4, f"peak {peak} bytes"
+        assert tape is None
+        np.testing.assert_array_equal(dense.points, want)
+
+    def test_coordinates_beyond_the_dtype_range_rejected(self, rng, feature_grid):
+        params = RefineHeadParams.initialize(8, (8, 6), seed=0, dtype=np.float32)
+        points = rng.random((4, 3))
+        points[2, 1] = -1e300
+        coarse = PointCloud(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coarse coordinates overflow float32"):
+                refine(coarse, feature_grid, params)
+        params64 = RefineHeadParams.initialize(8, (8, 6), seed=0)
+        assert len(refine(random_cloud(rng, 4, -1e30, 1e30), feature_grid, params64)[0]) == 8
+
 
 class TestRefineGrads:
     def test_zero_upstream(self, rng, feature_grid):
         params = head(seed=4)
-        _, tape = refine(random_cloud(rng, 6), feature_grid, params)
+        _, tape = refine(random_cloud(rng, 6), feature_grid, params, keep_cache=True)
         grads, gfeat, gcoarse = refine_grads(tape, params, np.zeros((12, 3)))
         for gw, gb in zip(grads.weights, grads.biases):
             np.testing.assert_array_equal(gw, 0.0)
@@ -87,17 +119,19 @@ class TestRefineGrads:
         zeroed = head(seed=5)
         for w in zeroed.weights:
             w[:] = 0.0
-        _, _, g_identity = refine_grads(refine(coarse, feature_grid, zeroed)[1], zeroed, upstream)
+        _, tape = refine(coarse, feature_grid, zeroed, keep_cache=True)
+        _, _, g_identity = refine_grads(tape, zeroed, upstream)
         np.testing.assert_allclose(
             g_identity, upstream.reshape(5, 2, 3).sum(axis=1), atol=1e-12
         )
         full = head(seed=5)
-        _, _, g_full = refine_grads(refine(coarse, feature_grid, full)[1], full, upstream)
+        _, tape = refine(coarse, feature_grid, full, keep_cache=True)
+        _, _, g_full = refine_grads(tape, full, upstream)
         assert not np.allclose(g_full, g_identity)
 
     def test_shape_mismatch_errors(self, rng, feature_grid):
         params = head()
-        _, tape = refine(random_cloud(rng, 4), feature_grid, params)
+        _, tape = refine(random_cloud(rng, 4), feature_grid, params, keep_cache=True)
         with pytest.raises(ValueError, match="upstream"):
             refine_grads(tape, params, np.zeros((5, 3)))
 
@@ -107,7 +141,7 @@ class TestRefineGrads:
         params = head(seed=6)
         coarse = random_cloud(rng, 9)
         upstream = rng.standard_normal((18, 3))
-        _, tape = refine(coarse, feature_grid, params)
+        _, tape = refine(coarse, feature_grid, params, keep_cache=True)
         want_params, want_feat, want_coarse = refine_grads(tape, params, upstream)
 
         def forbidden(*args, **kwargs):
