@@ -580,7 +580,11 @@ def engrave(
     trunk, cache = _unet_forward(partial_grid.values, params, keep_cache)
     carved = cell_conv(block_grid, KernelField.from_head(trunk, params))
     coarse = gridding_reverse(carved, m, threshold)
-    voxels = np.unique(_corner_table(coarse.points, cfg.resolution, block.range)[0])
+    # Sorted and deduplicated by hand: np.unique would import numpy.ma.
+    voxels = np.sort(_corner_table(coarse.points, cfg.resolution, block.range)[0], axis=None)
+    first = np.ones(len(voxels), dtype=bool)
+    np.not_equal(voxels[1:], voxels[:-1], out=first[1:])
+    voxels = voxels[first]
     return EngraveResult(
         coarse=coarse,
         features=FeatureGrid(

@@ -95,6 +95,8 @@ def _cmd_train(args) -> int:
 def _cmd_complete(args) -> int:
     params, config = load_checkpoint(args.ckpt)
     partial = load_cloud(args.infile)
+    if len(partial) == 0:
+        raise ValueError(f"{args.infile}: no points")
     _, dense = complete_cloud(partial, params, config)
     write_xyz(args.out, dense)
     _err(f"completed {len(partial)} -> {len(dense)} points: {args.out}")

@@ -283,10 +283,11 @@ def _table_corners(features: FeatureGrid, points: np.ndarray):
 
 def _feature_sample_values(features: FeatureGrid, points: np.ndarray) -> np.ndarray:
     rows, w, _ = _table_corners(features, points)
-    vals = features.table[rows]
+    table = features.table
     out = np.zeros((len(points), features.channels), dtype=features.values.dtype)
+    # One corner's (N, F) rows at a time, never the (N, 8, F) gather.
     for k in range(8):
-        out += w[:, k, None] * vals[:, k]
+        out += w[:, k, None] * table[rows[:, k]]
     return out
 
 
@@ -324,7 +325,7 @@ def feature_sample_query_grad(
     upstream = np.asarray(upstream, dtype=np.float64)
     points = query.points
     rows, _, axis_w = _table_corners(features, points)
-    vals = features.table[rows]
+    table = features.table
     # d(fraction)/d(world coordinate), zeroed where the query was clamped.
     du = (np.asarray(features.resolution) - 1) / features.range.extent
     inside = (points > features.range.lo) & (points < features.range.hi)
@@ -335,7 +336,7 @@ def feature_sample_query_grad(
     grad = np.zeros_like(points)
     wx, wy, wz = axis_w
     for k, (dx, dy, dz) in enumerate(_CORNERS):
-        g = (upstream * vals[:, k]).sum(axis=1)
+        g = (upstream * table[rows[:, k]]).sum(axis=1)
         grad[:, 0] += g * sign[dx] * wy[dy] * wz[dz] * du[0]
         grad[:, 1] += g * wx[dx] * sign[dy] * wz[dz] * du[1]
         grad[:, 2] += g * wx[dx] * wy[dy] * sign[dz] * du[2]

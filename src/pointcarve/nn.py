@@ -187,11 +187,24 @@ def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def leaky_relu_grad(y: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Upstream times the slope at y, the pre-activation or the activation.
+    """Upstream (shaped like y) times the slope at y, the pre-activation or
+    the activation, into `out` (fresh when None).
 
-    The slope is 1 where y > 0 and LEAKY_SLOPE elsewhere (sign 0 or -1).
+    The slope is 1 where y > 0 and LEAKY_SLOPE elsewhere (sign 0 or -1), in
+    y's dtype. Runs in slabs along the first axis, like `leaky_relu`, so the
+    slope is one small workspace buffer.
     """
-    return np.multiply(upstream, np.maximum(np.sign(y), LEAKY_SLOPE), out=out)
+    if out is None:
+        out = np.empty(y.shape, np.result_type(upstream, y))
+    step = max(1, LEAKY_SLAB_ELEMS // max(1, y[:1].size))
+    slope = workspace("leaky_relu", (min(step, len(y)), *y.shape[1:]), y.dtype)
+    for s in range(0, len(y), step):
+        ys = y[s : s + step]
+        sl = slope[: len(ys)]
+        np.sign(ys, out=sl)
+        np.maximum(sl, LEAKY_SLOPE, out=sl)
+        np.multiply(upstream[s : s + step], sl, out=out[s : s + step])
+    return out
 
 
 def _flat_layout(xp: np.ndarray):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pointcarve
 from pointcarve import BoundingRange, PointCloud
 
 
@@ -32,3 +38,15 @@ def degenerate_partial(kind: str) -> PointCloud:
     else:  # all identical
         pts = np.tile([0.1, -0.2, 0.3], (50, 1))
     return PointCloud(pts)
+
+
+def run_fresh_python(code: str, *args: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports this checkout's
+    pointcarve; fails the test with its stderr if it exits non-zero."""
+    src = str(Path(pointcarve.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code, *args],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout

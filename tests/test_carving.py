@@ -24,6 +24,7 @@ from pointcarve import (
 )
 from pointcarve.carving import kernel_offsets
 from pointcarve.gradcheck import check_cell_conv
+from pointcarve.gridding import _corner_table
 
 from conftest import random_cloud
 
@@ -282,6 +283,9 @@ class TestFeaturesAtSampledVoxels:
         dense = refine(coarse, dense_features, params.refine_head)[0]
 
         np.testing.assert_array_equal(result.coarse.points, coarse.points)
+        voxels = np.unique(_corner_table(coarse.points, model.resolution, bounds)[0])
+        assert result.features.voxels.dtype == voxels.dtype
+        np.testing.assert_array_equal(result.features.voxels, voxels)
         np.testing.assert_array_equal(
             result.features.values, dense_features.table[result.features.voxels]
         )

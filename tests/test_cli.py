@@ -20,7 +20,7 @@ from pointcarve.cli import main
 from pointcarve.pcio import read_xyz, write_ply, write_xyz
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
 
-from conftest import degenerate_partial
+from conftest import degenerate_partial, run_fresh_python
 
 TINY_CFG_TEXT = """
 grid_res = 8
@@ -235,6 +235,37 @@ class TestExitCodes:
         # The encoder-decoder backward is part of the suite, layer and whole.
         names = {line.split()[1].rstrip(":") for line in capsys.readouterr().out.splitlines()}
         assert {"conv3_grads", "end_to_end_loss"} <= names
+
+
+# Run in a fresh interpreter: the test process has long imported scipy.
+COLD_COMPLETE = """
+import sys
+from pointcarve.cli import main
+
+ckpt, src, out = sys.argv[1:]
+assert main(["complete", "--ckpt", ckpt, "--in", src, "--out", out]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+assert loaded == [], loaded
+
+from pointcarve import PointCloud, chamfer
+from pointcarve.pcio import read_xyz
+
+assert chamfer(read_xyz(src), read_xyz(out)) > 0
+assert "scipy.spatial" in sys.modules
+print("ok")
+"""
+
+
+class TestColdStart:
+    def test_complete_imports_neither_scipy_nor_numpy_ma(self, tmp_path):
+        cfg = RunConfig.from_text(TINY_CFG_TEXT)
+        ckpt = tmp_path / "tiny.ckpt"
+        save_checkpoint(ckpt, CarveModelParams.initialize(cfg.carve_config(), 0),
+                        CheckpointMeta.from_config(cfg))
+        src = tmp_path / "in.xyz"
+        write_xyz(src, PointCloud(np.random.default_rng(0).random((64, 3))))
+        out = run_fresh_python(COLD_COMPLETE, str(ckpt), str(src), str(tmp_path / "out.xyz"))
+        assert out.strip() == "ok"
 
 
 class TestPaperScaleComplete:
@@ -452,6 +483,21 @@ class TestCorruptInputs:
             src.write_bytes(data)
         capsys.readouterr()
         line = assert_one_line_failure(self.complete(ckpt, src, tmp_path), capsys, needle)
+        assert str(src) in line
+
+    @pytest.mark.parametrize("case", ["empty.xyz", "comments.xyz", "ascii.ply", "binary.ply"])
+    def test_input_without_points(self, files, tmp_path, capsys, case):
+        _, ckpt = files
+        src = tmp_path / case
+        if case == "empty.xyz":
+            src.write_text("")
+        elif case == "comments.xyz":
+            src.write_text("# a header\n\n# and nothing else\n")
+        else:
+            write_ply(src, PointCloud.empty(), binary=case == "binary.ply")
+            assert b"element vertex 0\n" in src.read_bytes()
+        capsys.readouterr()
+        line = assert_one_line_failure(self.complete(ckpt, src, tmp_path), capsys, "no points")
         assert str(src) in line
 
     @pytest.mark.parametrize("case", list(MANIFEST_CASES))

@@ -16,9 +16,11 @@ from pointcarve import (
 )
 from pointcarve.gradcheck import check_feature_sample, check_gridding_reverse
 from pointcarve.gridding import (
+    _CORNERS,
     _corner_table,
     _feature_sample_values,
     _reverse_select,
+    _table_corners,
     feature_sample_query_grad,
 )
 
@@ -328,6 +330,39 @@ class TestFeatureTable:
         np.testing.assert_array_equal(table_grad[~read], 0.0)
         np.testing.assert_array_equal(feature_sample_query_grad(table, query, upstream),
                                       feature_sample_query_grad(dense, query, upstream))
+
+    @pytest.mark.parametrize("listed", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_per_corner_reads_equal_the_gather_form(self, rng, unit_range, dtype, listed):
+        # Sampling reads one corner's rows at a time; the reference gathers
+        # all 8 into an (N, 8, F) block first. Same adds, same order: equal
+        # bit for bit, values and query gradients.
+        res = (6, 5, 7)
+        features = FeatureGrid(rng.standard_normal((*res, 5)).astype(dtype), unit_range)
+        query = random_cloud(rng, 60, -0.1, 1.1)
+        if listed:
+            features = self.table_of(features, query)
+        upstream = rng.standard_normal((60, 5))
+        rows, w, (wx, wy, wz) = _table_corners(features, query.points)
+        vals = features.table[rows]
+        ref = np.zeros((60, 5), dtype)
+        for k in range(8):
+            ref += w[:, k, None] * vals[:, k]
+        np.testing.assert_array_equal(_feature_sample_values(features, query.points), ref)
+
+        du = (np.asarray(res) - 1) / unit_range.extent
+        pts = query.points
+        active = ((pts >= unit_range.lo) & (pts <= unit_range.hi)).astype(np.float64)
+        sign = (-1.0, 1.0)
+        ref_grad = np.zeros_like(pts)
+        for k, (dx, dy, dz) in enumerate(_CORNERS):
+            g = (upstream * vals[:, k]).sum(axis=1)
+            ref_grad[:, 0] += g * sign[dx] * wy[dy] * wz[dz] * du[0]
+            ref_grad[:, 1] += g * wx[dx] * sign[dy] * wz[dz] * du[1]
+            ref_grad[:, 2] += g * wx[dx] * wy[dy] * sign[dz] * du[2]
+        np.testing.assert_array_equal(
+            feature_sample_query_grad(features, query, upstream), ref_grad * active
+        )
 
     def test_query_outside_the_listed_vertices_rejected(self, rng, unit_range):
         dense = FeatureGrid(rng.standard_normal((*RES, 2)), unit_range)

@@ -18,6 +18,7 @@ from pointcarve.pcio import (
     read_dataset_manifest,
     read_ply,
     read_sequence_manifest,
+    _xyz_text,
     read_xyz,
     write_ply,
     write_xyz,
@@ -64,6 +65,24 @@ class TestXyz:
         write_xyz(p, cloud)
         assert p.read_text() == expected
         assert expected.startswith("-0 0 1e-300\n4.94065646e-324 ")
+
+    def test_one_format_equals_per_line_fstrings(self, rng, tmp_path):
+        # The writer formats the whole cloud with one `%`; the reference is
+        # one f-string per line over Python floats. Non-finite values cannot
+        # be in a PointCloud, so the text helper checks them on its own.
+        pts = rng.standard_normal((400, 3)) * 10.0 ** rng.uniform(-30, 20, (400, 3))
+        pts[100:200] = pts[100:200].astype(np.float32)
+        pts[:3] = [[-0.0, 1e-30, 1e20], [0.0, -1e-30, -1e20], [5e-324, 1 / 3, np.float32(0.1)]]
+        want = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in pts.tolist())
+        p = tmp_path / "fmt.xyz"
+        write_xyz(p, PointCloud(pts))
+        assert p.read_bytes() == want.encode()
+        odd = np.array([[np.nan, np.inf, -np.inf], [-0.0, -np.nan, 1.5]])
+        assert _xyz_text(odd) == "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in odd.tolist())
+        assert _xyz_text(odd).startswith("nan inf -inf\n-0 ")
+        write_xyz(p, PointCloud.empty())
+        assert p.read_bytes() == b""
+
 
 class TestPly:
     def test_minimal_text_ply(self, tmp_path):

@@ -322,6 +322,30 @@ def test_leaky_relu_grad_reads_activation_or_pre_activation(dtype):
         np.testing.assert_array_equal(out, nn.leaky_relu_grad(x, up))
 
 
+@pytest.mark.parametrize("shape", [(40, 16, 16, 8), (3000, 64), (2, 300, 300, 1), (0, 4)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_grad_in_slabs_equals_the_whole_array_formula(shape, dtype):
+    # Several slabs (or one row wider than a slab), with signed zeros in
+    # every slab; a padded interior `out` keeps its halo zero.
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal(shape).astype(dtype)
+    y.flat[::7] = 0.0
+    y.flat[3::7] = -0.0
+    for ud in (np.float32, np.float64):
+        up = rng.standard_normal(shape).astype(ud)
+        ref = np.multiply(up, np.maximum(np.sign(y), nn.LEAKY_SLOPE))
+        got = nn.leaky_relu_grad(y, up)
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+        if len(shape) == 4:
+            out = nn.padded(shape, ref.dtype)
+            assert nn.leaky_relu_grad(y, up, out=out) is out
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+            assert _halo_is_zero(out)
+
+
 def test_upsample2_concat_into_padded_buffer():
     # conv3 with up= writes only the interior of a garbage-filled padded
     # output and reads padded and plain inputs alike.

@@ -11,7 +11,24 @@ from pathlib import Path
 
 import pointcarve
 
+from conftest import run_fresh_python
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Installing in a fresh interpreter: the test process has long imported scipy.
+COLD_INSTALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+import pointcarve.pcio
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+tracer.uninstall()
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert loaded == [], loaded
+print("ok")
+"""
 
 
 def _pointcarve_namespaces():
@@ -43,6 +60,8 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
         assert changed == [], f"{name} not restored: {changed}"
     assert pointcarve.CarveModelParams.__post_init__ is post_init
 
+    assert run_fresh_python(COLD_INSTALL, str(PERFBENCH)).strip() == "ok"
+
 
 def test_traced_tiny_sample_and_completion_run(monkeypatch):
     # Layers are named while they run (a conv's weight must be a registered
@@ -66,6 +85,8 @@ def test_traced_tiny_sample_and_completion_run(monkeypatch):
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
+    # The lazy k-d tree builder still goes through the counted name.
+    assert sum(c["losses.kdtree_builds"] for c in tracer.counts.values()) > 0
     for name in ("nn.conv1.heads.fwd", "nn.conv1.heads.bwd", "nn.conv3.dec1.bwd",
                  "gridding.feature_sample.bwd", "refine.fwd", "training.sample"):
         assert name in names
