@@ -11,13 +11,18 @@ Memory layout of the inference forward:
 - The encoder-decoder keeps its activations in `nn.padded` buffers, each
   layer writing into the interior of the next layer's buffer, so no layer
   pads or copies its input. The activation runs in place.
-- One buffer per level holds the stem or encoder output, which is also the
-  skip input of the decoder at that level. Each decoder writes its own
-  buffer: it takes the coarser activation as `nn.conv3(..., up=y)`, which
-  convolves [upsample2(y), skip] without forming the upsampled copy or the
-  concatenation, and reads the skip while it writes.
+- One buffer per level. It holds the stem or encoder output, which is also
+  the skip input of the decoder at that level, and then that decoder's
+  output: each decoder takes the coarser activation as
+  `nn.conv3(skip, ..., out=skip, up=y)`, which convolves
+  [upsample2(y), skip] without forming the upsampled copy or the
+  concatenation, and writes over the skip it has finished reading (see
+  `nn`'s flat layout).
 - Every decoder's activation runs in place, so the trunk both heads read
-  is the interior of dec1's padded buffer.
+  is the interior of level0's padded buffer.
+- Training keeps its activations (`keep_cache`): there each decoder writes a
+  fresh buffer, because the backward reads both the skips and the
+  decoders' activations.
 - The kernel head's K^3 * H * W * M values never exist as a whole.
   `engrave` carves with a `KernelField` that is the head over the trunk,
   and `cell_conv` evaluates its taps one slab of x-planes at a time
@@ -410,13 +415,14 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     """Forward pass of the kernel-predicting encoder-decoder, up to its heads.
 
     Returns (trunk, cache): the trunk is the (H, W, M, C) activation both
-    heads read, the interior of dec1's padded buffer. Activations live in
-    padded buffers (see `nn`), each layer writing into the next one's and
-    each activation running in place. Without keep_cache those are the
-    thread's workspace buffers, the trunk included (valid until this
-    thread's next forward), and cache is None; with it they are fresh, and
-    the cache holds the padded input and the activations `_unet_backward`
-    reads, the trunk last.
+    heads read. Activations live in padded buffers (see `nn`), each layer
+    writing into the next one's and each activation running in place.
+    Without keep_cache there is one buffer per level, from the thread's
+    workspace: each decoder writes over its skip, so the trunk is level0's
+    interior (valid until this thread's next forward), and cache is None.
+    With it every buffer is fresh, the decoders' included, and the cache
+    holds the padded input and the activations `_unet_backward` reads, the
+    trunk last.
     """
     cfg = params.config
     t = params.tensors
@@ -438,9 +444,11 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     acts = []
     for e in range(cfg.stages, 0, -1):
         skip = skips[e - 1]
-        # Decoder e reads upsample2(y) and the skip while it writes its
-        # output, so the output has its own buffer.
-        pre = nn.conv3(skip, t[f"dec{e}.w"], t[f"dec{e}.b"], out=buffer(f"dec{e}", skip.shape), up=y)
+        # Served, decoder e writes over the skip it reads (nothing reads that
+        # skip afterwards); training's backward needs both, so it gets a
+        # fresh buffer.
+        out = nn.padded(skip.shape, dtype) if keep_cache else skip
+        pre = nn.conv3(skip, t[f"dec{e}.w"], t[f"dec{e}.b"], out=out, up=y)
         y = nn.leaky_relu(pre, out=pre)
         if keep_cache:
             acts.append(y)

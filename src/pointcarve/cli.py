@@ -33,9 +33,17 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _load_points(path) -> PointCloud:
+    """The cloud at `path`; a file with no points is an error naming it."""
+    cloud = load_cloud(path)
+    if len(cloud) == 0:
+        raise ValueError(f"{path}: no points")
+    return cloud
+
+
 def _load_dataset(manifest_path) -> list[tuple[str, PointCloud, PointCloud]]:
     entries = read_dataset_manifest(manifest_path)
-    return [(cat, load_cloud(p), load_cloud(g)) for cat, p, g in entries]
+    return [(cat, _load_points(p), _load_points(g)) for cat, p, g in entries]
 
 
 def _cmd_gen_synth(args) -> int:
@@ -66,7 +74,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    cloud = load_cloud(args.infile)
+    cloud = _load_points(args.infile)
     partials = generate_partials(cloud, args.t, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,9 +102,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_complete(args) -> int:
     params, config = load_checkpoint(args.ckpt)
-    partial = load_cloud(args.infile)
-    if len(partial) == 0:
-        raise ValueError(f"{args.infile}: no points")
+    partial = _load_points(args.infile)
     _, dense = complete_cloud(partial, params, config)
     write_xyz(args.out, dense)
     _err(f"completed {len(partial)} -> {len(dense)} points: {args.out}")
@@ -116,7 +122,7 @@ def _cmd_consistency(args) -> int:
     groups = read_sequence_manifest(args.manifest)
     values = []
     for object_id, frames in sorted(groups.items()):
-        clouds = tuple(load_cloud(p) for _, p in frames)
+        clouds = tuple(_load_points(p) for _, p in frames)
         value = consistency(TrackedSequence(object_id, clouds))
         values.append(value)
         print(f"{object_id},{value * 1e3:.6g}")

@@ -26,9 +26,13 @@ Flat layout. Flattened to rows of ((H+2)(W+2)(M+2), C_in), tap (dx, dy, dz)
 of every output row is the input row at offset dx*(W+2)(M+2) + dy*(M+2) +
 dz, so each tap is one GEMM on a contiguous row slice. Output rows keep the
 padded W/M layout, which is the output buffer's own layout one step in from
-its corner, so the GEMMs write into it directly. Rows go in chunks of
-FLAT_CHUNK_ROWS, so the input rows and the accumulator stay in cache across
-the taps.
+its corner. Rows go in chunks of FLAT_CHUNK_ROWS, so the input rows and the
+accumulator stay in cache across the taps. Each chunk accumulates in a
+per-thread ring of workspace chunks and is copied into the output
+ceil(c / FLAT_CHUNK_ROWS) chunks later, c = (W+2)(M+2) + (M+2) + 1 being
+how far a chunk's inputs reach past its own output rows. So `out` may be
+x itself: a stride-1 layer with C_in >= 2 can write over its own input.
+Every other overlap of `out` with x or `up` is rejected.
 
 `conv3` picks one of three kernels from the layer's stride and C_in; none
 allocates a copy of each tap's shifted view of the input.
@@ -53,8 +57,9 @@ output parities is a 2x2x2 conv of y at coarse resolution with weights
 summed from w's taps (`_parity_weights`): 8 shifted GEMMs on y's flat
 layout instead of 27 on the upsampled one (Shi et al., "Real-Time Single
 Image and Video Super-Resolution Using an Efficient Sub-Pixel CNN", 2016).
-One strided add per slab of coarse x-planes moves the 8 parity results into
-the output (a pixel shuffle).
+Per slab of coarse x-planes, one parity at a time is computed into a
+workspace and added into its strided sub-grid of the output (a pixel
+shuffle); each output element receives exactly one parity.
 
 `conv3_grads` picks one of two kernels by stride, and has a third for `up`.
 
@@ -222,13 +227,29 @@ def _flat_rows(H: int, W: int, M: int) -> int:
     return (H - 1) * (W + 2) * (M + 2) + (W - 1) * (M + 2) + M
 
 
-def _shifted_gemms(flat: np.ndarray, pairs, out: np.ndarray, rows: int, b=None) -> None:
-    """out[r] = sum over (o, m) in pairs of flat[r + o] @ m (+ b), r < rows."""
+def _shifted_gemms(
+    flat: np.ndarray, pairs, out: np.ndarray, rows: int, b=None, lag: int = 0
+) -> None:
+    """out[r] = sum over (o, m) in pairs of flat[r + o] @ m (+ b), r < rows.
+
+    With lag > 0, each chunk's result is staged in a per-thread ring of
+    lag + 1 chunks and written to out lag chunks later, once no later chunk
+    reads the rows it lands on; see `_conv3_flat`.
+    """
     (o0, m0), *rest = pairs
-    tmp = workspace("conv3.part", (FLAT_CHUNK_ROWS, out.shape[-1]), out.dtype)
-    for s in range(0, rows, FLAT_CHUNK_ROWS):
+    cout = out.shape[-1]
+    tmp = workspace("conv3.part", (FLAT_CHUNK_ROWS, cout), out.dtype)
+    ring = workspace("conv3.ring", (lag + 1, FLAT_CHUNK_ROWS, cout), out.dtype) if lag else None
+    starts = range(0, rows, FLAT_CHUNK_ROWS)
+
+    def commit(k: int) -> None:
+        s = starts[k]
         e = min(s + FLAT_CHUNK_ROWS, rows)
-        acc = out[s:e]
+        out[s:e] = ring[k % (lag + 1), : e - s]
+
+    for k, s in enumerate(starts):
+        e = min(s + FLAT_CHUNK_ROWS, rows)
+        acc = out[s:e] if ring is None else ring[k % (lag + 1), : e - s]
         part = tmp[: e - s]
         np.matmul(flat[s + o0 : e + o0], m0, out=acc)
         for o, wk in rest:
@@ -236,6 +257,11 @@ def _shifted_gemms(flat: np.ndarray, pairs, out: np.ndarray, rows: int, b=None) 
             acc += part
         if b is not None:
             acc += b
+        if ring is not None and k >= lag:
+            commit(k - lag)
+    if ring is not None:
+        for k in range(max(0, len(starts) - lag), len(starts)):
+            commit(k)
 
 
 def _tap_columns(xs: np.ndarray, offsets, s: int, e: int) -> np.ndarray:
@@ -291,6 +317,7 @@ def conv3(
     if out is None:
         out = padded(shape, x.dtype)
     _check_shape("out", out, shape)
+    _check_aliasing(x, out, up, flat=stride == 1 and x.shape[3] > 1)
     xp = _padded_input(x, "conv3.x")
     w_x = w[..., c_up:, :]
     if stride == 1:
@@ -324,6 +351,18 @@ def _check_shape(role: str, arr: np.ndarray, expected: tuple[int, ...]) -> None:
         raise ValueError(f"conv3 {role} must have shape {expected}, got {arr.shape}")
 
 
+def _check_aliasing(x: np.ndarray, out: np.ndarray, up: np.ndarray | None, flat: bool) -> None:
+    """out may share memory with x only by being x itself, on the flat kernel."""
+    if up is not None and np.shares_memory(out, up):
+        raise ValueError("conv3 out must not share memory with up")
+    same = out.shape == x.shape and out.strides == x.strides and out.ctypes.data == x.ctypes.data
+    if not (flat and same) and np.shares_memory(out, x):
+        raise ValueError(
+            "conv3 out may share memory with x only as x itself, on the flat kernel "
+            "(stride 1, C_in >= 2)"
+        )
+
+
 def _check_up(x: np.ndarray, w: np.ndarray, up: np.ndarray, stride: int) -> int:
     """C_up, after checking that up, x and w make an upsampled stride-1 layer."""
     if stride != 1:
@@ -338,12 +377,20 @@ def _check_up(x: np.ndarray, w: np.ndarray, up: np.ndarray, stride: int) -> int:
 
 
 def _conv3_flat(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None, outp: np.ndarray) -> None:
+    """The flat kernel; outp may be xp itself (the layer writes over its input).
+
+    Output row r is row r + c of the padded output, c = offsets[13]: one
+    step in from the corner on each axis. A chunk's rows [s, e) land on
+    padded rows [s + c, e + c), which the chunks up to ceil(c / chunk) later
+    still read (their inputs reach c rows past their own outputs), so the
+    result of every chunk is committed that many chunks late.
+    """
     cin, cout = w.shape[-2:]
     flat, offsets, rows = _flat_layout(xp)
-    # Output row r is row r + offsets[13] of the padded output: one step in
-    # from the corner on each axis.
-    out = outp.reshape(-1, cout)[offsets[13] :]
-    _shifted_gemms(flat, zip(offsets, w.reshape(27, cin, cout)), out, rows, b)
+    c = offsets[13]
+    out = outp.reshape(-1, cout)[c:]
+    lag = -(-c // FLAT_CHUNK_ROWS)
+    _shifted_gemms(flat, zip(offsets, w.reshape(27, cin, cout)), out, rows, b, lag)
     # The rows of the padding columns landed on the W and M halo faces.
     _zero_faces(outp)
 
@@ -428,10 +475,11 @@ def _parity_offsets(Wp: int, Mp: int) -> list[list[int]]:
 def _upsampled_conv3(yp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """Adds the conv of w over upsample2(y) into out; yp is y's padded buffer.
 
-    Runs in slabs of whole coarse x-planes: 8 shifted GEMMs per parity into
-    a workspace, then one strided add of the slab's 8 parity grids into the
-    matching fine x-planes of out. Rows of the padding columns, and in the
-    last slab the rows past the last voxel, are never read back.
+    Runs in slabs of whole coarse x-planes, one parity at a time: 8 shifted
+    GEMMs into a workspace, then one strided add into that parity's
+    sub-grid of the matching fine x-planes of out. Each output element gets
+    exactly one parity's add. Rows of the padding columns, and in the last
+    slab the rows past the last voxel, are never read back.
     """
     Hp, Wp, Mp, _ = yp.shape
     H, W, M = Hp - 2, Wp - 2, Mp - 2
@@ -442,16 +490,16 @@ def _upsampled_conv3(yp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     plane = Wp * Mp
     rows = _flat_rows(H, W, M)
     step = min(H, max(1, FLAT_CHUNK_ROWS // plane))
-    acc = workspace("conv3.parity", (8, step * plane, cout), out.dtype)
+    acc = workspace("conv3.parity", (step * plane, cout), out.dtype)
     # Splitting axes never copies, padded interior views included.
     fine = out.reshape(H, 2, W, 2, M, 2, cout)
     for i in range(0, H, step):
         n = min(step, H - i)
         s, e = i * plane, min((i + n) * plane, rows)
-        for p in range(8):
-            _shifted_gemms(flat[s:], zip(offsets[p], wc[p]), acc[p], e - s)
-        part = acc[:, : n * plane].reshape(2, 2, 2, n, Wp, Mp, cout)[:, :, :, :, :W, :M]
-        fine[i : i + n] += part.transpose(3, 0, 4, 1, 5, 2, 6)
+        part = acc[: n * plane].reshape(n, Wp, Mp, cout)[:, :W, :M]
+        for p, (px, py, pz) in enumerate(_TAPS_2):
+            _shifted_gemms(flat[s:], zip(offsets[p], wc[p]), acc, e - s)
+            fine[i : i + n, px, :, py, :, pz] += part
 
 
 def conv3_grads(

@@ -472,8 +472,13 @@ class TestKernelHeadInSlabs:
         for _ in range(2):
             complete_cloud(partial, params, cfg)
         roles = {role for role, *_ in nn._local.buffers}
-        assert "carving.unet.dec1" in roles
+        assert "carving.unet.level0" in roles
         assert "carving.unet.trunk" not in roles
+        # One buffer per level: each decoder writes over its skip, and the
+        # sub-pixel shuffle accumulates one parity at a time.
+        assert not [role for role in roles if role.startswith("carving.unet.dec")]
+        parity = [shape for role, shape, _ in nn._local.buffers if role == "conv3.parity"]
+        assert parity and all(len(shape) == 2 for shape in parity)
 
 
 def _refine_chunks(monkeypatch, rows):

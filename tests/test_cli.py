@@ -500,6 +500,38 @@ class TestCorruptInputs:
         line = assert_one_line_failure(self.complete(ckpt, src, tmp_path), capsys, "no points")
         assert str(src) in line
 
+    @pytest.mark.parametrize("command,empty", [
+        ("augment", "in"), ("consistency", "frame"), ("eval", "partial"), ("eval", "gt"),
+        ("sweep", "partial"), ("train", "partial"),
+    ])
+    def test_command_input_without_points(self, files, tmp_path, capsys, command, empty):
+        work, ckpt = files
+        src = tmp_path / "empty.xyz"
+        src.write_text("")
+        good = work / "in.xyz"
+        manifest = tmp_path / "m.txt"
+        if command == "augment":
+            argv = ["augment", "--in", str(src), "--t", "2", "--out", str(tmp_path / "views")]
+        elif command == "consistency":
+            manifest.write_text(f"car0 0 {good}\ncar0 1 {src.name}\n")
+            argv = ["consistency", "--manifest", str(manifest)]
+        else:
+            pair = (src.name, good) if empty == "partial" else (good, src.name)
+            manifest.write_text("box {} {}\n".format(*pair))
+            argv = [command, "--manifest", str(manifest)]
+            if command == "train":
+                cfg = tmp_path / "tiny.cfg"
+                cfg.write_text(TINY_CFG_TEXT)
+                argv += ["--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]
+            else:
+                argv += ["--ckpt", str(ckpt)]
+                argv += (["--report", str(tmp_path / "r.txt")] if command == "eval"
+                         else ["--levels", "0.5"])
+        capsys.readouterr()
+        line = assert_one_line_failure(main(argv), capsys, "no points")
+        assert f"{src}: no points" in line
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("case", list(MANIFEST_CASES))
     def test_corrupt_manifest(self, files, tmp_path, capsys, case):
         _, ckpt = files

@@ -462,3 +462,62 @@ def test_linear_writes_into_out_bit_equal(dtype):
     np.testing.assert_array_equal(got, nn.linear(x, w, b))
     np.testing.assert_array_equal(got, x @ w + b)
     assert np.isnan(buf[:2]).all() and np.isnan(buf[11:]).all()
+
+
+# (FLAT_CHUNK_ROWS, chunks of lag) on a (6, 4, 8) grid: a chunk's output rows
+# sit c = 71 rows past its first input row, so the flat kernel commits each
+# chunk 1, 1 (c equal to the chunk), 2 and 5 chunks late; 338 rows leave
+# every last chunk partial.
+IN_PLACE_CHUNKS = [(80, 1), (71, 1), (40, 2), (16, 5)]
+
+
+@pytest.mark.parametrize("with_up", [True, False])
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("chunk,lag", IN_PLACE_CHUNKS)
+def test_conv3_over_its_own_input_equals_out_of_place(
+    chunk, lag, dtype, rtol, with_up, monkeypatch
+):
+    monkeypatch.setattr(nn, "FLAT_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(chunk)
+    y, skip, w, b, _ = make_up_case(rng, (3, 2, 4), 3, 4, 4, dtype)
+    Hp, Wp, Mp = (n + 2 for n in skip.shape[:3])
+    offsets, rows = nn._flat_layout(np.empty((Hp, Wp, Mp, 1)))[1:]
+    assert -(-offsets[13] // chunk) == lag and rows % chunk
+    if not with_up:
+        y, w = None, w[..., 3:, :]
+    x = nn.padded(skip.shape, dtype)
+    x[...] = skip
+    want = nn.conv3(skip, w, b, up=y)
+    got = nn.conv3(x, w, b, out=x, up=y)
+    assert got is x and _halo_is_zero(x)
+    np.testing.assert_array_equal(got, want)
+    # Across slabs of one coarse x-plane, each parity added on its own.
+    ref = brute_force_conv3(skip, w, b, 1) if y is None else upsampled_reference(y, skip, w, b)[0]
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+def test_conv3_rejects_aliasing_it_cannot_run():
+    def buffer(*shape):
+        out = nn.padded(shape, np.float64)
+        out[...] = 1.0
+        return out
+
+    b2 = np.zeros(2)
+    stem = buffer(4, 4, 4, 1)
+    x = buffer(4, 4, 4, 2)
+    wide = buffer(4, 4, 4, 3)
+    cases = [
+        # The single-channel stem kernel, written over its input.
+        (lambda: nn.conv3(stem, np.ones((3, 3, 3, 1, 1)), np.zeros(1), out=stem), "x"),
+        # Stride 2 into a corner of its own input.
+        (lambda: nn.conv3(x, np.ones((3, 3, 3, 2, 2)), b2, 2, out=x[:2, :2, :2]), "x"),
+        # The flat kernel into a buffer x is only some channels of.
+        (lambda: nn.conv3(wide[..., :2], np.ones((3, 3, 3, 2, 3)), np.zeros(3), out=wide), "x"),
+        # Any overlap with up, even with x itself allowed.
+        (lambda: nn.conv3(x, np.ones((3, 3, 3, 4, 2)), b2, out=x, up=x[:2, :2, :2]), "up"),
+    ]
+    for call, role in cases:
+        with pytest.raises(ValueError, match=f"share memory with {role}"):
+            call()
+    for arr in (stem, x, wide):
+        np.testing.assert_array_equal(arr, 1.0)
