@@ -54,7 +54,7 @@ from .metrics import (
     sensitivity_sweep,
     valid_point_percentage,
 )
-from .refine import RefineHeadParams, refine, refine_grads
+from .refine import refine, refine_grads
 from .sensoraug import (
     SensorPose,
     VisibilityConfig,
@@ -79,7 +79,7 @@ __all__ = [
     "BoundingRange", "CarveModelConfig", "CarveModelParams", "CheckpointMeta",
     "EvalReport", "FeatureGrid", "KernelField", "LossBreakdown",
     "OptimizerState", "PointBlock", "PointCloud",
-    "RefineHeadParams", "RunConfig", "SensorPose", "SyntheticShapeSpec",
+    "RunConfig", "SensorPose", "SyntheticShapeSpec",
     "TrackedSequence", "VisibilityConfig", "VoxelGrid",
     "build_point_block", "cd_scaled", "cell_conv", "cell_conv_grads",
     "chamfer", "chamfer_and_grad", "chamfer_grad", "complete_cloud", "compute_bounds",

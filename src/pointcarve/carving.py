@@ -35,8 +35,8 @@ Memory layout of the inference forward:
   (about 6 % at the desk and paper presets). `engrave` carves first, then
   gathers those vertices' trunk rows, sorted and unique, into one head GEMM.
   `EngraveResult.features` is a `FeatureGrid` holding that (U, F) table
-  and its flat vertex indices; `predict_kernels` still computes the whole
-  grid, which lists every vertex.
+  and its flat vertex indices; `predict_kernels` runs the same head over
+  every vertex.
 - Without a kept cache, those padded buffers and every other temporary come
   from the calling thread's `nn.workspace` and are reused by the next call.
   A workspace buffer never leaves the public function that fills it: the
@@ -53,7 +53,6 @@ import numpy as np
 from . import nn
 from .cloud import PointBlock, PointCloud
 from .gridding import FeatureGrid, VoxelGrid, _corner_table, gridding, gridding_reverse
-from .refine import RefineHeadParams
 
 
 # Voxels per slab of whole x-planes (at least one plane) in which
@@ -129,7 +128,7 @@ class KernelField:
         if self.values is not None:
             return np.moveaxis(self.values[s:e], -1, 0)
         w, b = self.head
-        return _check_finite(nn.conv1(self.trunk[s:e], w, b, channels_first=True))
+        return _check_finite(nn.conv1(self.trunk[s:e], w, b))
 
 
 def _check_finite(values: np.ndarray) -> np.ndarray:
@@ -302,12 +301,10 @@ class CarveModelParams:
         return np.concatenate(parts)
 
     @property
-    def refine_head(self) -> RefineHeadParams:
-        n = len(self.config.refine_widths)
-        return RefineHeadParams(
-            weights=[self.tensors[f"refine{i}.w"] for i in range(n)],
-            biases=[self.tensors[f"refine{i}.b"] for i in range(n)],
-        )
+    def refine_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The refinement MLP's (w, b) pairs, input layer first."""
+        n, t = len(self.config.refine_widths), self.tensors
+        return [(t[f"refine{i}.w"], t[f"refine{i}.b"]) for i in range(n)]
 
 
 def cell_conv(block_grid: VoxelGrid, kernels: KernelField) -> VoxelGrid:
@@ -469,8 +466,7 @@ def _trunk_rows(trunk: np.ndarray, voxels: np.ndarray) -> np.ndarray:
 def _feature_head(trunk: np.ndarray, params: CarveModelParams, voxels: np.ndarray) -> np.ndarray:
     """The feature head's fresh (U, F) rows at the listed flat voxels.
 
-    Row for row, the same product and bias add as `nn.conv1` over the
-    whole trunk.
+    Row for row, the same product and bias add over any list of voxels.
     """
     t = params.tensors
     return nn.linear(_trunk_rows(trunk, voxels), t["feature_head.w"], t["feature_head.b"])
@@ -532,21 +528,22 @@ def _unet_backward(
 def predict_kernels(
     partial_grid: VoxelGrid, params: CarveModelParams
 ) -> tuple[KernelField, FeatureGrid]:
-    """Predict per-cell carve kernels and the whole refinement feature grid
-    from P-hat. `engrave` evaluates the feature head only where `refine`
-    samples it; this is the dense reference."""
+    """Predict per-cell carve kernels and the refinement feature table at
+    every vertex from P-hat. `engrave` evaluates the feature head only where
+    `refine` samples it; this is the dense reference."""
     if partial_grid.values.shape != params.config.resolution:
         raise ValueError(
             f"grid resolution {partial_grid.values.shape} does not match "
             f"configured model resolution {params.config.resolution}"
         )
     t = params.tensors
+    res = params.config.resolution
     trunk, _ = _unet_forward(partial_grid.values, params)
-    kern = nn.conv1(trunk, t["kernel_head.w"], t["kernel_head.b"], channels_first=True)
-    features = nn.conv1(trunk, t["feature_head.w"], t["feature_head.b"])
+    kern = nn.conv1(trunk, t["kernel_head.w"], t["kernel_head.b"])
+    voxels = np.arange(int(np.prod(res)))
     return (
         KernelField(np.moveaxis(kern, 0, -1), params.config.kernel_size),
-        FeatureGrid(features, partial_grid.range),
+        FeatureGrid(_feature_head(trunk, params, voxels), partial_grid.range, voxels, res),
     )
 
 

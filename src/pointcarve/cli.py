@@ -47,13 +47,17 @@ def _load_dataset(manifest_path) -> list[tuple[str, PointCloud, PointCloud]]:
 
 
 def _cmd_gen_synth(args) -> int:
-    out = Path(args.out)
-    (out / "gt").mkdir(parents=True, exist_ok=True)
-    (out / "partial").mkdir(parents=True, exist_ok=True)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise ValueError(f"--families names no family, expected some of {FAMILIES}")
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}, expected one of {FAMILIES}")
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    out = Path(args.out)
+    (out / "gt").mkdir(parents=True, exist_ok=True)
+    (out / "partial").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     lines = []
     for i in range(args.count):
@@ -153,6 +157,13 @@ def _cmd_check_grads(args) -> int:
     return 0 if ok else 1
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointcarve",
@@ -194,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--weighted", action="store_true",
                    help="weight the overall mean by category sample counts")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel per-sample workers (results are identical)")
     p.set_defaults(func=_cmd_eval)
 
@@ -208,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True, help="comma-separated levels in (0, 1]")
     p.add_argument("--method", choices=("random", "sensor"), default="random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel per-sample workers (results are identical)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -27,37 +27,21 @@ def _as_points_array(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An ordered set of 3D points with optional per-point feature vectors.
+    """An ordered set of 3D points.
 
-    `points` is an (N, 3) float64 array, `features` an optional (N, F) array.
-    Arrays are copied on construction and marked read-only; treat instances
-    as immutable values.
+    `points` is an (N, 3) float64 array, copied on construction and marked
+    read-only; treat instances as immutable values.
     """
 
     points: np.ndarray
-    features: np.ndarray | None = None
 
     def __post_init__(self):
         pts = _as_points_array(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.features is not None:
-            feats = np.array(self.features, dtype=np.float64, copy=True)
-            if feats.ndim != 2 or feats.shape[0] != len(pts):
-                raise ValueError(
-                    f"features must have shape ({len(pts)}, F), got {feats.shape}"
-                )
-            if not np.all(np.isfinite(feats)):
-                raise ValueError("features contain non-finite values")
-            feats.flags.writeable = False
-            object.__setattr__(self, "features", feats)
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def feature_dim(self) -> int | None:
-        return None if self.features is None else self.features.shape[1]
 
     @staticmethod
     def empty() -> "PointCloud":
@@ -195,9 +179,8 @@ def build_point_block(
 def _assemble_block(partial: PointCloud, sampled: PointCloud, range: BoundingRange) -> PointBlock:
     inside = range.contains(partial.points) if len(partial) else np.zeros(0, dtype=bool)
     clamped = int(len(partial) - inside.sum())
-    pts = range.clamp(partial.points) if clamped else partial.points
     return PointBlock(
-        partial=PointCloud(pts, partial.features),
+        partial=PointCloud(range.clamp(partial.points)) if clamped else partial,
         sampled=sampled,
         range=range,
         clamped_count=clamped,
@@ -244,7 +227,7 @@ def normalize_unit_cube(cloud: PointCloud) -> tuple[PointCloud, UnitCubeTransfor
     if extent == 0 or not np.isfinite(1.0 / extent):
         raise ValueError("all points coincident; cannot normalize")
     transform = UnitCubeTransform(center=(lo + hi) / 2.0, scale=1.0 / extent)
-    return PointCloud(transform.apply(cloud.points), cloud.features), transform
+    return PointCloud(transform.apply(cloud.points)), transform
 
 
 def subsample_fixed(
@@ -270,8 +253,7 @@ def subsample_fixed(
             idx = np.concatenate([idx, idx[np.arange(m - n) % n]])
     else:
         raise ValueError(f"unknown subsample method {method!r}")
-    feats = None if cloud.features is None else cloud.features[idx]
-    return PointCloud(cloud.points[idx], feats)
+    return PointCloud(cloud.points[idx])
 
 
 def _farthest_point_indices(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ from .gridding import (
     gridding_reverse_grad,
 )
 from .losses import chamfer, chamfer_grad
-from .refine import RefineHeadParams, refine, refine_grads
+from .refine import refine, refine_grads
 
 FD_STEP = 1e-5
 TOL_DEFAULT = 1e-4
@@ -118,13 +118,13 @@ def check_feature_sample(seed: int, instances: int = 20) -> GradCheckResult:
         res = int(rng.integers(3, 6))
         channels = int(rng.integers(2, 5))
         values = rng.standard_normal((res, res, res, channels))
-        grid = FeatureGrid(values, _unit_range())
+        grid = FeatureGrid.dense(values, _unit_range())
         query = PointCloud(rng.uniform(0.05, 0.95, size=(int(rng.integers(4, 17)), 3)))
         upstream = rng.standard_normal((len(query), channels))
         analytic = feature_sample_grad(grid, query, upstream)
 
         def phi(v):
-            out = feature_sample(FeatureGrid(v, _unit_range()), query).features
+            out = feature_sample(FeatureGrid.dense(v, _unit_range()), query)
             return float(np.sum(upstream * out))
 
         worst = max(worst, _fd_compare(phi, values, analytic, rng))
@@ -203,13 +203,18 @@ def check_conv3(seed: int, instances: int = 20) -> GradCheckResult:
 
 def _tiny_refine_instance(rng: np.random.Generator):
     res, channels = 4, 3
-    features = FeatureGrid(rng.standard_normal((res, res, res, channels)), _unit_range())
-    params = RefineHeadParams.initialize(channels + 3, (8, 6), seed=int(rng.integers(2**31)))
+    features = FeatureGrid.dense(rng.standard_normal((res, res, res, channels)), _unit_range())
+    layer_rng = np.random.default_rng(int(rng.integers(2**31)))
+    params, d = [], channels + 3
+    for width in (8, 6):
+        params.append((nn.fan_in_uniform(layer_rng, (d, width), d, np.dtype(np.float64)),
+                       np.zeros(width)))
+        d = width
     # Keep coarse points clear of cell boundaries so the coordinate path is smooth.
     cell = rng.integers(0, res - 1, size=(5, 3))
     frac = rng.uniform(0.1, 0.9, size=(5, 3))
     coarse = PointCloud((cell + frac) / (res - 1))
-    upstream = rng.standard_normal((len(coarse) * params.expansion, 3))
+    upstream = rng.standard_normal((len(coarse) * 2, 3))
     return features, params, coarse, upstream
 
 
@@ -221,34 +226,25 @@ def check_refine(seed: int, instances: int = 20) -> GradCheckResult:
         _, tape = refine(coarse, features, params, keep_cache=True)
         grads, grad_feat, grad_coarse = refine_grads(tape, params, upstream)
 
-        def phi_with_params(weights, biases):
-            p = RefineHeadParams(weights, biases)
-            return float(np.sum(upstream * refine(coarse, features, p)[0].points))
+        def phi(layers, feats=features, pts=coarse.points):
+            return float(np.sum(upstream * refine(PointCloud(pts), feats, layers)[0].points))
 
-        for layer in range(len(params.weights)):
-            for which in ("w", "b"):
-                tensor = params.weights[layer] if which == "w" else params.biases[layer]
-                analytic = grads.weights[layer] if which == "w" else grads.biases[layer]
+        for layer in range(len(params)):
+            for j in (0, 1):  # weight, then bias
 
-                def phi(v, _layer=layer, _which=which):
-                    ws = [w.copy() for w in params.weights]
-                    bs = [b.copy() for b in params.biases]
-                    (ws if _which == "w" else bs)[_layer] = v
-                    return phi_with_params(ws, bs)
+                def phi_tensor(v, _layer=layer, _j=j):
+                    layers = [list(pair) for pair in params]
+                    layers[_layer][_j] = v
+                    return phi(layers)
 
-                worst = max(worst, _fd_compare(phi, tensor, analytic, rng))
+                worst = max(worst, _fd_compare(phi_tensor, params[layer][j], grads[layer][j], rng))
 
         def phi_feat(v):
-            return float(np.sum(
-                upstream * refine(coarse, FeatureGrid(v, features.range), params)[0].points
-            ))
+            return phi(params, FeatureGrid(v, features.range, features.voxels, features.resolution))
 
-        worst = max(worst, _fd_compare(phi_feat, features.values, grad_feat, rng))
-
-        def phi_coarse(v):
-            return float(np.sum(upstream * refine(PointCloud(v), features, params)[0].points))
-
-        worst = max(worst, _fd_compare(phi_coarse, coarse.points.copy(), grad_coarse, rng))
+        worst = max(worst, _fd_compare(phi_feat, features.table, grad_feat, rng))
+        worst = max(worst, _fd_compare(lambda v: phi(params, pts=v), coarse.points.copy(),
+                                       grad_coarse, rng))
     return GradCheckResult("refine_grads", worst, TOL_DEFAULT, instances)
 
 

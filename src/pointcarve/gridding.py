@@ -50,58 +50,47 @@ class FeatureGrid:
 
     Row u of the (U, F) `table` holds the features of the vertex whose flat
     C-order index is `voxels[u]`; `voxels` is sorted and unique, and sampling
-    reads listed vertices only. Built from a dense (H, W, M, F) `values`
-    array, the grid lists every vertex and `table` is a view of `values`.
-    Built with `voxels` and `resolution`, `values` is the (U, F) table
-    itself: `engrave` keeps the feature head's rows at the corners of its
-    coarse points this way.
+    reads listed vertices only. `engrave` keeps the feature head's rows at
+    the corners of its coarse points this way; `dense` lists every vertex.
     """
 
-    values: np.ndarray
+    table: np.ndarray
     range: BoundingRange
-    voxels: np.ndarray | None = None
-    resolution: tuple[int, int, int] | None = None
+    voxels: np.ndarray
+    resolution: tuple[int, int, int]
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if self.voxels is None:
-            if v.ndim != 4:
-                raise ValueError(f"feature grid values must be 4D, got shape {v.shape}")
-            res = v.shape[:3]
-            voxels = np.arange(int(np.prod(res)))
-        else:
-            if self.resolution is None:
-                raise ValueError("a feature table needs the grid resolution")
-            res = tuple(int(n) for n in self.resolution)
-            voxels = np.asarray(self.voxels)
-            if v.ndim != 2 or voxels.shape != (len(v),):
-                raise ValueError(
-                    f"feature table must be ({len(voxels)}, F) for {len(voxels)} voxels, "
-                    f"got shape {v.shape}"
-                )
-            if voxels.dtype.kind not in "iu" or (len(voxels) and (
-                voxels[0] < 0 or voxels[-1] >= np.prod(res) or np.any(voxels[1:] <= voxels[:-1])
-            )):
-                raise ValueError("feature voxels must be sorted, unique flat vertex indices")
-        if not np.all(np.isfinite(v)):
+        t = np.asarray(self.table)
+        res = tuple(int(n) for n in self.resolution)
+        voxels = np.asarray(self.voxels)
+        if t.ndim != 2 or voxels.shape != (len(t),):
+            raise ValueError(
+                f"feature table must be ({len(voxels)}, F) for {len(voxels)} voxels, "
+                f"got shape {t.shape}"
+            )
+        if voxels.dtype.kind not in "iu" or (len(voxels) and (
+            voxels[0] < 0 or voxels[-1] >= np.prod(res) or np.any(voxels[1:] <= voxels[:-1])
+        )):
+            raise ValueError("feature voxels must be sorted, unique flat vertex indices")
+        if not np.all(np.isfinite(t)):
             raise ValueError("feature grid values contain non-finite entries")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "table", t)
         object.__setattr__(self, "voxels", voxels)
         object.__setattr__(self, "resolution", res)
 
+    @staticmethod
+    def dense(values: np.ndarray, range: BoundingRange) -> "FeatureGrid":
+        """The grid listing every vertex of an (H, W, M, F) array."""
+        v = np.asarray(values)
+        if v.ndim != 4:
+            raise ValueError(f"feature grid values must be 4D, got shape {v.shape}")
+        res = v.shape[:3]
+        return FeatureGrid(v.reshape(-1, v.shape[3]), range, np.arange(int(np.prod(res))), res)
+
     @property
     def channels(self) -> int:
-        return self.values.shape[-1]
+        return self.table.shape[1]
 
-    @property
-    def table(self) -> np.ndarray:
-        """The (U, F) rows, in `voxels` order."""
-        return self.values.reshape(-1, self.channels)
-
-
-# GridGradient is shape-matched to the grid it differentiates; a plain array
-# keeps the adjoint plumbing free of wrapper churn.
-GridGradient = np.ndarray
 
 # The 8 corners (dx, dy, dz) of a cell as an (8, 3) offset array, corner
 # k = dx*4 + dy*2 + dz.
@@ -227,7 +216,7 @@ def gridding_reverse(grid: VoxelGrid, m: int, threshold: float = 0.0) -> PointCl
 
 def gridding_reverse_grad(
     grid: VoxelGrid, m: int, threshold: float, upstream: np.ndarray
-) -> GridGradient:
+) -> np.ndarray:
     """Exact adjoint of `gridding_reverse` w.r.t. the vertex scores.
 
     For a selected cell with clamped weights w_v and emitted point p,
@@ -260,16 +249,6 @@ def gridding_reverse_grad(
     return grad.astype(grid.values.dtype, copy=False)
 
 
-def feature_sample(features: FeatureGrid, query: PointCloud) -> PointCloud:
-    """Trilinearly interpolate vertex features at the query points.
-
-    Queries outside the range are clamped. The result carries the query
-    coordinates with an (N, F) feature block attached.
-    """
-    vals = _feature_sample_values(features, query.points)
-    return PointCloud(query.points, vals)
-
-
 def _table_corners(features: FeatureGrid, points: np.ndarray):
     """`_corner_table` of the points with each vertex index replaced by its
     row in `features.table`. Raises if a corner is not listed."""
@@ -281,10 +260,12 @@ def _table_corners(features: FeatureGrid, points: np.ndarray):
     return rows, w, axis_w
 
 
-def _feature_sample_values(features: FeatureGrid, points: np.ndarray) -> np.ndarray:
-    rows, w, _ = _table_corners(features, points)
+def feature_sample(features: FeatureGrid, query: PointCloud) -> np.ndarray:
+    """The (N, F) trilinear interpolation of the vertex features at the query
+    points, in the table's dtype. Queries outside the range are clamped."""
+    rows, w, _ = _table_corners(features, query.points)
     table = features.table
-    out = np.zeros((len(points), features.channels), dtype=features.values.dtype)
+    out = np.zeros((len(query), features.channels), dtype=table.dtype)
     # One corner's (N, F) rows at a time, never the (N, 8, F) gather.
     for k in range(8):
         out += w[:, k, None] * table[rows[:, k]]
@@ -293,12 +274,9 @@ def _feature_sample_values(features: FeatureGrid, points: np.ndarray) -> np.ndar
 
 def feature_sample_grad(
     features: FeatureGrid, query: PointCloud, upstream: np.ndarray
-) -> GridGradient:
-    """Adjoint of `feature_sample` w.r.t. the feature values.
-
-    Shaped like `features.values`: (U, F) for a table, (H, W, M, F) for a
-    dense grid. Listed vertices that no query reads get zero.
-    """
+) -> np.ndarray:
+    """Adjoint of `feature_sample` w.r.t. the (U, F) table. Listed vertices
+    that no query reads get zero."""
     upstream = np.asarray(upstream)
     if upstream.shape != (len(query), features.channels):
         raise ValueError(
@@ -306,12 +284,12 @@ def feature_sample_grad(
             f"got {upstream.shape}"
         )
     rows, w, _ = _table_corners(features, query.points)
-    grad = np.zeros((len(features.voxels), features.channels), features.values.dtype)
+    grad = np.zeros(features.table.shape, features.table.dtype)
     for k in range(8):
         # Cast before scattering: np.add.at is many times slower when it
         # has to cast each float64 contribution to a float32 table itself.
         np.add.at(grad, rows[:, k], (w[:, k, None] * upstream).astype(grad.dtype, copy=False))
-    return grad.reshape(features.values.shape)
+    return grad
 
 
 def feature_sample_query_grad(

@@ -155,13 +155,14 @@ def _complete_and_score(args) -> float:
 
 def _map_samples(params, config, pairs, jobs: int) -> list[float]:
     """Order-preserving per-sample completion scores; pure work, so the
-    result is identical for any jobs count."""
+    result is identical for any jobs count. Starts at most one worker per
+    sample: a fork-started pool starts all its workers at the first submit."""
     tasks = [(params, config, partial, gt) for partial, gt in pairs]
     if jobs <= 1 or len(tasks) <= 1:
         return [_complete_and_score(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_complete_and_score, tasks))
 
 

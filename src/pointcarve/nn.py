@@ -1,8 +1,9 @@
 """Minimal volumetric network layers with hand-written backward passes.
 
 All tensors are channels-last: activations (H, W, M, C), conv weights
-(3, 3, 3, C_in, C_out), pointwise weights (C_in, C_out). Convolutions use
-"same" zero padding.
+(3, 3, 3, C_in, C_out), pointwise weights (C_in, C_out). The one exception
+is `conv1`'s output, (C_out, H, W, M) planes, which the kernel head reads
+tap by tap. Convolutions use "same" zero padding.
 
 Padded layout. A conv input lives in a zero-haloed (H+2, W+2, M+2, C)
 buffer made by `padded`, which hands out its (H, W, M, C) interior view, so
@@ -608,23 +609,16 @@ def _conv3_shifted_grads(
     return gxp[1:-1, 1:-1, 1:-1], gw
 
 
-def conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray, channels_first: bool = False) -> np.ndarray:
+def conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise (1x1x1) convolution of an (H, W, M, C_in) input (a strided
-    one is copied to rows first).
-
-    Returns (H, W, M, C_out), or with channels_first the (C_out, H, W, M)
-    planes, computed as w.T @ x.T (bit-equal to the channels-last product).
+    one is copied to rows first) into contiguous (C_out, H, W, M) planes,
+    computed as w.T @ x.T (bit-equal to the row product x @ w).
     """
     H, W, M, cin = x.shape
-    flat = x.reshape(-1, cin)
-    # Bias in place: `@ w + b` allocates a second result array.
-    if channels_first:
-        out = w.T @ flat.T
-        out += b[:, None]
-        return out.reshape(-1, H, W, M)
-    out = flat @ w
-    out += b
-    return out.reshape(H, W, M, -1)
+    # Bias in place: `+ b` would allocate a second result array.
+    out = w.T @ x.reshape(-1, cin).T
+    out += b[:, None]
+    return out.reshape(-1, H, W, M)
 
 
 def conv1_grads(x: np.ndarray, w: np.ndarray, upstream: np.ndarray):

@@ -13,10 +13,10 @@ from .cloud import PointCloud
 def read_xyz(path: str | Path) -> PointCloud:
     """One point per line, three reals separated by whitespace.
 
-    '#' comment lines and blank lines are ignored; malformed lines raise with
-    their line number.
+    '#' comment lines and blank lines are ignored; a malformed line or a
+    non-finite coordinate raises with its line number.
     """
-    pts = []
+    pts, linenos = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -29,7 +29,12 @@ def read_xyz(path: str | Path) -> PointCloud:
                 pts.append([float(p) for p in parts])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed number in {line!r}") from None
-    return PointCloud(np.array(pts, dtype=np.float64).reshape(-1, 3))
+            linenos.append(lineno)
+    pts = np.array(pts, dtype=np.float64).reshape(-1, 3)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite coordinate")
+    return PointCloud(pts)
 
 
 def write_xyz(path: str | Path, cloud: PointCloud) -> None:
@@ -54,8 +59,8 @@ _PLY_SIZES = {"float": 4, "float32": 4, "double": 8, "float64": 8,
 def read_ply(path: str | Path) -> PointCloud:
     """Vertex-only PLY, ascii or binary_little_endian, x/y/z float32.
 
-    Unknown vertex properties are skipped with a warning; missing x/y/z or a
-    truncated binary payload raise.
+    Unknown vertex properties are skipped with a warning; missing x/y/z, a
+    truncated binary payload or a non-finite coordinate raise.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -141,6 +146,9 @@ def read_ply(path: str | Path) -> PointCloud:
             vertices = np.frombuffer(payload, record)
             cols = {name: vertices[name].astype(np.float64) for name in offsets}
         pts = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if len(bad):
+            raise ValueError(f"{path}: vertex {bad[0]}: non-finite coordinate")
         return PointCloud(pts)
 
 

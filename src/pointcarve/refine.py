@@ -23,12 +23,7 @@ import numpy as np
 
 from . import nn
 from .cloud import PointCloud
-from .gridding import (
-    FeatureGrid,
-    _feature_sample_values,
-    feature_sample_grad,
-    feature_sample_query_grad,
-)
+from .gridding import FeatureGrid, feature_sample, feature_sample_grad, feature_sample_query_grad
 
 # Coarse points per chunk of the MLP. With OpenBLAS 0.3.31 on one thread,
 # chunks of 512 and 1024 rows give the paper preset's dense cloud
@@ -37,46 +32,9 @@ from .gridding import (
 REFINE_CHUNK_ROWS = 512
 
 
-@dataclass
-class RefineHeadParams:
-    """Weights/biases of the refinement MLP; final width is 3 * expansion."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be equal-length, non-empty lists")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError(f"layer {i} shapes inconsistent: {w.shape} / {b.shape}")
-            if i and w.shape[0] != self.weights[i - 1].shape[1]:
-                raise ValueError(f"layer {i} input width does not chain")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} contains non-finite values")
-        if self.weights[-1].shape[1] % 3:
-            raise ValueError("final layer width must be divisible by 3")
-
-    @property
-    def expansion(self) -> int:
-        return self.weights[-1].shape[1] // 3
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @staticmethod
-    def initialize(
-        input_dim: int, widths: tuple[int, ...], seed: int = 0, dtype=np.float64
-    ) -> "RefineHeadParams":
-        rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        d = input_dim
-        for width in widths:
-            weights.append(nn.fan_in_uniform(rng, (d, width), d, np.dtype(dtype)))
-            biases.append(np.zeros(width, dtype=dtype))
-            d = width
-        return RefineHeadParams(weights, biases)
+# The refinement MLP's (weight, bias) pairs, input layer first: weight i is
+# (d_i, d_{i+1}) with d_0 = F + 3, and the last layer's width is 3 * r.
+Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -93,9 +51,10 @@ class RefineTape:
 
 
 def refine(
-    coarse: PointCloud, features: FeatureGrid, params: RefineHeadParams, keep_cache: bool = False
+    coarse: PointCloud, features: FeatureGrid, params: Layers, keep_cache: bool = False
 ) -> tuple[PointCloud, RefineTape | None]:
-    """Expand the coarse cloud to r points per input point via learned offsets.
+    """Expand the coarse cloud to r points per input point via offsets from
+    the MLP whose (w, b) layer pairs are `params`.
 
     Returns (dense, tape): with keep_cache the tape for `refine_grads`, else
     None. Output ordering: dense index = coarse index * r + offset index.
@@ -108,33 +67,33 @@ def refine(
     """
     if len(coarse) == 0:
         raise ValueError("empty input")
-    dtype = params.weights[0].dtype
+    dtype = params[0][0].dtype
     biggest, limit = float(np.abs(coarse.points).max()), float(np.finfo(dtype).max)
     if biggest > limit:
         raise ValueError(
             f"coarse coordinates overflow {dtype}: largest magnitude {biggest:.3g} "
             f"exceeds {limit:.3g}"
         )
-    feats = _feature_sample_values(features, coarse.points).astype(dtype, copy=False)
-    if feats.shape[1] + 3 != params.input_dim:
+    feats = feature_sample(features, coarse).astype(dtype, copy=False)
+    if feats.shape[1] + 3 != len(params[0][0]):
         raise ValueError(
             f"feature dim {feats.shape[1]} + 3 coordinates does not match "
-            f"first-layer input width {params.input_dim}"
+            f"first-layer input width {len(params[0][0])}"
         )
     x = np.concatenate([feats, coarse.points.astype(dtype)], axis=1)
-    m, n = len(coarse), len(params.weights)
+    m, n = len(coarse), len(params)
     # Layer i writes rows [s, e) of a whole array (the tape's, and always the
     # last layer's), or the first e - s rows of its workspace buffer.
     whole = [keep_cache or i == n - 1 for i in range(n)]
     outs = [
         np.empty((m, w.shape[1]), dtype) if whole[i]
         else nn.workspace(f"refine.act{i + 1}", (REFINE_CHUNK_ROWS, w.shape[1]), dtype)
-        for i, w in enumerate(params.weights)
+        for i, (w, _) in enumerate(params)
     ]
     for s in range(0, m, REFINE_CHUNK_ROWS):
         e = min(s + REFINE_CHUNK_ROWS, m)
         h = x[s:e]
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        for i, (w, b) in enumerate(params):
             h = nn.linear(h, w, b, out=outs[i][s:e] if whole[i] else outs[i][: e - s])
             if i < n - 1:
                 nn.leaky_relu(h, out=h)
@@ -145,14 +104,10 @@ def refine(
 
 
 def refine_grads(
-    tape: RefineTape,
-    params: RefineHeadParams,
-    upstream: np.ndarray,
-) -> tuple[RefineHeadParams, np.ndarray, np.ndarray]:
-    """Adjoints of the `refine` call that recorded `tape` w.r.t. (head
-    parameters, feature values, coarse coords). The feature gradient is
-    shaped like the tape's `features.values`: the (U, F) table of the
-    vertices it lists, for the features `engrave` returns.
+    tape: RefineTape, params: Layers, upstream: np.ndarray
+) -> tuple[Layers, np.ndarray, np.ndarray]:
+    """Adjoints of the `refine` call that recorded `tape` w.r.t. (its
+    (w, b) layer pairs, the (U, F) feature table, coarse coords).
 
     The coarse-coordinate gradient has two paths: the identity path (each
     dense point starts at its source) and the feature-sampling path (moving
@@ -160,31 +115,26 @@ def refine_grads(
     """
     coarse, features, acts = tape.coarse, tape.features, tape.acts
     m = len(coarse)
-    r = params.expansion
+    r = params[-1][0].shape[1] // 3
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (m * r, 3):
         raise ValueError(f"upstream must have shape ({m * r}, 3), got {upstream.shape}")
 
-    dtype = params.weights[0].dtype
     d_coarse_identity = upstream.reshape(m, r, 3).sum(axis=1)
-    d_out = upstream.reshape(m, r * 3).astype(dtype)
-
-    n = len(params.weights)
-    grad_w: list[np.ndarray] = [None] * n
-    grad_b: list[np.ndarray] = [None] * n
-    d = d_out
+    d = upstream.reshape(m, r * 3).astype(params[0][0].dtype)
+    n = len(params)
+    grads: Layers = [None] * n
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             d = nn.leaky_relu_grad(acts[i + 1], d)
-        d, grad_w[i], grad_b[i] = nn.linear_grads(acts[i], params.weights[i], d)
-    feat_dim = params.input_dim - 3
-    d_feats = d[:, :feat_dim]
-    d_coords_concat = d[:, feat_dim:].astype(np.float64)
+        d, gw, gb = nn.linear_grads(acts[i], params[i][0], d)
+        grads[i] = (gw, gb)
+    d_feats = d[:, : features.channels]
+    d_coords_concat = d[:, features.channels :].astype(np.float64)
 
     grad_features = feature_sample_grad(features, coarse, d_feats)
     d_coarse_sampling = feature_sample_query_grad(
         features, coarse, d_feats.astype(np.float64)
     )
     grad_coarse = d_coarse_identity + d_coords_concat + d_coarse_sampling
-    param_grads = RefineHeadParams(grad_w, grad_b)
-    return param_grads, grad_features, grad_coarse
+    return grads, grad_features, grad_coarse

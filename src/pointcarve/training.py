@@ -136,7 +136,7 @@ def forward_sample(
 ) -> SampleForward:
     block = make_block(partial, range, config, gt)
     result = engrave(block, params, config.coarse_m, config.carve_threshold, keep_cache)
-    dense, tape = refine(result.coarse, result.features, params.refine_head, keep_cache)
+    dense, tape = refine(result.coarse, result.features, params.refine_layers, keep_cache)
     return SampleForward(engrave=result, dense=dense, refine_tape=tape)
 
 
@@ -171,8 +171,8 @@ def _backward_sample(
     d_dense: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for one forward pass given cloud upstreams."""
-    head_grads, d_table, d_coarse_refine = refine_grads(
-        fwd.refine_tape, params.refine_head, d_dense
+    layer_grads, d_table, d_coarse_refine = refine_grads(
+        fwd.refine_tape, params.refine_layers, d_dense
     )
     d_coarse_total = np.asarray(d_coarse, dtype=np.float64) + d_coarse_refine
     d_carved = gridding_reverse_grad(
@@ -182,7 +182,7 @@ def _backward_sample(
     grads = _unet_backward(
         fwd.engrave.unet_cache, params, kernel_grads, fwd.engrave.features.voxels, d_table
     )
-    for i, (gw, gb) in enumerate(zip(head_grads.weights, head_grads.biases)):
+    for i, (gw, gb) in enumerate(layer_grads):
         grads[f"refine{i}.w"] = gw
         grads[f"refine{i}.b"] = gb
     return grads

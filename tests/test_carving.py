@@ -158,7 +158,8 @@ class TestPredictKernels:
         )
         kern, feat = predict_kernels(grid, params)
         assert kern.values.shape == (32, 32, 32, 27)
-        assert feat.values.shape == (32, 32, 32, 32)
+        assert feat.table.shape == (32**3, 32) and feat.resolution == (32, 32, 32)
+        np.testing.assert_array_equal(feat.voxels, np.arange(32**3))
 
     def test_zero_grid_zero_heads_gives_bias(self, rng):
         params = CarveModelParams.initialize(TINY, seed=1)
@@ -174,7 +175,7 @@ class TestPredictKernels:
         k1, f1 = predict_kernels(grid, params)
         k2, f2 = predict_kernels(grid, params)
         np.testing.assert_array_equal(k1.values, k2.values)
-        np.testing.assert_array_equal(f1.values, f2.values)
+        np.testing.assert_array_equal(f1.table, f2.table)
 
     def test_resolution_mismatch_errors(self, rng):
         params = CarveModelParams.initialize(TINY, seed=0)
@@ -217,7 +218,7 @@ class TestEngrave:
         coarse2 = gridding_reverse(carved, 32, 0.0)
         np.testing.assert_array_equal(result.coarse.points, coarse2.points)
         np.testing.assert_array_equal(
-            result.features.values, feat2.table[result.features.voxels]
+            result.features.table, feat2.table[result.features.voxels]
         )
         np.testing.assert_array_equal(result.block_grid.values, block_grid.values)
         np.testing.assert_array_equal(result.carved.values, carved.values)
@@ -235,7 +236,7 @@ class TestEngrave:
         block = build_point_block(partial, compute_bounds(partial, 0.05), 3)
         result = engrave(block, params, 16)
         assert np.all(np.isfinite(result.coarse.points))
-        assert np.all(np.isfinite(result.features.values))
+        assert np.all(np.isfinite(result.features.table))
 
     def test_deterministic(self, rng):
         params = CarveModelParams.initialize(TINY, seed=7)
@@ -280,17 +281,17 @@ class TestFeaturesAtSampledVoxels:
             gridding(block.partial, model.resolution, bounds, model.np_dtype), params
         )
         coarse = gridding_reverse(cell_conv(block_grid, kern), cfg.coarse_m, cfg.carve_threshold)
-        dense = refine(coarse, dense_features, params.refine_head)[0]
+        dense = refine(coarse, dense_features, params.refine_layers)[0]
 
         np.testing.assert_array_equal(result.coarse.points, coarse.points)
         voxels = np.unique(_corner_table(coarse.points, model.resolution, bounds)[0])
         assert result.features.voxels.dtype == voxels.dtype
         np.testing.assert_array_equal(result.features.voxels, voxels)
         np.testing.assert_array_equal(
-            result.features.values, dense_features.table[result.features.voxels]
+            result.features.table, dense_features.table[result.features.voxels]
         )
-        np.testing.assert_array_equal(feature_sample(result.features, coarse).features,
-                                      feature_sample(dense_features, coarse).features)
+        np.testing.assert_array_equal(feature_sample(result.features, coarse),
+                                      feature_sample(dense_features, coarse))
         got_coarse, got_dense = complete_cloud(partial, params, cfg)
         np.testing.assert_array_equal(got_coarse.points, coarse.points)
         np.testing.assert_array_equal(got_dense.points, dense.points)
@@ -315,7 +316,7 @@ class TestFeaturesAtSampledVoxels:
                 assert features is fwd.refine_tape.features
             else:
                 assert fwd.refine_tape is None
-            assert features.values.shape == (len(features.voxels), model.feature_dim)
+            assert features.table.shape == (len(features.voxels), model.feature_dim)
             assert len(features.voxels) <= 8 * cfg.coarse_m
 
 
@@ -353,7 +354,7 @@ class TestKernelHeadInSlabs:
         )
         carved = cell_conv(block_grid, kern)
         coarse = gridding_reverse(carved, cfg.coarse_m, cfg.carve_threshold)
-        dense = refine(coarse, dense_features, params.refine_head)[0]
+        dense = refine(coarse, dense_features, params.refine_layers)[0]
 
         slabs = _slab_planes(monkeypatch, model.resolution, 3)
         assert len(slabs) > 2 and slabs[-1][1] - slabs[-1][0] != 3
@@ -383,7 +384,7 @@ class TestKernelHeadInSlabs:
         w, b = rng.standard_normal((4, 27)), rng.standard_normal(27)
         grid = VoxelGrid(rng.random((7, 5, 6)), _range_unit())
         upstream = rng.standard_normal((7, 5, 6))
-        explicit = KernelField(nn.conv1(trunk, w, b), 3)
+        explicit = KernelField(np.moveaxis(nn.conv1(trunk, w, b), 0, -1), 3)
         ref_grid, d_kern = cell_conv_grads(grid, explicit, upstream, grid_grad=grid_grad)
         d_trunk_ref, d_w_ref, d_b_ref = nn.conv1_grads(trunk, w, np.ascontiguousarray(np.moveaxis(d_kern, -1, 0)))
 
@@ -487,17 +488,17 @@ def _refine_chunks(monkeypatch, rows):
     monkeypatch.setattr(importlib.import_module("pointcarve.refine"), "REFINE_CHUNK_ROWS", rows)
 
 
-def _whole_batch_dense(coarse, features, head):
+def _whole_batch_dense(coarse, features, layers):
     """The refinement MLP over every coarse point at once, one GEMM a layer."""
     from pointcarve import feature_sample, nn
 
-    dtype = head.weights[0].dtype
-    h = np.concatenate([feature_sample(features, coarse).features.astype(dtype),
+    dtype = layers[0][0].dtype
+    h = np.concatenate([feature_sample(features, coarse).astype(dtype),
                         coarse.points.astype(dtype)], axis=1)
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
+    for i, (w, b) in enumerate(layers):
         h = h @ w
         h += b
-        if i < len(head.weights) - 1:
+        if i < len(layers) - 1:
             h = np.maximum(h, nn.LEAKY_SLOPE * h)
     offsets = h.astype(np.float64).reshape(len(coarse), -1, 3)
     return (coarse.points[:, None, :] + offsets).reshape(-1, 3)
@@ -523,7 +524,7 @@ class TestRefineInChunks:
 
         cfg = _run_config(preset).replace(dtype=dtype)
         _, params, result = self._engraved(cfg, 41)
-        coarse, features, head = result.coarse, result.features, params.refine_head
+        coarse, features, head = result.coarse, result.features, params.refine_layers
         m = len(coarse)
         _refine_chunks(monkeypatch, m)
         one, one_tape = refine(coarse, features, head, keep_cache=True)
@@ -534,7 +535,7 @@ class TestRefineInChunks:
         taped, tape = refine(coarse, features, head, keep_cache=True)
         assert no_tape is None
         np.testing.assert_array_equal(served.points, taped.points)
-        widths = [w.shape[0] for w in head.weights] + [head.weights[-1].shape[1]]
+        widths = [w.shape[0] for w, _ in head] + [head[-1][0].shape[1]]
         assert [a.shape for a in tape.acts] == [(m, width) for width in widths]
         if dtype == "float64":
             np.testing.assert_allclose(served.points, one.points, rtol=1e-12)
@@ -552,7 +553,7 @@ class TestRefineInChunks:
         coarse, dense = complete_cloud(partial, params, cfg)
         np.testing.assert_array_equal(coarse.points, result.coarse.points)
         np.testing.assert_array_equal(
-            dense.points, _whole_batch_dense(result.coarse, result.features, params.refine_head)
+            dense.points, _whole_batch_dense(result.coarse, result.features, params.refine_layers)
         )
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -639,7 +640,7 @@ class TestNoAliasing:
         params = CarveModelParams.initialize(TINY, seed=8)
         partial = random_cloud(np.random.default_rng(14), 48)
         block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
-        table = engrave(block, params, 24).features.values
+        table = engrave(block, params, 24).features.table
         assert table.base is None
         assert not any(np.shares_memory(table, buf) for buf in nn._local.buffers.values())
 

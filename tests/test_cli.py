@@ -97,6 +97,27 @@ class TestGenSynth:
                      "pyramid", "--count", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("args,needle", [
+        (["--families", "", "--count", "2"], "--families names no family"),
+        (["--families", ",", "--count", "2"], "--families names no family"),
+        (["--count", "0"], "--count must be >= 1, got 0"),
+    ])
+    def test_nothing_to_generate_is_runtime_error(self, tmp_path, capsys, args, needle):
+        capsys.readouterr()
+        code = main(["gen-synth", "--out", str(tmp_path / "x"), *args])
+        assert_one_line_failure(code, capsys, needle)
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
+    argv = [command, "--ckpt", "m.ckpt", "--manifest", "m.txt", "--jobs", jobs]
+    argv += ["--report", "r.txt"] if command == "eval" else ["--levels", "0.5"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained(synth_dir, tmp_path_factory):
@@ -414,6 +435,15 @@ PLY_CASES = {
     "ascii-bad-number": (
         ("ply\nformat ascii 1.0\nelement vertex 2\n" + _PLY_XYZ + "end_header\n0 0 0\n1 x 3\n").encode(),
         "vertex 1: malformed number 'x'"),
+    "ascii-non-finite": (
+        ("ply\nformat ascii 1.0\nelement vertex 3\n" + _PLY_XYZ
+         + "end_header\n0 0 0\n1 2 3\n1 1e400 3\n").encode(),
+        "vertex 2: non-finite coordinate"),
+    "binary-non-finite": (
+        ("ply\nformat binary_little_endian 1.0\nelement vertex 3\n" + _PLY_XYZ
+         + "end_header\n").encode()
+        + np.array([[0, 0, 0], [1, np.nan, 3], [np.inf, 0, 0]], "<f4").tobytes(),
+        "vertex 1: non-finite coordinate"),
 }
 
 MANIFEST_CASES = {
@@ -499,6 +529,22 @@ class TestCorruptInputs:
         capsys.readouterr()
         line = assert_one_line_failure(self.complete(ckpt, src, tmp_path), capsys, "no points")
         assert str(src) in line
+
+    @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+    def test_non_finite_xyz_names_file_and_line(self, files, tmp_path, capsys, value):
+        work, ckpt = files
+        src = tmp_path / "bad.xyz"
+        src.write_text(f"0 0 0\n# comment\n\n0.5 {value} 1\n1 1 1\n")
+        capsys.readouterr()
+        line = assert_one_line_failure(self.complete(ckpt, src, tmp_path), capsys, "non-finite")
+        assert line == f"error: {src}:4: non-finite coordinate"
+        # Through a dataset manifest too: the line names the bad file, not the manifest.
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"box {work / 'in.xyz'} {work / 'in.xyz'}\nbox {src.name} {work / 'in.xyz'}\n")
+        code = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--report", str(tmp_path / "r.txt")])
+        assert assert_one_line_failure(code, capsys, "non-finite") == line
+        assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("command,empty", [
         ("augment", "in"), ("consistency", "frame"), ("eval", "partial"), ("eval", "gt"),

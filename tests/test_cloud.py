@@ -26,10 +26,6 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="shape"):
             PointCloud(np.zeros((3, 2)))
 
-    def test_feature_count_must_match(self):
-        with pytest.raises(ValueError, match="features"):
-            PointCloud(np.zeros((2, 3)), features=np.zeros((3, 4)))
-
     def test_points_are_read_only(self):
         cloud = PointCloud(np.zeros((2, 3)))
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from pointcarve.gradcheck import check_feature_sample, check_gridding_reverse
 from pointcarve.gridding import (
     _CORNERS,
     _corner_table,
-    _feature_sample_values,
     _reverse_select,
     _table_corners,
     feature_sample_query_grad,
@@ -245,46 +244,48 @@ class TestGriddingReverseGrad:
 class TestFeatureSample:
     def test_query_on_vertex(self, rng, unit_range):
         values = rng.random((*RES, 6))
-        grid = FeatureGrid(values, unit_range)
+        grid = FeatureGrid.dense(values, unit_range)
         out = feature_sample(grid, PointCloud(np.array([[1 / 3, 2 / 3, 0.0]])))
-        np.testing.assert_allclose(out.features[0], values[1, 2, 0], atol=1e-12)
+        np.testing.assert_allclose(out[0], values[1, 2, 0], atol=1e-12)
 
     def test_cell_center_is_corner_mean(self, rng, unit_range):
         values = rng.random((*RES, 3))
-        grid = FeatureGrid(values, unit_range)
+        grid = FeatureGrid.dense(values, unit_range)
         center = np.array([[0.5, 0.5, 0.5]])  # center of cell (1,1,1)
         out = feature_sample(grid, PointCloud(center))
         expected = values[1:3, 1:3, 1:3].reshape(8, 3).mean(axis=0)
-        np.testing.assert_allclose(out.features[0], expected, atol=1e-12)
+        np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_constant_grid_constant_output(self, rng, unit_range):
         values = np.full((*RES, 2), 3.25)
-        out = feature_sample(FeatureGrid(values, unit_range), random_cloud(rng, 40))
-        np.testing.assert_allclose(out.features, 3.25, atol=1e-12)
+        out = feature_sample(FeatureGrid.dense(values, unit_range), random_cloud(rng, 40))
+        assert out.shape == (40, 2)
+        np.testing.assert_allclose(out, 3.25, atol=1e-12)
 
 
 class TestFeatureSampleGrad:
     def test_zero_upstream(self, rng, unit_range):
-        grid = FeatureGrid(rng.random((*RES, 4)), unit_range)
+        grid = FeatureGrid.dense(rng.random((*RES, 4)), unit_range)
         query = random_cloud(rng, 10)
         grad = feature_sample_grad(grid, query, np.zeros((10, 4)))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_vertex_delta(self, unit_range):
-        grid = FeatureGrid(np.zeros((*RES, 2)), unit_range)
+        grid = FeatureGrid.dense(np.zeros((*RES, 2)), unit_range)
         query = PointCloud(np.array([[1 / 3, 0.0, 0.0]]))
         upstream = np.array([[1.0, 0.0]])
         grad = feature_sample_grad(grid, query, upstream)
-        assert grad[1, 0, 0, 0] == pytest.approx(1.0)
+        assert grad.shape == (64, 2)
+        assert grad.reshape(*RES, 2)[1, 0, 0, 0] == pytest.approx(1.0)
         assert np.sum(np.abs(grad)) == pytest.approx(1.0)
 
     def test_grid_memory_layout_does_not_matter(self, rng, unit_range):
         values = rng.standard_normal((*RES, 3))
         query = random_cloud(rng, 7)
         upstream = rng.standard_normal((7, 3))
-        want = feature_sample_grad(FeatureGrid(values, unit_range), query, upstream)
+        want = feature_sample_grad(FeatureGrid.dense(values, unit_range), query, upstream)
         assert np.abs(want).sum() > 0
-        fortran = FeatureGrid(np.asfortranarray(values), unit_range)
+        fortran = FeatureGrid.dense(np.asfortranarray(values), unit_range)
         np.testing.assert_array_equal(feature_sample_grad(fortran, query, upstream), want)
 
     def test_matches_finite_differences(self):
@@ -292,7 +293,7 @@ class TestFeatureSampleGrad:
         assert result.passed, f"max rel err {result.max_rel_err}"
 
     def test_shape_mismatch_errors(self, rng, unit_range):
-        grid = FeatureGrid(rng.random((*RES, 4)), unit_range)
+        grid = FeatureGrid.dense(rng.random((*RES, 4)), unit_range)
         with pytest.raises(ValueError, match="upstream"):
             feature_sample_grad(grid, random_cloud(rng, 10), np.zeros((10, 3)))
 
@@ -311,17 +312,16 @@ class TestFeatureTable:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_table_gradient_is_dense_gradient_at_listed_voxels(self, rng, unit_range, dtype):
         res = (6, 5, 7)
-        dense = FeatureGrid(rng.standard_normal((*res, 3)).astype(dtype), unit_range)
+        dense = FeatureGrid.dense(rng.standard_normal((*res, 3)).astype(dtype), unit_range)
         query = random_cloud(rng, 9, -0.1, 1.1)
         unread = [0, 17, int(np.prod(res)) - 1]
         table = self.table_of(dense, query, unread)
-        assert table.values.shape == (len(table.voxels), 3) and len(table.voxels) <= 8 * 9 + 3
+        assert table.table.shape == (len(table.voxels), 3) and len(table.voxels) <= 8 * 9 + 3
         upstream = rng.standard_normal((9, 3)).astype(dtype)
-        np.testing.assert_array_equal(feature_sample(table, query).features,
-                                      feature_sample(dense, query).features)
-        dense_grad = feature_sample_grad(dense, query, upstream).reshape(-1, 3)
+        np.testing.assert_array_equal(feature_sample(table, query), feature_sample(dense, query))
+        dense_grad = feature_sample_grad(dense, query, upstream)
         table_grad = feature_sample_grad(table, query, upstream)
-        assert table_grad.shape == table.values.shape and table_grad.dtype == dtype
+        assert table_grad.shape == table.table.shape and table_grad.dtype == dtype
         np.testing.assert_array_equal(table_grad, dense_grad[table.voxels])
         unlisted = np.setdiff1d(np.arange(len(dense_grad)), table.voxels)
         np.testing.assert_array_equal(dense_grad[unlisted], 0.0)
@@ -338,7 +338,7 @@ class TestFeatureTable:
         # all 8 into an (N, 8, F) block first. Same adds, same order: equal
         # bit for bit, values and query gradients.
         res = (6, 5, 7)
-        features = FeatureGrid(rng.standard_normal((*res, 5)).astype(dtype), unit_range)
+        features = FeatureGrid.dense(rng.standard_normal((*res, 5)).astype(dtype), unit_range)
         query = random_cloud(rng, 60, -0.1, 1.1)
         if listed:
             features = self.table_of(features, query)
@@ -348,7 +348,7 @@ class TestFeatureTable:
         ref = np.zeros((60, 5), dtype)
         for k in range(8):
             ref += w[:, k, None] * vals[:, k]
-        np.testing.assert_array_equal(_feature_sample_values(features, query.points), ref)
+        np.testing.assert_array_equal(feature_sample(features, query), ref)
 
         du = (np.asarray(res) - 1) / unit_range.extent
         pts = query.points
@@ -365,7 +365,7 @@ class TestFeatureTable:
         )
 
     def test_query_outside_the_listed_vertices_rejected(self, rng, unit_range):
-        dense = FeatureGrid(rng.standard_normal((*RES, 2)), unit_range)
+        dense = FeatureGrid.dense(rng.standard_normal((*RES, 2)), unit_range)
         table = self.table_of(dense, PointCloud(np.array([[0.1, 0.1, 0.1]])))
         far = PointCloud(np.array([[0.9, 0.9, 0.9]]))
         for call in (lambda: feature_sample(table, far),
@@ -376,8 +376,8 @@ class TestFeatureTable:
 
     def test_table_construction_checks(self, unit_range):
         table = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="resolution"):
-            FeatureGrid(table, unit_range, np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="must be 4D"):
+            FeatureGrid.dense(table, unit_range)
         for voxels in ([0, 2, 1], [0, 1, 1], [-1, 0, 1], [0, 1, 64], [0.0, 1.0, 2.0]):
             with pytest.raises(ValueError, match="sorted, unique flat vertex indices"):
                 FeatureGrid(table, unit_range, np.array(voxels), RES)
@@ -419,7 +419,7 @@ def corner_cases(seed=11, count=80):
         points[face] = np.where(rng.random((n, 3)) < 0.5, bounds.lo, bounds.hi)[face]
         dtype = (np.float32, np.float64)[t % 2]
         channels = int(rng.integers(1, 6))
-        features = FeatureGrid(rng.standard_normal(res + (channels,)).astype(dtype), bounds)
+        features = FeatureGrid.dense(rng.standard_normal(res + (channels,)).astype(dtype), bounds)
         yield points, features, bounds
 
 
@@ -430,17 +430,18 @@ class TestCornerTableOracle:
             flat = np.zeros(int(np.prod(res)))
             for _, v, w, _ in reference_corners(points, res, bounds):
                 flat += np.bincount(np.ravel_multi_index(v, res), weights=w, minlength=flat.size)
-            dtype = features.values.dtype
+            dtype = features.table.dtype
             got = gridding(PointCloud(points), res, bounds, dtype).values
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, flat.reshape(res).astype(dtype))
 
     def test_feature_sample_matches_corner_loop(self):
         for points, features, bounds in corner_cases():
-            ref = np.zeros((len(points), features.channels), features.values.dtype)
+            values = features.table.reshape(*features.resolution, -1)
+            ref = np.zeros((len(points), features.channels), values.dtype)
             for _, v, w, _ in reference_corners(points, features.resolution, bounds):
-                ref += w[:, None] * features.values[v]
-            got = _feature_sample_values(features, points)
+                ref += w[:, None] * values[v]
+            got = feature_sample(features, PointCloud(points))
             assert got.dtype == ref.dtype
             np.testing.assert_array_equal(got, ref)
 
@@ -448,22 +449,23 @@ class TestCornerTableOracle:
         rng = np.random.default_rng(3)
         for points, features, bounds in corner_cases(seed=12):
             upstream = rng.standard_normal((len(points), features.channels))
-            grid_upstream = upstream.astype(features.values.dtype)
+            values = features.table.reshape(*features.resolution, -1)
+            grid_upstream = upstream.astype(values.dtype)
             res = np.asarray(features.resolution)
             du = (res - 1) / bounds.extent
             active = ((points >= bounds.lo) & (points <= bounds.hi)).astype(np.float64)
-            ref_grid = np.zeros_like(features.values)
+            ref_grid = np.zeros_like(values)
             ref_query = np.zeros_like(points)
             for (dx, dy, dz), v, w, (wx, wy, wz) in reference_corners(points, res, bounds):
                 np.add.at(ref_grid, v, (w[:, None] * grid_upstream).astype(ref_grid.dtype))
-                g = (upstream * features.values[v]).sum(axis=1)
+                g = (upstream * values[v]).sum(axis=1)
                 sx, sy, sz = (2.0 * dx - 1.0, 2.0 * dy - 1.0, 2.0 * dz - 1.0)
                 ref_query[:, 0] += g * sx * wy * wz * du[0]
                 ref_query[:, 1] += g * wx * sy * wz * du[1]
                 ref_query[:, 2] += g * wx * wy * sz * du[2]
             cloud = PointCloud(points)
             grad = feature_sample_grad(features, cloud, grid_upstream)
-            np.testing.assert_array_equal(grad, ref_grid)
+            np.testing.assert_array_equal(grad, ref_grid.reshape(grad.shape))
             np.testing.assert_array_equal(
                 feature_sample_query_grad(features, cloud, upstream), ref_query * active
             )

@@ -139,6 +139,38 @@ class TestEvaluate:
         assert loaded == report
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (8, 3)])
+def test_pool_starts_at_most_one_worker_per_sample(tiny_model, tiny_dataset, monkeypatch,
+                                                   jobs, workers):
+    import concurrent.futures
+
+    serial = evaluate(tiny_model, tiny_dataset, TINY_CFG)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    report = evaluate(tiny_model, tiny_dataset, TINY_CFG, jobs=jobs)
+    assert _RecordingPool.max_workers == [workers]
+    assert report.category_means == serial.category_means
+
+
 class TestSensitivitySweep:
     def test_level_one_reproduces_plain_eval(self, rng):
         params = CarveModelParams.initialize(TINY_CFG.carve_config(), seed=1)

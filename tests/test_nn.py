@@ -445,9 +445,10 @@ def test_conv1_channels_first_is_bit_equal(dtype):
     x = rng.standard_normal((8, 6, 4, 8)).astype(dtype)
     w = rng.standard_normal((8, 27)).astype(dtype)
     b = rng.standard_normal(27).astype(dtype)
-    planes = nn.conv1(x, w, b, channels_first=True)
+    planes = nn.conv1(x, w, b)
     assert planes.shape == (27, 8, 6, 4) and planes.flags.c_contiguous
-    np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), nn.conv1(x, w, b))
+    rows = nn.linear(x.reshape(-1, 8), w, b)
+    np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), rows.reshape(8, 6, 4, 27))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pointcarve import FeatureGrid, PointCloud, RefineHeadParams, chamfer, refine, refine_grads
+from pointcarve import FeatureGrid, PointCloud, chamfer, nn, refine, refine_grads
 from pointcarve.gradcheck import check_refine
 
 from conftest import random_cloud
@@ -15,32 +15,38 @@ from conftest import random_cloud
 
 @pytest.fixture
 def feature_grid(rng, unit_range):
-    return FeatureGrid(rng.standard_normal((4, 4, 4, 5)), unit_range)
+    return FeatureGrid.dense(rng.standard_normal((4, 4, 4, 5)), unit_range)
 
 
-def head(widths=(8, 6), feat_dim=5, seed=0):
-    return RefineHeadParams.initialize(feat_dim + 3, widths, seed=seed)
+def head(widths=(8, 6), feat_dim=5, seed=0, dtype=np.float64):
+    """Refinement (w, b) layer pairs: fan-in uniform weights, zero biases."""
+    rng = np.random.default_rng(seed)
+    layers, d = [], feat_dim + 3
+    for width in widths:
+        layers.append((nn.fan_in_uniform(rng, (d, width), d, np.dtype(dtype)),
+                       np.zeros(width, dtype)))
+        d = width
+    return layers
 
 
 class TestRefine:
     def test_zero_final_layer_repeats_points(self, rng, feature_grid):
         params = head()
-        params.weights[-1][:] = 0.0
-        params.biases[-1][:] = 0.0
+        for arr in params[-1]:
+            arr[:] = 0.0
         coarse = random_cloud(rng, 7)
         dense, _ = refine(coarse, feature_grid, params)
-        r = params.expansion
+        r = 2  # final width 6 = 3 * r
         assert len(dense) == 7 * r
         np.testing.assert_array_equal(dense.points, np.repeat(coarse.points, r, axis=0))
         assert chamfer(dense, coarse) == 0.0
 
     def test_paper_scale_sizes(self, rng, unit_range):
         # 24-wide final layer = 8 offsets: 2048 coarse -> 16384 dense.
-        grid = FeatureGrid(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), unit_range)
-        params = RefineHeadParams.initialize(7, (16, 24), seed=1, dtype=np.float32)
+        grid = FeatureGrid.dense(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), unit_range)
+        params = head((16, 24), feat_dim=4, seed=1, dtype=np.float32)
         coarse = random_cloud(rng, 2048)
         dense, _ = refine(coarse, grid, params)
-        assert params.expansion == 8
         assert len(dense) == 16384
 
     def test_deterministic(self, rng, feature_grid):
@@ -51,7 +57,7 @@ class TestRefine:
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_feature_dim_mismatch_errors(self, rng, unit_range):
-        grid = FeatureGrid(rng.standard_normal((4, 4, 4, 2)), unit_range)
+        grid = FeatureGrid.dense(rng.standard_normal((4, 4, 4, 2)), unit_range)
         with pytest.raises(ValueError, match="feature dim"):
             refine(random_cloud(rng, 4), grid, head(feat_dim=5))
 
@@ -68,8 +74,8 @@ class TestRefine:
         # After a warm-up call has made the workspace chunks, a call without a
         # tape allocates far less than one (m, width) hidden activation.
         m, width = 2048, 1792
-        grid = FeatureGrid(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), unit_range)
-        params = RefineHeadParams.initialize(7, (width, 24), seed=2, dtype=np.float32)
+        grid = FeatureGrid.dense(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), unit_range)
+        params = head((width, 24), feat_dim=4, seed=2, dtype=np.float32)
         coarse = random_cloud(rng, m)
         want = refine(coarse, grid, params)[0].points
         tracemalloc.start()
@@ -83,7 +89,7 @@ class TestRefine:
         np.testing.assert_array_equal(dense.points, want)
 
     def test_coordinates_beyond_the_dtype_range_rejected(self, rng, feature_grid):
-        params = RefineHeadParams.initialize(8, (8, 6), seed=0, dtype=np.float32)
+        params = head(dtype=np.float32)
         points = rng.random((4, 3))
         points[2, 1] = -1e300
         coarse = PointCloud(points)
@@ -91,7 +97,7 @@ class TestRefine:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="coarse coordinates overflow float32"):
                 refine(coarse, feature_grid, params)
-        params64 = RefineHeadParams.initialize(8, (8, 6), seed=0)
+        params64 = head()
         assert len(refine(random_cloud(rng, 4, -1e30, 1e30), feature_grid, params64)[0]) == 8
 
 
@@ -100,7 +106,7 @@ class TestRefineGrads:
         params = head(seed=4)
         _, tape = refine(random_cloud(rng, 6), feature_grid, params, keep_cache=True)
         grads, gfeat, gcoarse = refine_grads(tape, params, np.zeros((12, 3)))
-        for gw, gb in zip(grads.weights, grads.biases):
+        for gw, gb in grads:
             np.testing.assert_array_equal(gw, 0.0)
             np.testing.assert_array_equal(gb, 0.0)
         np.testing.assert_array_equal(gfeat, 0.0)
@@ -117,7 +123,7 @@ class TestRefineGrads:
         coarse = random_cloud(rng, 5)
         upstream = rng.standard_normal((10, 3))
         zeroed = head(seed=5)
-        for w in zeroed.weights:
+        for w, _ in zeroed:
             w[:] = 0.0
         _, tape = refine(coarse, feature_grid, zeroed, keep_cache=True)
         _, _, g_identity = refine_grads(tape, zeroed, upstream)
@@ -150,10 +156,10 @@ class TestRefineGrads:
         module = importlib.import_module("pointcarve.refine")
         monkeypatch.setattr(module.nn, "linear", forbidden)
         monkeypatch.setattr(module.nn, "leaky_relu", forbidden)
-        monkeypatch.setattr(module, "_feature_sample_values", forbidden)
+        monkeypatch.setattr(module, "feature_sample", forbidden)
         grads, gfeat, gcoarse = refine_grads(tape, params, upstream)
-        got = grads.weights + grads.biases
-        for g, want in zip(got, want_params.weights + want_params.biases):
-            np.testing.assert_array_equal(g, want)
+        for got, want in zip(grads, want_params, strict=True):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(gfeat, want_feat)
         np.testing.assert_array_equal(gcoarse, want_coarse)

@@ -23,7 +23,7 @@ from pointcarve.gradcheck import check_end_to_end
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
 from pointcarve.training import loss_and_grads_sample
 
-from conftest import degenerate_partial
+from conftest import degenerate_partial, run_fresh_python
 
 TINY_CFG = RunConfig(
     grid_res=8,
@@ -233,3 +233,36 @@ class TestDegenerateInputs:
     def test_point_partials_are_rejected(self, params, kind):
         with pytest.raises(ValueError, match="^degenerate cloud and eps_box is zero$"):
             complete_cloud(degenerate_partial(kind), params, self.DESK)
+
+
+# One desk `complete` and one desk train_toy step at the BLAS thread count in
+# argv[1], set before numpy loads OpenBLAS; prints a digest of their bytes.
+DESK_AT_THREADS = """
+import os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+import hashlib
+import numpy as np
+import pointcarve as pc
+
+cfg = pc.RunConfig.preset("desk").replace(epochs=1, val_count=0)
+pairs = []
+for i, fam in enumerate(["box", "sphere", "torus", "box"][: cfg.batch_size]):
+    gt, _ = pc.gen_shape(pc.SyntheticShapeSpec(fam, count=1024, seed=40 + i))
+    pairs.append((pc.generate_partials(gt, 1, seed=50 + i)[0], gt))
+params = pc.CarveModelParams.initialize(cfg.carve_config(), 7)
+digest = hashlib.sha256()
+for cloud in pc.complete_cloud(pairs[0][0], params, cfg):
+    digest.update(cloud.points.tobytes())
+final, records = pc.train_toy(pairs, cfg, params=params)
+digest.update(final.flat().tobytes())
+digest.update("".join(r.format_line() for r in records).encode())
+print(len(records), digest.hexdigest())
+"""
+
+
+def test_desk_bytes_do_not_depend_on_the_blas_thread_count():
+    # The desk half of the contract: paper's refine GEMMs (reduction length
+    # 2448) round differently at 1 and 2 threads, desk's do not.
+    one, two = (run_fresh_python(DESK_AT_THREADS, n) for n in ("1", "2"))
+    assert one.split()[0] == "1"
+    assert one == two
