@@ -13,6 +13,7 @@ from .carving import (
     cell_conv,
     cell_conv_grads,
     engrave,
+    engrave_grads,
     predict_kernels,
 )
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
@@ -83,7 +84,7 @@ __all__ = [
     "TrackedSequence", "VisibilityConfig", "VoxelGrid",
     "build_point_block", "cd_scaled", "cell_conv", "cell_conv_grads",
     "chamfer", "chamfer_and_grad", "chamfer_grad", "complete_cloud", "compute_bounds",
-    "consistency", "engrave", "evaluate", "feature_sample",
+    "consistency", "engrave", "engrave_grads", "evaluate", "feature_sample",
     "feature_sample_grad", "frustum_cull", "gen_shape", "generate_partials",
     "gridding", "gridding_reverse", "gridding_reverse_grad",
     "load_checkpoint", "loss_comp", "loss_sim", "lr_schedule",

@@ -6,6 +6,12 @@ kernels are produced by a volumetric encoder-decoder over the partial cloud's
 gridding, whose feature head also gives the refinement stage its per-point
 features.
 
+`engrave_grads` is the adjoint of `engrave`, as `refine_grads` is of
+`refine`, and reads only what `engrave` saved. Only the kernels train: the
+block grid is gridded from points, with no parameters upstream, so
+`cell_conv_grads` gives a kernel head's (trunk, weight, bias) gradients and
+no grid gradient.
+
 Memory layout of the inference forward:
 
 - The encoder-decoder keeps its activations in `nn.padded` buffers, each
@@ -52,7 +58,14 @@ import numpy as np
 
 from . import nn
 from .cloud import PointBlock, PointCloud
-from .gridding import FeatureGrid, VoxelGrid, _corner_table, gridding, gridding_reverse
+from .gridding import (
+    FeatureGrid,
+    VoxelGrid,
+    _corner_table,
+    gridding,
+    gridding_reverse,
+    gridding_reverse_grad,
+)
 
 
 # Voxels per slab of whole x-planes (at least one plane) in which
@@ -69,6 +82,7 @@ class KernelField:
     (dx, dy, dz) in [-K//2, K//2]^3; the center tap sits at index (K^3-1)//2.
 
     - Explicit: `values` is an (H, W, M, K^3) array, checked finite here.
+      It has no backward: `cell_conv_grads` takes a kernel head.
     - A kernel head over a trunk (`from_head`): `values` is None, `trunk`
       is an (H, W, M, C) activation and `head` its (C, K^3) weights and
       (K^3,) bias, so cell c's kernel is w.T @ trunk[c] + b. The values
@@ -112,12 +126,6 @@ class KernelField:
     @property
     def resolution(self) -> tuple[int, int, int]:
         return (self.trunk if self.values is None else self.values).shape[:3]
-
-    @property
-    def dtype(self) -> np.dtype:
-        if self.values is not None:
-            return self.values.dtype
-        return np.result_type(self.trunk, *self.head)
 
     def taps(self, s: int, e: int) -> np.ndarray:
         """The (K^3, e - s, W, M) tap planes of x-planes [s, e).
@@ -195,10 +203,6 @@ class CarveModelConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
-
-    @property
-    def expansion(self) -> int:
-        return self.refine_widths[-1] // 3
 
     def stage_width(self, e: int) -> int:
         return self.base_width * (2**e)
@@ -350,21 +354,18 @@ def _padded_grid(g: np.ndarray, r: int) -> np.ndarray:
 
 
 def cell_conv_grads(
-    block_grid: VoxelGrid, kernels: KernelField, upstream: np.ndarray, *, grid_grad: bool = True
-) -> tuple[np.ndarray | None, np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Exact adjoints of cell_conv w.r.t. (grid values, kernel field).
+    block_grid: VoxelGrid, kernels: KernelField, upstream: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjoint of cell_conv over a kernel head: its (trunk, weight, bias)
+    gradients, and no grid gradient. An explicit field is rejected.
 
-    With grid_grad=False the grid gradient is skipped (None in its place),
-    for callers that only train the kernels. Runs in cell_conv's slabs:
-    each slab's kernel gradient is its (K^3, slab) tap planes, upstream
-    times the shifted grid. The kernel gradient takes the field's form:
-
-    - explicit values: their gradient, built in contiguous (K^3, H, W, M)
-      planes and returned as an (H, W, M, K^3) view of them;
-    - a kernel head: (trunk, weight, bias) gradients, from one
-      `nn.conv1_grads` per slab on that slab's planes. The weight and bias
-      gradients add up over the slabs in order.
+    Runs in cell_conv's slabs: each slab's tap gradient, upstream times the
+    shifted grid, fills (K^3, slab) planes of a workspace buffer that one
+    `nn.conv1_grads` on that slab of the trunk reads. The weight and bias
+    gradients add up over the slabs in order.
     """
+    if kernels.values is not None:
+        raise ValueError("cell_conv_grads needs a kernel head, not an explicit kernel field")
     g = block_grid.values
     if kernels.resolution != g.shape:
         raise ValueError("kernel field resolution does not match grid resolution")
@@ -373,39 +374,21 @@ def cell_conv_grads(
         raise ValueError(f"upstream must have shape {g.shape}, got {upstream.shape}")
     H, W, M = g.shape
     K = kernels.kernel_size
-    r = K // 2
-    gp = _padded_grid(g, r)
-    grad_gp = np.zeros_like(gp) if grid_grad else None
-    head = kernels.values is None
-    if head:
-        w, b = kernels.head
-        d_trunk = np.empty(kernels.trunk.shape, kernels.dtype)
-        d_w, d_b = np.zeros(w.shape, kernels.dtype), np.zeros(b.shape, kernels.dtype)
-    else:
-        planes = np.empty((K**3, H, W, M), kernels.dtype)
+    trunk, (w, b) = kernels.trunk, kernels.head
+    dtype = np.result_type(trunk, w, b)
+    gp = _padded_grid(g, K // 2)
+    d_trunk = np.empty(trunk.shape, dtype)
+    d_w, d_b = np.zeros(w.shape, dtype), np.zeros(b.shape, dtype)
     shifts = _shifts(K)
     for s, e in _slabs(H, W * M):
         up = upstream[s:e]
-        taps = kernels.taps(s, e) if grid_grad else None
-        if head:
-            d_taps = nn.workspace("cell_conv.tap_grads", (K**3, e - s, W, M), kernels.dtype)
-        else:
-            d_taps = planes[:, s:e]
+        d_taps = nn.workspace("cell_conv.tap_grads", (K**3, e - s, W, M), dtype)
         for idx, (dx, dy, dz) in enumerate(shifts):
-            sl = (slice(s + dx, e + dx), slice(dy, dy + W), slice(dz, dz + M))
-            np.multiply(up, gp[sl], out=d_taps[idx])
-            if grid_grad:
-                grad_gp[sl] += up * taps[idx]
-        if head:
-            d_trunk[s:e], d_ws, d_bs = nn.conv1_grads(kernels.trunk[s:e], w, d_taps)
-            d_w += d_ws
-            d_b += d_bs
-        del taps
-    grad_kern = (d_trunk, d_w, d_b) if head else np.moveaxis(planes, 0, -1)
-    if not grid_grad:
-        return None, grad_kern
-    crop = slice(r, -r) if r else slice(None)
-    return grad_gp[crop, crop, crop], grad_kern
+            np.multiply(up, gp[s + dx : e + dx, dy : dy + W, dz : dz + M], out=d_taps[idx])
+        d_trunk[s:e], d_ws, d_bs = nn.conv1_grads(trunk[s:e], w, d_taps)
+        d_w += d_ws
+        d_b += d_bs
+    return d_trunk, d_w, d_b
 
 
 def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool = False):
@@ -477,10 +460,9 @@ def _unet_backward(
     d_table: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of the encoder-decoder given the heads' backward:
-    the kernel head's (trunk, weight, bias) gradients from
-    `_kernel_head_grads`, and the upstream of the (U, F)
-    feature table at the flat `voxels`. The trunk gradient is updated in
-    place.
+    the kernel head's (trunk, weight, bias) gradients from `cell_conv_grads`,
+    and the upstream of the (U, F) feature table at the flat `voxels`. The
+    trunk gradient is updated in place.
 
     Each activation's gradient reads the sign of the kept activation, which
     equals the pre-activation's (see `nn.leaky_relu_grad`).
@@ -552,13 +534,15 @@ class EngraveResult:
     """Output and forward intermediates of `engrave`, kept for the backward.
 
     `features` holds the feature head's rows at the corners of the coarse
-    points' cells only: a (U, F) table, U <= 8 * len(coarse).
+    points' cells only: a (U, F) table, U <= 8 * len(coarse). `threshold` is
+    the carve threshold gridding reverse ran at.
     """
 
     coarse: PointCloud
     features: FeatureGrid
     block_grid: VoxelGrid
     carved: VoxelGrid
+    threshold: float
     unet_cache: dict | None
 
 
@@ -575,7 +559,7 @@ def engrave(
     kernel prediction, cell-wise convolution and gridding reverse, then the
     feature head at the vertices `refine` will sample around the coarse
     points. With keep_cache the encoder-decoder's activations are kept for
-    `_unet_backward`.
+    `engrave_grads`.
     """
     cfg = params.config
     block_grid = gridding(
@@ -597,16 +581,25 @@ def engrave(
         ),
         block_grid=block_grid,
         carved=carved,
+        threshold=threshold,
         unet_cache=cache,
     )
 
 
-def _kernel_head_grads(
-    result: EngraveResult, params: CarveModelParams, d_carved: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel head's (trunk, weight, bias) gradients given the carved
-    grid's upstream, for an `engrave` run with keep_cache: `cell_conv_grads`
-    on the head over the kept trunk, slab by slab.
+def engrave_grads(
+    result: EngraveResult, params: CarveModelParams, d_coarse: np.ndarray, d_table: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Adjoint of an `engrave` run with keep_cache: the parameter gradients
+    of the encoder-decoder and both heads, given the upstreams of the
+    coarse points and of the (U, F) feature table.
+
+    Reads only what `engrave` saved: gridding reverse's adjoint on the
+    carved grid at its threshold and point count, `cell_conv_grads` on the
+    kernel head over the kept trunk, then `_unet_backward`.
     """
+    if result.unet_cache is None:
+        raise ValueError("engrave_grads needs an engrave run with keep_cache")
+    d_carved = gridding_reverse_grad(result.carved, len(result.coarse), result.threshold, d_coarse)
     kernels = KernelField.from_head(result.unet_cache["acts"][-1], params)
-    return cell_conv_grads(result.block_grid, kernels, d_carved, grid_grad=False)[1]
+    kernel_grads = cell_conv_grads(result.block_grid, kernels, d_carved)
+    return _unet_backward(result.unet_cache, params, kernel_grads, result.features.voxels, d_table)

@@ -25,7 +25,7 @@ from .pcio import (
     write_xyz,
 )
 from .sensoraug import generate_partials
-from .shapes import FAMILIES, SyntheticShapeSpec, gen_shape
+from .shapes import FAMILIES, MIN_POINTS, SyntheticShapeSpec, gen_shape
 from .training import complete_cloud, train_toy
 
 
@@ -55,6 +55,8 @@ def _cmd_gen_synth(args) -> int:
             raise ValueError(f"unknown family {fam!r}, expected one of {FAMILIES}")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.points < MIN_POINTS:
+        raise ValueError(f"--points must be >= {MIN_POINTS}, got {args.points}")
     out = Path(args.out)
     (out / "gt").mkdir(parents=True, exist_ok=True)
     (out / "partial").mkdir(parents=True, exist_ok=True)

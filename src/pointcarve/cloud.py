@@ -173,10 +173,11 @@ def build_point_block(
     to stay robust to noisy range estimates.
     """
     sampled = sample_block_points(range, n_per_axis, mode, seed)
-    return _assemble_block(partial, sampled, range)
+    return assemble_block(partial, sampled, range)
 
 
-def _assemble_block(partial: PointCloud, sampled: PointCloud, range: BoundingRange) -> PointBlock:
+def assemble_block(partial: PointCloud, sampled: PointCloud, range: BoundingRange) -> PointBlock:
+    """The partial, clamped into range, with the given filler points."""
     inside = range.contains(partial.points) if len(partial) else np.zeros(0, dtype=bool)
     clamped = int(len(partial) - inside.sum())
     return PointBlock(

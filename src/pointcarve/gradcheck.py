@@ -132,27 +132,24 @@ def check_feature_sample(seed: int, instances: int = 20) -> GradCheckResult:
 
 
 def check_cell_conv(seed: int, instances: int = 20) -> GradCheckResult:
+    """cell_conv_grads' trunk, weight and bias gradients of a kernel head."""
     worst = 0.0
     for i in range(instances):
         rng = np.random.default_rng((seed, 2000 + i))
-        res = int(rng.integers(4, 7))
-        g = rng.standard_normal((res, res, res))
-        kern = rng.standard_normal((res, res, res, 27))
+        res, channels = int(rng.integers(4, 7)), int(rng.integers(2, 5))
+        grid = VoxelGrid(rng.standard_normal((res, res, res)), _unit_range())
+        trunk = rng.standard_normal((res, res, res, channels))
+        w, b = rng.standard_normal((channels, 27)), rng.standard_normal(27)
         upstream = rng.standard_normal((res, res, res))
-        grid = VoxelGrid(g, _unit_range())
-        field = KernelField(kern, 3)
-        grad_g, grad_k = cell_conv_grads(grid, field, upstream)
+        d_trunk, d_w, d_b = cell_conv_grads(grid, KernelField(None, 3, trunk, (w, b)), upstream)
 
-        def phi_g(v):
-            out = cell_conv(VoxelGrid(v, _unit_range()), field).values
+        def phi(t_, w_, b_):
+            out = cell_conv(grid, KernelField(None, 3, t_, (w_, b_))).values
             return float(np.sum(upstream * out))
 
-        def phi_k(v):
-            out = cell_conv(grid, KernelField(v, 3)).values
-            return float(np.sum(upstream * out))
-
-        worst = max(worst, _fd_compare(phi_g, g, grad_g, rng))
-        worst = max(worst, _fd_compare(phi_k, kern, grad_k, rng))
+        worst = max(worst, _fd_compare(lambda v: phi(v, w, b), trunk, d_trunk, rng))
+        worst = max(worst, _fd_compare(lambda v: phi(trunk, v, b), w, d_w, rng))
+        worst = max(worst, _fd_compare(lambda v: phi(trunk, w, v), b, d_b, rng))
     return GradCheckResult("cell_conv_grads", worst, TOL_DEFAULT, instances)
 
 

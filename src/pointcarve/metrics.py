@@ -280,6 +280,8 @@ def sensitivity_sweep(
     """
     if not dataset:
         raise ValueError("empty dataset")
+    if not levels:
+        raise ValueError("no level to sweep")
     if any(not (0 < lv <= 1) for lv in levels):
         raise ValueError("levels must lie in (0, 1]")
     vis_cfg = VisibilityConfig(config.depth_buffer_res, config.depth_eps)

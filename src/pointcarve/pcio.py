@@ -199,9 +199,11 @@ def read_dataset_manifest(path: str | Path) -> list[tuple[str, Path, Path]]:
 
 
 def read_sequence_manifest(path: str | Path) -> dict[str, list[tuple[int, Path]]]:
-    """Lines `object_id frame_index path`, grouped by object, sorted by frame."""
+    """Lines `object_id frame_index path`, grouped by object, sorted by frame;
+    no object lists a frame twice."""
     base = Path(path).parent
     groups: dict[str, list[tuple[int, Path]]] = {}
+    first_line: dict[tuple[str, int], int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -217,6 +219,13 @@ def read_sequence_manifest(path: str | Path) -> dict[str, list[tuple[int, Path]]
             raise ValueError(
                 f"{path}:{lineno}: frame index must be an integer, got {parts[1]!r}"
             ) from None
+        key = (parts[0], frame)
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate frame {frame} of {parts[0]!r} "
+                f"(first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         groups.setdefault(parts[0], []).append((frame, base / parts[2]))
     for frames in groups.values():
         frames.sort(key=lambda t: t[0])

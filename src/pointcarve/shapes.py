@@ -16,6 +16,8 @@ import numpy as np
 from .cloud import PointCloud
 
 FAMILIES = ("box", "sphere", "torus", "l_solid", "hollow_box", "wedge")
+# Fewest surface samples a synthetic shape may have.
+MIN_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,8 @@ class SyntheticShapeSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.count < 64:
-            raise ValueError("count must be >= 64")
+        if self.count < MIN_POINTS:
+            raise ValueError(f"count must be >= {MIN_POINTS}")
         dims = tuple(float(d) for d in self.dims) or _default_dims(self.family)
         if any(d <= 0 for d in dims):
             raise ValueError("dimensional parameters must be positive")

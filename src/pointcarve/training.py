@@ -13,25 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carving import (
-    CarveModelParams,
-    EngraveResult,
-    _kernel_head_grads,
-    _unet_backward,
-    engrave,
-)
+from .carving import CarveModelParams, EngraveResult, engrave, engrave_grads
 from .cloud import (
     BoundingRange,
     PointBlock,
     PointCloud,
-    _assemble_block,
+    assemble_block,
     build_point_block,
     compute_bounds,
     mirror_symmetric_block,
     subsample_fixed,
 )
 from .config import RunConfig
-from .gridding import gridding_reverse_grad
 from .losses import LossBreakdown, chamfer, chamfer_and_grad
 from .refine import RefineTape, refine, refine_grads
 from .sensoraug import VisibilityConfig, generate_partials
@@ -103,19 +96,19 @@ def make_block(
             partial, range, config.n_per_axis, config.block_sampling, config.seed
         )
     if mode == "none":
-        return _assemble_block(partial, PointCloud.empty(), range)
+        return assemble_block(partial, PointCloud.empty(), range)
     if mode == "mirror":
         axis = {"x": 0, "y": 1, "z": 2}[config.mirror_axis]
         center = float((range.lo[axis] + range.hi[axis]) / 2.0)
         clamped = PointCloud(range.clamp(partial.points))
         mirrored = mirror_symmetric_block(clamped, axis, center)
         filler = PointCloud(mirrored.points[len(clamped):])
-        return _assemble_block(partial, filler, range)
+        return assemble_block(partial, filler, range)
     if mode == "gt":
         if gt is None:
             raise ValueError("gt block construction requires the ground-truth cloud")
         filler = subsample_fixed(gt, config.gt_points_count, "random", config.seed)
-        return _assemble_block(partial, PointCloud(range.clamp(filler.points)), range)
+        return assemble_block(partial, PointCloud(range.clamp(filler.points)), range)
     raise ValueError(f"unknown block construction {mode!r}")
 
 
@@ -144,44 +137,32 @@ def complete_cloud(
     partial: PointCloud,
     params: CarveModelParams,
     config: RunConfig,
-    range: BoundingRange | None = None,
     gt: PointCloud | None = None,
 ) -> tuple[PointCloud, PointCloud]:
     """(coarse, dense) completion of a partial cloud.
 
     The block range comes from gt (padding bounds_padding_gt) when available,
-    else from the partial (padding bounds_padding_partial), else is given.
+    else from the partial (padding bounds_padding_partial).
     """
-    if range is None:
-        if gt is not None:
-            range = compute_bounds(gt, config.bounds_padding_gt, eps_box_frac=config.eps_box_frac)
-        else:
-            range = compute_bounds(
-                partial, config.bounds_padding_partial, eps_box_frac=config.eps_box_frac
-            )
+    if gt is not None:
+        range = compute_bounds(gt, config.bounds_padding_gt, eps_box_frac=config.eps_box_frac)
+    else:
+        range = compute_bounds(
+            partial, config.bounds_padding_partial, eps_box_frac=config.eps_box_frac
+        )
     fwd = forward_sample(partial, range, params, config, gt)
     return fwd.engrave.coarse, fwd.dense
 
 
 def _backward_sample(
-    fwd: SampleForward,
-    params: CarveModelParams,
-    config: RunConfig,
-    d_coarse: np.ndarray,
-    d_dense: np.ndarray,
+    fwd: SampleForward, params: CarveModelParams, d_coarse: np.ndarray, d_dense: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for one forward pass given cloud upstreams."""
     layer_grads, d_table, d_coarse_refine = refine_grads(
         fwd.refine_tape, params.refine_layers, d_dense
     )
     d_coarse_total = np.asarray(d_coarse, dtype=np.float64) + d_coarse_refine
-    d_carved = gridding_reverse_grad(
-        fwd.engrave.carved, config.coarse_m, config.carve_threshold, d_coarse_total
-    )
-    kernel_grads = _kernel_head_grads(fwd.engrave, params, d_carved)
-    grads = _unet_backward(
-        fwd.engrave.unet_cache, params, kernel_grads, fwd.engrave.features.voxels, d_table
-    )
+    grads = engrave_grads(fwd.engrave, params, d_coarse_total, d_table)
     for i, (gw, gb) in enumerate(layer_grads):
         grads[f"refine{i}.w"] = gw
         grads[f"refine{i}.b"] = gb
@@ -242,9 +223,9 @@ def loss_and_grads_sample(
             if not config.detach_anchors:
                 d_coarse = d_coarse + g_ac
                 d_dense = d_dense + g_aq
-            _accumulate(grads, _backward_sample(vfwd, params, config, g_vc, g_vq))
+            _accumulate(grads, _backward_sample(vfwd, params, g_vc, g_vq))
 
-    _accumulate(grads, _backward_sample(anchor, params, config, d_coarse, d_dense))
+    _accumulate(grads, _backward_sample(anchor, params, d_coarse, d_dense))
     loss = LossBreakdown(
         comp=comp,
         sim=sim,

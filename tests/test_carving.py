@@ -18,6 +18,7 @@ from pointcarve import (
     cell_conv_grads,
     compute_bounds,
     engrave,
+    engrave_grads,
     gridding,
     gridding_reverse,
     predict_kernels,
@@ -100,19 +101,50 @@ class TestCellConv:
             cell_conv(g, KernelField(np.zeros((5, 5, 5, 27)), 3))
 
 
+def head_field(rng, res, channels=3, dtype=np.float64) -> KernelField:
+    """A random 3^3 kernel head over a random (*res, channels) trunk."""
+    trunk = rng.standard_normal((*res, channels)).astype(dtype)
+    w, b = rng.standard_normal((channels, 27)).astype(dtype), rng.standard_normal(27).astype(dtype)
+    return KernelField(None, 3, trunk, (w, b))
+
+
+def brute_force_head_grads(grid: np.ndarray, head: KernelField, upstream: np.ndarray):
+    """Reference (trunk, weight, bias) gradients: tap o of cell c gets
+    upstream(c) * grid(c + o), zero outside the grid, and one whole-grid
+    `nn.conv1_grads` maps those taps to the head."""
+    from pointcarve import nn
+
+    H, W, M = grid.shape
+    gp = np.pad(grid, 1)
+    d_taps = np.stack([
+        upstream * gp[1 + dx : 1 + dx + H, 1 + dy : 1 + dy + W, 1 + dz : 1 + dz + M]
+        for dx, dy, dz in kernel_offsets(3)
+    ])
+    return nn.conv1_grads(head.trunk, head.head[0], d_taps)
+
+
 class TestCellConvGrads:
     def test_zero_upstream(self, rng, unit_range):
         g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
-        kern = KernelField(rng.random((4, 4, 4, 27)), 3)
-        gg, gk = cell_conv_grads(g, kern, np.zeros((4, 4, 4)))
-        np.testing.assert_array_equal(gg, 0.0)
-        np.testing.assert_array_equal(gk, 0.0)
+        for grad in cell_conv_grads(g, head_field(rng, (4, 4, 4)), np.zeros((4, 4, 4))):
+            np.testing.assert_array_equal(grad, 0.0)
 
     def test_identity_kernel_adjoint(self, rng, unit_range):
-        g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
-        upstream = rng.standard_normal((4, 4, 4))
-        gg, _ = cell_conv_grads(g, identity_kernels((4, 4, 4)), upstream)
-        np.testing.assert_allclose(gg, upstream, atol=1e-12)
+        # An untrained model's head: zero weights and a center bias of 1 pass
+        # the grid through, so only the center tap sees <upstream, grid>.
+        g = VoxelGrid(rng.random((4, 5, 6)), unit_range)
+        trunk = rng.standard_normal((4, 5, 6, 3))
+        b = np.zeros(27)
+        b[13] = 1.0
+        head = KernelField(None, 3, trunk, (np.zeros((3, 27)), b))
+        np.testing.assert_array_equal(cell_conv(g, head).values, g.values)
+        upstream = rng.standard_normal((4, 5, 6))
+        d_trunk, d_w, d_b = cell_conv_grads(g, head, upstream)
+        np.testing.assert_array_equal(d_trunk, 0.0)
+        assert d_b[13] == pytest.approx(np.sum(upstream * g.values), rel=1e-12)
+        np.testing.assert_allclose(
+            d_w[:, 13], np.einsum("hwmc,hwm->c", trunk, upstream * g.values), rtol=1e-12
+        )
 
     def test_matches_finite_differences(self):
         result = check_cell_conv(seed=42, instances=5)
@@ -120,25 +152,25 @@ class TestCellConvGrads:
 
     def test_shape_mismatch_errors(self, rng, unit_range):
         g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
-        kern = KernelField(rng.random((4, 4, 4, 27)), 3)
         with pytest.raises(ValueError, match="upstream"):
-            cell_conv_grads(g, kern, np.zeros((5, 5, 5)))
+            cell_conv_grads(g, head_field(rng, (4, 4, 4)), np.zeros((5, 5, 5)))
+
+    def test_explicit_field_is_rejected(self, rng, unit_range):
+        g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
+        with pytest.raises(ValueError, match="needs a kernel head"):
+            cell_conv_grads(g, KernelField(rng.random((4, 4, 4, 27)), 3), np.zeros((4, 4, 4)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_kernel_grad_without_grid_grad(self, rng, unit_range, dtype):
+    def test_head_grads_match_the_brute_force_taps(self, rng, unit_range, dtype):
         g = VoxelGrid(rng.standard_normal((5, 6, 7)).astype(dtype), unit_range)
-        kern = KernelField(rng.standard_normal((5, 6, 7, 27)).astype(dtype), 3)
+        head = head_field(rng, (5, 6, 7), dtype=dtype)
         upstream = rng.standard_normal((5, 6, 7)).astype(dtype)
-        _, gk = cell_conv_grads(g, kern, upstream)
-        skipped, gk_only = cell_conv_grads(g, kern, upstream, grid_grad=False)
-        assert skipped is None
-        assert gk_only.dtype == dtype and gk_only.shape == kern.values.shape
-        np.testing.assert_array_equal(gk_only, gk)
-        # Tap o of cell c is upstream(c) * grid(c + o), zero outside the grid.
-        gp = np.pad(g.values, 1)
-        for idx, (dx, dy, dz) in enumerate(kernel_offsets(3)):
-            shifted = gp[1 + dx : 6 + dx, 1 + dy : 7 + dy, 1 + dz : 8 + dz]
-            np.testing.assert_array_equal(gk[..., idx], upstream * shifted)
+        got = cell_conv_grads(g, head, upstream)
+        want = brute_force_head_grads(g.values, head, upstream)
+        assert [a.shape for a in got] == [(5, 6, 7, 3), (3, 27), (27,)]
+        for a, ref in zip(got, want):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, ref)
 
 
 DESK = CarveModelConfig(
@@ -229,6 +261,15 @@ class TestEngrave:
         partial = random_cloud(rng, 100)
         block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
         assert len(engrave(block, params, 77).coarse) == 77
+
+    def test_grads_need_the_kept_cache(self, rng):
+        params = CarveModelParams.initialize(TINY, seed=5)
+        partial = random_cloud(rng, 100)
+        block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
+        result = engrave(block, params, 32, threshold=0.1)
+        assert result.threshold == 0.1
+        with pytest.raises(ValueError, match="keep_cache"):
+            engrave_grads(result, params, np.zeros((32, 3)), np.zeros(result.features.table.shape))
 
     def test_untrained_model_finite(self, rng):
         params = CarveModelParams.initialize(TINY, seed=6)
@@ -374,8 +415,9 @@ class TestKernelHeadInSlabs:
         result = check_end_to_end(seed)
         assert result.passed, f"max rel err {result.max_rel_err}"
 
-    @pytest.mark.parametrize("grid_grad", [False, True])
-    def test_head_gradients_match_the_whole_grid_chain(self, grid_grad, monkeypatch):
+    @pytest.mark.parametrize("in_slabs", [False, True])
+    def test_head_gradients_match_the_whole_grid_chain(self, in_slabs, monkeypatch):
+        from pointcarve import carving
         from pointcarve import nn
 
         rng = np.random.default_rng(33)
@@ -384,23 +426,21 @@ class TestKernelHeadInSlabs:
         w, b = rng.standard_normal((4, 27)), rng.standard_normal(27)
         grid = VoxelGrid(rng.random((7, 5, 6)), _range_unit())
         upstream = rng.standard_normal((7, 5, 6))
-        explicit = KernelField(np.moveaxis(nn.conv1(trunk, w, b), 0, -1), 3)
-        ref_grid, d_kern = cell_conv_grads(grid, explicit, upstream, grid_grad=grid_grad)
-        d_trunk_ref, d_w_ref, d_b_ref = nn.conv1_grads(trunk, w, np.ascontiguousarray(np.moveaxis(d_kern, -1, 0)))
-
-        assert len(_slab_planes(monkeypatch, (7, 5, 6), 3)) == 3
         head = KernelField(None, 3, trunk, (w, b))
+        d_trunk_ref, d_w_ref, d_b_ref = brute_force_head_grads(grid.values, head, upstream)
+
+        if in_slabs:
+            assert len(_slab_planes(monkeypatch, (7, 5, 6), 3)) == 3
+        else:
+            assert len(carving._slabs(7, 5 * 6)) == 1
+        explicit = KernelField(np.moveaxis(nn.conv1(trunk, w, b), 0, -1), 3)
         np.testing.assert_array_equal(
             cell_conv(grid, head).values, cell_conv(grid, explicit).values
         )
-        got_grid, (d_trunk, d_w, d_b) = cell_conv_grads(grid, head, upstream, grid_grad=grid_grad)
+        d_trunk, d_w, d_b = cell_conv_grads(grid, head, upstream)
         np.testing.assert_array_equal(d_trunk, d_trunk_ref)
         np.testing.assert_allclose(d_w, d_w_ref, rtol=1e-12)
         np.testing.assert_allclose(d_b, d_b_ref, rtol=1e-12)
-        if grid_grad:
-            np.testing.assert_allclose(got_grid, ref_grid, rtol=1e-12, atol=1e-14)
-        else:
-            assert got_grid is None
 
     def test_non_finite_slab_rejected(self, monkeypatch):
         rng = np.random.default_rng(34)

@@ -18,7 +18,7 @@ from pointcarve import (
 )
 from pointcarve.cli import main
 from pointcarve.pcio import read_xyz, write_ply, write_xyz
-from pointcarve.shapes import SyntheticShapeSpec, gen_shape
+from pointcarve.shapes import MIN_POINTS, SyntheticShapeSpec, gen_shape
 
 from conftest import degenerate_partial, run_fresh_python
 
@@ -108,6 +108,14 @@ class TestGenSynth:
         assert_one_line_failure(code, capsys, needle)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("points", [0, MIN_POINTS - 1])
+    def test_points_below_the_minimum_is_runtime_error(self, tmp_path, capsys, points):
+        capsys.readouterr()
+        code = main(["gen-synth", "--out", str(tmp_path / "x"), "--count", "1",
+                     "--points", str(points)])
+        assert_one_line_failure(code, capsys, f"--points must be >= {MIN_POINTS}, got {points}")
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -171,6 +179,14 @@ class TestTrainCompleteEval:
         assert len(rows) == 2
         level, _, count = rows[0].split(",")
         assert float(level) == 0.5 and int(count) >= 0
+
+    @pytest.mark.parametrize("levels", ["", ","])
+    def test_sweep_without_a_level_is_runtime_error(self, trained, synth_dir, capsys, levels):
+        _, ckpt = trained
+        capsys.readouterr()
+        code = main(["sweep", "--ckpt", str(ckpt), "--manifest",
+                     str(synth_dir / "manifest.txt"), "--levels", levels])
+        assert_one_line_failure(code, capsys, "no level to sweep")
 
 
 class TestConsistencyCommand:
@@ -453,6 +469,8 @@ MANIFEST_CASES = {
     "sequence-frame-index": ("consistency", "car0 first f0.xyz\n",
                              "frame index must be an integer, got 'first'"),
     "sequence-empty": ("consistency", "", "empty manifest"),
+    "sequence-duplicate-frame": ("consistency", "car0 0 a.xyz\ncar0 0 b.xyz\n",
+                                 ":2: duplicate frame 0 of 'car0' (first on line 1)"),
 }
 
 

@@ -324,6 +324,11 @@ class TestManifests:
         assert [idx for idx, _ in groups["car0"]] == [1, 2]
         assert set(groups) == {"car0", "car1"}
 
+    def test_sequence_manifest_duplicate_frame(self, tmp_path):
+        (tmp_path / "seq.txt").write_text("car0 0 a.xyz\ncar1 0 c.xyz\n# again\ncar0 0 b.xyz\n")
+        with pytest.raises(ValueError, match=r"seq.txt:4: duplicate frame 0 of 'car0' \(first on line 1\)"):
+            read_sequence_manifest(tmp_path / "seq.txt")
+
     def test_malformed_line(self, tmp_path):
         (tmp_path / "m.txt").write_text("box only_two.xyz\n")
         with pytest.raises(ValueError, match="m.txt:1"):

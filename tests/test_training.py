@@ -19,7 +19,7 @@ from pointcarve import (
     optimizer_step,
     train_toy,
 )
-from pointcarve.gradcheck import check_end_to_end
+from pointcarve.gradcheck import _fd_at, check_end_to_end
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
 from pointcarve.training import loss_and_grads_sample
 
@@ -200,6 +200,32 @@ class TestTrainToy:
     def test_end_to_end_gradient(self):
         result = check_end_to_end(seed=0)
         assert result.passed, f"max rel err {result.max_rel_err}"
+
+    def test_end_to_end_gradient_at_a_carve_threshold(self):
+        # The backward must run gridding reverse's adjoint at the threshold
+        # the forward carved at; check_end_to_end only runs at 0.
+        cfg = TINY_CFG.replace(coarse_m=64, n_per_axis=4, val_count=0, carve_threshold=0.1)
+        gt, _ = gen_shape(SyntheticShapeSpec("box", count=96, seed=0))
+        partial = PointCloud(gt.points[:48])
+        params = CarveModelParams.initialize(cfg.carve_config(), 0)
+        # Off the leaky ReLU kinks, as in check_end_to_end.
+        bias_rng = np.random.default_rng(1)
+        for name, arr in params.tensors.items():
+            if name.endswith(".b"):
+                arr += bias_rng.uniform(-0.1, 0.1, arr.shape)
+        coarse = complete_cloud(partial, params, cfg, gt=gt)[0]
+        at_zero = complete_cloud(partial, params, cfg.replace(carve_threshold=0.0), gt=gt)[0]
+        assert not np.array_equal(coarse.points, at_zero.points)
+
+        def phi(vec):
+            return loss_and_grads_sample(partial, gt, params.with_flat(vec), cfg, 0).loss.total
+
+        flat = params.flat()
+        analytic = params.flatten_grads(loss_and_grads_sample(partial, gt, params, cfg, 0).grads)
+        # Each tensor's entry of largest gradient.
+        starts = np.cumsum([0] + [arr.size for arr in params.tensors.values()])
+        probes = [s + int(np.argmax(np.abs(analytic[s:e]))) for s, e in zip(starts[:-1], starts[1:])]
+        np.testing.assert_allclose(analytic[probes], _fd_at(phi, flat, probes), rtol=1e-4)
 
     def test_metrics_log_lines(self, tmp_path):
         dataset = tiny_dataset(3)
