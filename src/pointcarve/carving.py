@@ -36,17 +36,17 @@ Memory layout of the inference forward:
   that are freed before the next slab's are made. `cell_conv_grads` feeds
   each slab's tap gradient, in a workspace buffer, straight to the head's
   backward on that trunk slab.
-- The feature head runs only at the vertices `refine` samples: the 8
-  corners of each coarse point's cell, at most 8m of the grid's H*W*M
-  (about 6 % at the desk and paper presets). `engrave` carves first, then
-  gathers those vertices' trunk rows, sorted and unique, into one head GEMM.
-  `EngraveResult.features` is a `FeatureGrid` holding that (U, F) table
-  and its flat vertex indices; `predict_kernels` runs the same head over
-  every vertex.
+- The feature head runs after sampling. It is affine and a point's
+  trilinear weights sum to 1, so head(sample(trunk)) = sample(head(trunk)).
+  `engrave` carves first, samples the trunk in place at the m coarse points
+  (`feature_sample` over a `FeatureGrid` view of it) and runs the head as
+  one GEMM on those (m, C) rows: `EngraveResult.features` is the (m, F)
+  array `refine` reads. `predict_kernels` runs the same head over every
+  vertex, the dense reference.
 - Without a kept cache, those padded buffers and every other temporary come
   from the calling thread's `nn.workspace` and are reused by the next call.
   A workspace buffer never leaves the public function that fills it: the
-  kernel field, the feature table, `EngraveResult`, `predict_kernels`'
+  kernel field, the features, `EngraveResult`, `predict_kernels`'
   results and a kept `unet_cache` are fresh arrays their caller owns.
 """
 
@@ -61,7 +61,9 @@ from .cloud import PointBlock, PointCloud
 from .gridding import (
     FeatureGrid,
     VoxelGrid,
-    _corner_table,
+    feature_sample,
+    feature_sample_grad,
+    feature_sample_query_grad,
     gridding,
     gridding_reverse,
     gridding_reverse_grad,
@@ -185,12 +187,13 @@ class CarveModelConfig:
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
         divisor = 2**self.stages
-        for r in res:
-            if r < 2 * divisor or r % divisor:
-                raise ValueError(
-                    f"resolution {res} must be divisible by 2^stages={divisor} "
-                    f"(and leave at least 2 cells at the bottleneck)"
-                )
+        if any(r % divisor for r in res):
+            raise ValueError(f"resolution {res} must be divisible by 2^stages={divisor}")
+        if min(res) < 2 * divisor:
+            raise ValueError(
+                f"resolution {res} must be at least 2^(stages+1)={2 * divisor} per axis, "
+                f"for 2 cells at the bottleneck"
+            )
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd and >= 1")
         if self.base_width < 1 or self.feature_dim < 1:
@@ -402,7 +405,7 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     interior (valid until this thread's next forward), and cache is None.
     With it every buffer is fresh, the decoders' included, and the cache
     holds the padded input and the activations `_unet_backward` reads, the
-    trunk last.
+    trunk last; `engrave` adds the trunk rows its feature head read.
     """
     cfg = params.config
     t = params.tensors
@@ -438,31 +441,9 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     return y, cache
 
 
-def _trunk_rows(trunk: np.ndarray, voxels: np.ndarray) -> np.ndarray:
-    """A fresh (U, C) copy of the trunk at the listed flat voxel indices.
-
-    Indexes the three axes, so a padded interior is not copied whole.
-    """
-    return trunk[np.unravel_index(voxels, trunk.shape[:3])]
-
-
-def _feature_head(trunk: np.ndarray, params: CarveModelParams, voxels: np.ndarray) -> np.ndarray:
-    """The feature head's fresh (U, F) rows at the listed flat voxels.
-
-    Row for row, the same product and bias add over any list of voxels.
-    """
-    t = params.tensors
-    return nn.linear(_trunk_rows(trunk, voxels), t["feature_head.w"], t["feature_head.b"])
-
-
-def _unet_backward(
-    cache: dict, params: CarveModelParams, kernel_grads: tuple, voxels: np.ndarray,
-    d_table: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Parameter gradients of the encoder-decoder given the heads' backward:
-    the kernel head's (trunk, weight, bias) gradients from `cell_conv_grads`,
-    and the upstream of the (U, F) feature table at the flat `voxels`. The
-    trunk gradient is updated in place.
+def _unet_backward(cache: dict, params: CarveModelParams, d_trunk: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients of the encoder-decoder given the gradient of its
+    trunk, which both heads' backward add up.
 
     Each activation's gradient reads the sign of the kept activation, which
     equals the pre-activation's (see `nn.leaky_relu_grad`).
@@ -470,15 +451,7 @@ def _unet_backward(
     cfg = params.config
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
-    trunk = cache["acts"][-1]
-    d_y, grads["kernel_head.w"], grads["kernel_head.b"] = kernel_grads
-    d_rows, grads["feature_head.w"], grads["feature_head.b"] = nn.linear_grads(
-        _trunk_rows(trunk, voxels), t["feature_head.w"], d_table
-    )
-    # The voxels are unique, so a fancy-index += adds each row once.
-    d_flat = d_y.reshape(-1, d_y.shape[-1])
-    d_flat[voxels] += d_rows
-    d_y = d_flat.reshape(trunk.shape)
+    d_y = d_trunk
     d_skips = [None] * (cfg.stages + 1)
     for e in range(1, cfg.stages + 1):
         # Reverse of decoder stage e (the decoder ran stages..1, so dec1 first).
@@ -510,22 +483,21 @@ def _unet_backward(
 def predict_kernels(
     partial_grid: VoxelGrid, params: CarveModelParams
 ) -> tuple[KernelField, FeatureGrid]:
-    """Predict per-cell carve kernels and the refinement feature table at
-    every vertex from P-hat. `engrave` evaluates the feature head only where
-    `refine` samples it; this is the dense reference."""
+    """Predict per-cell carve kernels and the refinement features at every
+    vertex from P-hat. `engrave` runs the feature head only on the trunk
+    sampled at its coarse points; this is the dense reference."""
     if partial_grid.values.shape != params.config.resolution:
         raise ValueError(
             f"grid resolution {partial_grid.values.shape} does not match "
             f"configured model resolution {params.config.resolution}"
         )
     t = params.tensors
-    res = params.config.resolution
     trunk, _ = _unet_forward(partial_grid.values, params)
     kern = nn.conv1(trunk, t["kernel_head.w"], t["kernel_head.b"])
-    voxels = np.arange(int(np.prod(res)))
+    feat = nn.conv1(trunk, t["feature_head.w"], t["feature_head.b"])
     return (
         KernelField(np.moveaxis(kern, 0, -1), params.config.kernel_size),
-        FeatureGrid(_feature_head(trunk, params, voxels), partial_grid.range, voxels, res),
+        FeatureGrid(np.moveaxis(feat, 0, -1), partial_grid.range),
     )
 
 
@@ -533,13 +505,12 @@ def predict_kernels(
 class EngraveResult:
     """Output and forward intermediates of `engrave`, kept for the backward.
 
-    `features` holds the feature head's rows at the corners of the coarse
-    points' cells only: a (U, F) table, U <= 8 * len(coarse). `threshold` is
-    the carve threshold gridding reverse ran at.
+    `features` is the (m, F) array of the feature head at the coarse
+    points. `threshold` is the carve threshold gridding reverse ran at.
     """
 
     coarse: PointCloud
-    features: FeatureGrid
+    features: np.ndarray
     block_grid: VoxelGrid
     carved: VoxelGrid
     threshold: float
@@ -557,11 +528,12 @@ def engrave(
 
     Composition of gridding (block and partial, sharing the block's range),
     kernel prediction, cell-wise convolution and gridding reverse, then the
-    feature head at the vertices `refine` will sample around the coarse
-    points. With keep_cache the encoder-decoder's activations are kept for
-    `engrave_grads`.
+    feature head on the trunk sampled at the coarse points. With keep_cache
+    the encoder-decoder's activations and the sampled trunk rows are kept
+    for `engrave_grads`. Raises ValueError if a feature is not finite.
     """
     cfg = params.config
+    t = params.tensors
     block_grid = gridding(
         PointCloud(block.all_points()), cfg.resolution, block.range, cfg.np_dtype
     )
@@ -569,16 +541,15 @@ def engrave(
     trunk, cache = _unet_forward(partial_grid.values, params, keep_cache)
     carved = cell_conv(block_grid, KernelField.from_head(trunk, params))
     coarse = gridding_reverse(carved, m, threshold)
-    # Sorted and deduplicated by hand: np.unique would import numpy.ma.
-    voxels = np.sort(_corner_table(coarse.points, cfg.resolution, block.range)[0], axis=None)
-    first = np.ones(len(voxels), dtype=bool)
-    np.not_equal(voxels[1:], voxels[:-1], out=first[1:])
-    voxels = voxels[first]
+    rows = feature_sample(FeatureGrid(trunk, block.range), coarse)
+    features = nn.linear(rows, t["feature_head.w"], t["feature_head.b"])
+    if not np.all(np.isfinite(features)):
+        raise ValueError("feature head output contains non-finite values")
+    if keep_cache:
+        cache["rows"] = rows
     return EngraveResult(
         coarse=coarse,
-        features=FeatureGrid(
-            _feature_head(trunk, params, voxels), block.range, voxels, cfg.resolution
-        ),
+        features=features,
         block_grid=block_grid,
         carved=carved,
         threshold=threshold,
@@ -587,19 +558,33 @@ def engrave(
 
 
 def engrave_grads(
-    result: EngraveResult, params: CarveModelParams, d_coarse: np.ndarray, d_table: np.ndarray
+    result: EngraveResult, params: CarveModelParams, d_coarse: np.ndarray, d_features: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Adjoint of an `engrave` run with keep_cache: the parameter gradients
     of the encoder-decoder and both heads, given the upstreams of the
-    coarse points and of the (U, F) feature table.
+    coarse points and of their (m, F) features.
 
-    Reads only what `engrave` saved: gridding reverse's adjoint on the
-    carved grid at its threshold and point count, `cell_conv_grads` on the
-    kernel head over the kept trunk, then `_unet_backward`.
+    Reads only what `engrave` saved. The feature head's backward runs on
+    the kept trunk rows; the sampling's query adjoint joins `d_coarse`
+    before gridding reverse's adjoint on the carved grid at its threshold
+    and point count, and its grid adjoint joins the kernel head's trunk
+    gradient from `cell_conv_grads` before `_unet_backward`.
     """
-    if result.unet_cache is None:
+    cache = result.unet_cache
+    if cache is None:
         raise ValueError("engrave_grads needs an engrave run with keep_cache")
+    t = params.tensors
+    grads: dict[str, np.ndarray] = {}
+    trunk = FeatureGrid(cache["acts"][-1], result.block_grid.range)
+    d_rows, grads["feature_head.w"], grads["feature_head.b"] = nn.linear_grads(
+        cache["rows"], t["feature_head.w"], d_features
+    )
+    d_coarse = d_coarse + feature_sample_query_grad(trunk, result.coarse, d_rows)
     d_carved = gridding_reverse_grad(result.carved, len(result.coarse), result.threshold, d_coarse)
-    kernels = KernelField.from_head(result.unet_cache["acts"][-1], params)
-    kernel_grads = cell_conv_grads(result.block_grid, kernels, d_carved)
-    return _unet_backward(result.unet_cache, params, kernel_grads, result.features.voxels, d_table)
+    kernels = KernelField.from_head(trunk.values, params)
+    d_trunk, grads["kernel_head.w"], grads["kernel_head.b"] = cell_conv_grads(
+        result.block_grid, kernels, d_carved
+    )
+    d_trunk += feature_sample_grad(trunk, result.coarse, d_rows)
+    grads.update(_unet_backward(cache, params, d_trunk))
+    return grads

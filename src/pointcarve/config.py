@@ -98,9 +98,13 @@ class RunConfig:
         check(self.grid_res >= 4, f"grid_res must be >= 4, got {self.grid_res}")
         check(self.grid_res <= MAX_GRID_RES, f"grid_res must be <= {MAX_GRID_RES}, got {self.grid_res}")
         check(self.unet_stages >= 1, "unet_stages must be >= 1")
+        # CarveModelConfig's two rules: whole cells at every stage, and at
+        # least 2 of them per axis at the bottleneck.
+        d = 2**self.unet_stages
         check(
-            self.grid_res % (2**self.unet_stages) == 0,
-            f"grid_res={self.grid_res} must be divisible by 2^unet_stages={2**self.unet_stages}",
+            self.grid_res % d == 0 and self.grid_res >= 2 * d,
+            f"grid_res={self.grid_res} must be divisible by 2^unet_stages={d} "
+            f"and at least 2^(unet_stages+1)={2 * d}",
         )
         check(self.unet_base_width >= 1, "unet_base_width must be >= 1")
         check(self.kernel_size >= 1 and self.kernel_size % 2 == 1, "kernel_size must be odd and >= 1")

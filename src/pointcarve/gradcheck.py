@@ -23,6 +23,7 @@ from .gridding import (
     VoxelGrid,
     feature_sample,
     feature_sample_grad,
+    feature_sample_query_grad,
     gridding_reverse,
     gridding_reverse_grad,
 )
@@ -112,22 +113,27 @@ def check_gridding_reverse(seed: int, instances: int = 20) -> GradCheckResult:
 
 
 def check_feature_sample(seed: int, instances: int = 20) -> GradCheckResult:
+    """feature_sample_grad and feature_sample_query_grad. The queries keep
+    clear of cell faces, where the sample's slope jumps."""
     worst = 0.0
     for i in range(instances):
         rng = np.random.default_rng((seed, 1000 + i))
         res = int(rng.integers(3, 6))
         channels = int(rng.integers(2, 5))
         values = rng.standard_normal((res, res, res, channels))
-        grid = FeatureGrid.dense(values, _unit_range())
-        query = PointCloud(rng.uniform(0.05, 0.95, size=(int(rng.integers(4, 17)), 3)))
-        upstream = rng.standard_normal((len(query), channels))
-        analytic = feature_sample_grad(grid, query, upstream)
+        n = int(rng.integers(4, 17))
+        points = (rng.integers(0, res - 1, (n, 3)) + rng.uniform(0.1, 0.9, (n, 3))) / (res - 1)
+        upstream = rng.standard_normal((n, channels))
 
-        def phi(v):
-            out = feature_sample(FeatureGrid.dense(v, _unit_range()), query)
+        def phi(v, pts=points):
+            out = feature_sample(FeatureGrid(v, _unit_range()), PointCloud(pts))
             return float(np.sum(upstream * out))
 
+        grid, query = FeatureGrid(values, _unit_range()), PointCloud(points)
+        analytic = feature_sample_grad(grid, query, upstream)
         worst = max(worst, _fd_compare(phi, values, analytic, rng))
+        analytic = feature_sample_query_grad(grid, query, upstream)
+        worst = max(worst, _fd_compare(lambda v: phi(values, v), points, analytic, rng))
     return GradCheckResult("feature_sample_grad", worst, TOL_DEFAULT, instances)
 
 
@@ -199,19 +205,16 @@ def check_conv3(seed: int, instances: int = 20) -> GradCheckResult:
 
 
 def _tiny_refine_instance(rng: np.random.Generator):
-    res, channels = 4, 3
-    features = FeatureGrid.dense(rng.standard_normal((res, res, res, channels)), _unit_range())
+    m, channels = 5, 3
+    features = rng.standard_normal((m, channels))
     layer_rng = np.random.default_rng(int(rng.integers(2**31)))
     params, d = [], channels + 3
     for width in (8, 6):
         params.append((nn.fan_in_uniform(layer_rng, (d, width), d, np.dtype(np.float64)),
                        np.zeros(width)))
         d = width
-    # Keep coarse points clear of cell boundaries so the coordinate path is smooth.
-    cell = rng.integers(0, res - 1, size=(5, 3))
-    frac = rng.uniform(0.1, 0.9, size=(5, 3))
-    coarse = PointCloud((cell + frac) / (res - 1))
-    upstream = rng.standard_normal((len(coarse) * 2, 3))
+    coarse = PointCloud(rng.uniform(0.0, 1.0, size=(m, 3)))
+    upstream = rng.standard_normal((m * 2, 3))
     return features, params, coarse, upstream
 
 
@@ -236,10 +239,7 @@ def check_refine(seed: int, instances: int = 20) -> GradCheckResult:
 
                 worst = max(worst, _fd_compare(phi_tensor, params[layer][j], grads[layer][j], rng))
 
-        def phi_feat(v):
-            return phi(params, FeatureGrid(v, features.range, features.voxels, features.resolution))
-
-        worst = max(worst, _fd_compare(phi_feat, features.table, grad_feat, rng))
+        worst = max(worst, _fd_compare(lambda v: phi(params, v), features, grad_feat, rng))
         worst = max(worst, _fd_compare(lambda v: phi(params, pts=v), coarse.points.copy(),
                                        grad_coarse, rng))
     return GradCheckResult("refine_grads", worst, TOL_DEFAULT, instances)

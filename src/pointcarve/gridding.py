@@ -45,51 +45,30 @@ class VoxelGrid:
 
 @dataclass(frozen=True)
 class FeatureGrid:
-    """Feature field on an H x W x M vertex lattice over `range`, held as a
-    table of rows at listed vertices.
+    """Feature field on an H x W x M vertex lattice over `range`: an
+    (H, W, M, F) array of any strides.
 
-    Row u of the (U, F) `table` holds the features of the vertex whose flat
-    C-order index is `voxels[u]`; `voxels` is sorted and unique, and sampling
-    reads listed vertices only. `engrave` keeps the feature head's rows at
-    the corners of its coarse points this way; `dense` lists every vertex.
+    Sampling reads each corner in place through its (i, j, k) indices, so a
+    view, such as the trunk in the interior of a padded buffer, is never
+    copied.
     """
 
-    table: np.ndarray
+    values: np.ndarray
     range: BoundingRange
-    voxels: np.ndarray
-    resolution: tuple[int, int, int]
 
     def __post_init__(self):
-        t = np.asarray(self.table)
-        res = tuple(int(n) for n in self.resolution)
-        voxels = np.asarray(self.voxels)
-        if t.ndim != 2 or voxels.shape != (len(t),):
-            raise ValueError(
-                f"feature table must be ({len(voxels)}, F) for {len(voxels)} voxels, "
-                f"got shape {t.shape}"
-            )
-        if voxels.dtype.kind not in "iu" or (len(voxels) and (
-            voxels[0] < 0 or voxels[-1] >= np.prod(res) or np.any(voxels[1:] <= voxels[:-1])
-        )):
-            raise ValueError("feature voxels must be sorted, unique flat vertex indices")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("feature grid values contain non-finite entries")
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "voxels", voxels)
-        object.__setattr__(self, "resolution", res)
-
-    @staticmethod
-    def dense(values: np.ndarray, range: BoundingRange) -> "FeatureGrid":
-        """The grid listing every vertex of an (H, W, M, F) array."""
-        v = np.asarray(values)
+        v = np.asarray(self.values)
         if v.ndim != 4:
             raise ValueError(f"feature grid values must be 4D, got shape {v.shape}")
-        res = v.shape[:3]
-        return FeatureGrid(v.reshape(-1, v.shape[3]), range, np.arange(int(np.prod(res))), res)
+        object.__setattr__(self, "values", v)
+
+    @property
+    def resolution(self) -> tuple[int, int, int]:
+        return self.values.shape[:3]
 
     @property
     def channels(self) -> int:
-        return self.table.shape[1]
+        return self.values.shape[3]
 
 
 # The 8 corners (dx, dy, dz) of a cell as an (8, 3) offset array, corner
@@ -102,10 +81,11 @@ _CORNERS = np.array(
 def _corner_table(points: np.ndarray, resolution, range: BoundingRange):
     """Trilinear corner table of each (clamped) point's cell.
 
-    Returns (idx, w, axis_w). idx and w are (N, 8): flat C-order vertex
-    indices and weights (wx*wy)*wz in corner order dx*4 + dy*2 + dz; each
-    row of w sums to 1. axis_w is (3, 2, N): axis_w[a, d] is the factor
-    along axis a of the corners at offset d, 1 - f or f for in-cell fraction f.
+    Returns (ijk, w, axis_w). ijk is (3, 2, N): ijk[a, d] is the vertex index
+    along axis a of the corners at offset d. w is (N, 8): weights
+    (wx*wy)*wz in corner order dx*4 + dy*2 + dz; each row sums to 1. axis_w
+    is (3, 2, N): axis_w[a, d] is the factor along axis a of the corners at
+    offset d, 1 - f or f for in-cell fraction f.
     """
     res = np.asarray(resolution)
     u = (range.clamp(points) - range.lo) / range.extent * (res - 1)
@@ -117,10 +97,14 @@ def _corner_table(points: np.ndarray, resolution, range: BoundingRange):
     # Outer products over (dx, dy, dz) flatten to corner order dx*4 + dy*2 + dz.
     wx, wy, wz = axis_w
     w = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
-    ix, iy, iz = i0.T[:, None, :] + np.array([[0], [1]])
-    idx = (ix[:, None, None] * res[1] + iy[None, :, None]) * res[2] + iz[None, None, :]
-    n = len(points)
-    return idx.reshape(8, n).T, w.reshape(8, n).T, axis_w
+    ijk = i0.T[:, None, :] + np.array([[0], [1]])
+    return ijk, w.reshape(8, len(points)).T, axis_w
+
+
+def _corner_at(ijk: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The (i, j, k) index arrays of every point's corner k."""
+    dx, dy, dz = _CORNERS[k]
+    return ijk[0, dx], ijk[1, dy], ijk[2, dz]
 
 
 def gridding(
@@ -140,8 +124,9 @@ def gridding(
         raise ValueError("grid resolution must be >= 2 per axis")
     flat = np.zeros(H * W * M, dtype=np.float64)
     if len(cloud):
-        idx, w, _ = _corner_table(cloud.points, resolution, range)
-        for idx_k, w_k in zip(idx.T, w.T):
+        (ix, iy, iz), w, _ = _corner_table(cloud.points, resolution, range)
+        idx = (ix[:, None, None] * W + iy[None, :, None]) * M + iz[None, None, :]
+        for idx_k, w_k in zip(idx.reshape(8, -1), w.T):
             flat += np.bincount(idx_k, weights=w_k, minlength=flat.size)
     return VoxelGrid(flat.reshape(H, W, M).astype(dtype, copy=False), range)
 
@@ -249,46 +234,35 @@ def gridding_reverse_grad(
     return grad.astype(grid.values.dtype, copy=False)
 
 
-def _table_corners(features: FeatureGrid, points: np.ndarray):
-    """`_corner_table` of the points with each vertex index replaced by its
-    row in `features.table`. Raises if a corner is not listed."""
-    idx, w, axis_w = _corner_table(points, features.resolution, features.range)
-    voxels = features.voxels
-    rows = np.searchsorted(voxels, idx)
-    if idx.size and (rows.max() >= len(voxels) or not np.array_equal(voxels[rows], idx)):
-        raise ValueError("query reads a vertex the feature grid does not list")
-    return rows, w, axis_w
-
-
 def feature_sample(features: FeatureGrid, query: PointCloud) -> np.ndarray:
     """The (N, F) trilinear interpolation of the vertex features at the query
-    points, in the table's dtype. Queries outside the range are clamped."""
-    rows, w, _ = _table_corners(features, query.points)
-    table = features.table
-    out = np.zeros((len(query), features.channels), dtype=table.dtype)
+    points, in the grid's dtype. Queries outside the range are clamped."""
+    ijk, w, _ = _corner_table(query.points, features.resolution, features.range)
+    values = features.values
+    out = np.zeros((len(query), features.channels), dtype=values.dtype)
     # One corner's (N, F) rows at a time, never the (N, 8, F) gather.
     for k in range(8):
-        out += w[:, k, None] * table[rows[:, k]]
+        out += w[:, k, None] * values[_corner_at(ijk, k)]
     return out
 
 
 def feature_sample_grad(
     features: FeatureGrid, query: PointCloud, upstream: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of `feature_sample` w.r.t. the (U, F) table. Listed vertices
-    that no query reads get zero."""
+    """Adjoint of `feature_sample` w.r.t. the grid: a fresh (H, W, M, F)
+    array. Vertices that no query reads get zero."""
     upstream = np.asarray(upstream)
     if upstream.shape != (len(query), features.channels):
         raise ValueError(
             f"upstream must have shape ({len(query)}, {features.channels}), "
             f"got {upstream.shape}"
         )
-    rows, w, _ = _table_corners(features, query.points)
-    grad = np.zeros(features.table.shape, features.table.dtype)
+    ijk, w, _ = _corner_table(query.points, features.resolution, features.range)
+    grad = np.zeros(features.values.shape, features.values.dtype)
     for k in range(8):
         # Cast before scattering: np.add.at is many times slower when it
-        # has to cast each float64 contribution to a float32 table itself.
-        np.add.at(grad, rows[:, k], (w[:, k, None] * upstream).astype(grad.dtype, copy=False))
+        # has to cast each float64 contribution to a float32 grid itself.
+        np.add.at(grad, _corner_at(ijk, k), (w[:, k, None] * upstream).astype(grad.dtype, copy=False))
     return grad
 
 
@@ -302,8 +276,7 @@ def feature_sample_query_grad(
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     points = query.points
-    rows, _, axis_w = _table_corners(features, points)
-    table = features.table
+    ijk, _, axis_w = _corner_table(points, features.resolution, features.range)
     # d(fraction)/d(world coordinate), zeroed where the query was clamped.
     du = (np.asarray(features.resolution) - 1) / features.range.extent
     inside = (points > features.range.lo) & (points < features.range.hi)
@@ -314,7 +287,7 @@ def feature_sample_query_grad(
     grad = np.zeros_like(points)
     wx, wy, wz = axis_w
     for k, (dx, dy, dz) in enumerate(_CORNERS):
-        g = (upstream * table[rows[:, k]]).sum(axis=1)
+        g = (upstream * features.values[_corner_at(ijk, k)]).sum(axis=1)
         grad[:, 0] += g * sign[dx] * wy[dy] * wz[dz] * du[0]
         grad[:, 1] += g * wx[dx] * sign[dy] * wz[dz] * du[1]
         grad[:, 2] += g * wx[dx] * wy[dy] * sign[dz] * du[2]

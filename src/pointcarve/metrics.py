@@ -129,7 +129,8 @@ class EvalReport:
         counts: dict[str, int] = {}
         for key, value in entries.items():
             if key.startswith("category."):
-                _, name, fieldname = key.split(".", 2)
+                # Off the right: a category name may itself hold dots.
+                name, _, fieldname = key.removeprefix("category.").rpartition(".")
                 if fieldname == "count":
                     counts[name] = int(value)
                 elif fieldname == "mean_cd_scaled":

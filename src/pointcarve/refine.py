@@ -1,5 +1,11 @@
-"""Coarse-to-dense refinement: per-point features through a small
-fully-connected stack produce r offset vectors per coarse point.
+"""Coarse-to-dense refinement: each coarse point's features and
+coordinates through a small fully-connected stack produce r offset vectors
+per coarse point.
+
+`refine` is a plain MLP over the (m, F + 3) rows of [features, coords].
+The features come from `engrave`, which samples the decoder trunk at the
+coarse points and runs the feature head on those rows, so the sampling and
+its adjoints belong to the carve stage, not here.
 
 The dense cloud replicates each coarse point r times and displaces the
 copies, so |dense| = r * |coarse| and a zero-initialized final layer leaves
@@ -23,7 +29,6 @@ import numpy as np
 
 from . import nn
 from .cloud import PointCloud
-from .gridding import FeatureGrid, feature_sample, feature_sample_grad, feature_sample_query_grad
 
 # Coarse points per chunk of the MLP. With OpenBLAS 0.3.31 on one thread,
 # chunks of 512 and 1024 rows give the paper preset's dense cloud
@@ -39,22 +44,21 @@ Layers = list[tuple[np.ndarray, np.ndarray]]
 
 @dataclass
 class RefineTape:
-    """What `refine_grads` reads of one `refine` call with keep_cache: its
-    inputs plus every layer's input and the head's output, each a fresh
-    (m, width) array. The hidden activations ran in place over their
-    pre-activations; their gradients read the activation's sign, which
-    equals the pre-activation's."""
+    """What `refine_grads` reads of one `refine` call with keep_cache: every
+    layer's input, the first being the (m, F + 3) [features, coords] rows,
+    and the head's output, each a fresh (m, width) array. The hidden
+    activations ran in place over their pre-activations; their gradients
+    read the activation's sign, which equals the pre-activation's."""
 
-    coarse: PointCloud
-    features: FeatureGrid
     acts: list[np.ndarray]
 
 
 def refine(
-    coarse: PointCloud, features: FeatureGrid, params: Layers, keep_cache: bool = False
+    coarse: PointCloud, features: np.ndarray, params: Layers, keep_cache: bool = False
 ) -> tuple[PointCloud, RefineTape | None]:
     """Expand the coarse cloud to r points per input point via offsets from
-    the MLP whose (w, b) layer pairs are `params`.
+    the MLP whose (w, b) layer pairs are `params`, over each point's (F,)
+    features and its coordinates.
 
     Returns (dense, tape): with keep_cache the tape for `refine_grads`, else
     None. Output ordering: dense index = coarse index * r + offset index.
@@ -74,14 +78,13 @@ def refine(
             f"coarse coordinates overflow {dtype}: largest magnitude {biggest:.3g} "
             f"exceeds {limit:.3g}"
         )
-    feats = feature_sample(features, coarse).astype(dtype, copy=False)
-    if feats.shape[1] + 3 != len(params[0][0]):
-        raise ValueError(
-            f"feature dim {feats.shape[1]} + 3 coordinates does not match "
-            f"first-layer input width {len(params[0][0])}"
-        )
-    x = np.concatenate([feats, coarse.points.astype(dtype)], axis=1)
     m, n = len(coarse), len(params)
+    if features.ndim != 2 or len(features) != m or features.shape[1] + 3 != len(params[0][0]):
+        raise ValueError(
+            f"features {features.shape} for {m} points: feature dim + 3 coordinates "
+            f"must match first-layer input width {len(params[0][0])}"
+        )
+    x = np.concatenate([features.astype(dtype, copy=False), coarse.points.astype(dtype)], axis=1)
     # Layer i writes rows [s, e) of a whole array (the tape's, and always the
     # last layer's), or the first e - s rows of its workspace buffer.
     whole = [keep_cache or i == n - 1 for i in range(n)]
@@ -99,7 +102,7 @@ def refine(
                 nn.leaky_relu(h, out=h)
     offsets = outs[-1].astype(np.float64).reshape(m, -1, 3)
     dense = (coarse.points[:, None, :] + offsets).reshape(-1, 3)
-    tape = RefineTape(coarse, features, [x, *outs]) if keep_cache else None
+    tape = RefineTape([x, *outs]) if keep_cache else None
     return PointCloud(dense), tape
 
 
@@ -107,14 +110,13 @@ def refine_grads(
     tape: RefineTape, params: Layers, upstream: np.ndarray
 ) -> tuple[Layers, np.ndarray, np.ndarray]:
     """Adjoints of the `refine` call that recorded `tape` w.r.t. (its
-    (w, b) layer pairs, the (U, F) feature table, coarse coords).
+    (w, b) layer pairs, the (m, F) features, the coarse coordinates).
 
     The coarse-coordinate gradient has two paths: the identity path (each
-    dense point starts at its source) and the feature-sampling path (moving
-    the point changes the sampled feature).
+    dense point starts at its source) and the coordinate input of the MLP.
     """
-    coarse, features, acts = tape.coarse, tape.features, tape.acts
-    m = len(coarse)
+    acts = tape.acts
+    m, n = len(acts[0]), len(params)
     r = params[-1][0].shape[1] // 3
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (m * r, 3):
@@ -122,19 +124,10 @@ def refine_grads(
 
     d_coarse_identity = upstream.reshape(m, r, 3).sum(axis=1)
     d = upstream.reshape(m, r * 3).astype(params[0][0].dtype)
-    n = len(params)
     grads: Layers = [None] * n
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             d = nn.leaky_relu_grad(acts[i + 1], d)
         d, gw, gb = nn.linear_grads(acts[i], params[i][0], d)
         grads[i] = (gw, gb)
-    d_feats = d[:, : features.channels]
-    d_coords_concat = d[:, features.channels :].astype(np.float64)
-
-    grad_features = feature_sample_grad(features, coarse, d_feats)
-    d_coarse_sampling = feature_sample_query_grad(
-        features, coarse, d_feats.astype(np.float64)
-    )
-    grad_coarse = d_coarse_identity + d_coords_concat + d_coarse_sampling
-    return grads, grad_features, grad_coarse
+    return grads, d[:, :-3], d_coarse_identity + d[:, -3:].astype(np.float64)

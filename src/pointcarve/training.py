@@ -158,11 +158,11 @@ def _backward_sample(
     fwd: SampleForward, params: CarveModelParams, d_coarse: np.ndarray, d_dense: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for one forward pass given cloud upstreams."""
-    layer_grads, d_table, d_coarse_refine = refine_grads(
+    layer_grads, d_features, d_coarse_refine = refine_grads(
         fwd.refine_tape, params.refine_layers, d_dense
     )
     d_coarse_total = np.asarray(d_coarse, dtype=np.float64) + d_coarse_refine
-    grads = engrave_grads(fwd.engrave, params, d_coarse_total, d_table)
+    grads = engrave_grads(fwd.engrave, params, d_coarse_total, d_features)
     for i, (gw, gb) in enumerate(layer_grads):
         grads[f"refine{i}.w"] = gw
         grads[f"refine{i}.b"] = gb

@@ -25,7 +25,6 @@ from pointcarve import (
 )
 from pointcarve.carving import kernel_offsets
 from pointcarve.gradcheck import check_cell_conv
-from pointcarve.gridding import _corner_table
 
 from conftest import random_cloud
 
@@ -190,8 +189,7 @@ class TestPredictKernels:
         )
         kern, feat = predict_kernels(grid, params)
         assert kern.values.shape == (32, 32, 32, 27)
-        assert feat.table.shape == (32**3, 32) and feat.resolution == (32, 32, 32)
-        np.testing.assert_array_equal(feat.voxels, np.arange(32**3))
+        assert feat.values.shape == (32, 32, 32, 32) and feat.resolution == (32, 32, 32)
 
     def test_zero_grid_zero_heads_gives_bias(self, rng):
         params = CarveModelParams.initialize(TINY, seed=1)
@@ -207,7 +205,7 @@ class TestPredictKernels:
         k1, f1 = predict_kernels(grid, params)
         k2, f2 = predict_kernels(grid, params)
         np.testing.assert_array_equal(k1.values, k2.values)
-        np.testing.assert_array_equal(f1.table, f2.table)
+        np.testing.assert_array_equal(f1.values, f2.values)
 
     def test_resolution_mismatch_errors(self, rng):
         params = CarveModelParams.initialize(TINY, seed=0)
@@ -237,6 +235,8 @@ def _range_unit():
 
 class TestEngrave:
     def test_composition_matches_manual_chain(self, rng):
+        from pointcarve import feature_sample
+
         params = CarveModelParams.initialize(TINY, seed=4)
         partial = random_cloud(rng, 64)
         bounds = compute_bounds(partial, padding=0.1)
@@ -249,9 +249,8 @@ class TestEngrave:
         carved = cell_conv(block_grid, kern)
         coarse2 = gridding_reverse(carved, 32, 0.0)
         np.testing.assert_array_equal(result.coarse.points, coarse2.points)
-        np.testing.assert_array_equal(
-            result.features.table, feat2.table[result.features.voxels]
-        )
+        # The head after sampling, or sampled after the head: equal up to rounding.
+        np.testing.assert_allclose(result.features, feature_sample(feat2, coarse2), rtol=1e-12)
         np.testing.assert_array_equal(result.block_grid.values, block_grid.values)
         np.testing.assert_array_equal(result.carved.values, carved.values)
         assert result.unet_cache is None
@@ -269,7 +268,7 @@ class TestEngrave:
         result = engrave(block, params, 32, threshold=0.1)
         assert result.threshold == 0.1
         with pytest.raises(ValueError, match="keep_cache"):
-            engrave_grads(result, params, np.zeros((32, 3)), np.zeros(result.features.table.shape))
+            engrave_grads(result, params, np.zeros((32, 3)), np.zeros(result.features.shape))
 
     def test_untrained_model_finite(self, rng):
         params = CarveModelParams.initialize(TINY, seed=6)
@@ -277,7 +276,15 @@ class TestEngrave:
         block = build_point_block(partial, compute_bounds(partial, 0.05), 3)
         result = engrave(block, params, 16)
         assert np.all(np.isfinite(result.coarse.points))
-        assert np.all(np.isfinite(result.features.table))
+        assert np.all(np.isfinite(result.features))
+
+    def test_non_finite_features_rejected(self, rng):
+        params = CarveModelParams.initialize(TINY, seed=6)
+        params.tensors["feature_head.b"][1] = np.inf
+        partial = random_cloud(rng, 32)
+        block = build_point_block(partial, compute_bounds(partial, 0.05), 3)
+        with pytest.raises(ValueError, match="feature head output contains non-finite values"):
+            engrave(block, params, 16)
 
     def test_deterministic(self, rng):
         params = CarveModelParams.initialize(TINY, seed=7)
@@ -299,14 +306,15 @@ def _run_config(preset):
 
 
 class TestFeaturesAtSampledVoxels:
-    """engrave evaluates the feature head only at the vertices refine reads."""
+    """engrave runs the feature head only on the trunk sampled at the m
+    coarse points."""
 
     @pytest.mark.parametrize("preset", ["tiny", "desk"])
-    def test_matches_the_dense_reference_bit_for_bit(self, preset):
+    def test_matches_the_dense_reference_in_float64(self, preset):
         from pointcarve import feature_sample, refine
         from pointcarve.training import complete_cloud, make_block
 
-        cfg = _run_config(preset)
+        cfg = _run_config(preset).replace(dtype="float64")
         model = cfg.carve_config()
         params = CarveModelParams.initialize(model, 21)
         partial = random_cloud(np.random.default_rng(22), 300, -0.5, 0.5)
@@ -314,7 +322,7 @@ class TestFeaturesAtSampledVoxels:
         block = make_block(partial, bounds, cfg)
         result = engrave(block, params, cfg.coarse_m, cfg.carve_threshold, keep_cache=False)
 
-        # Reference: the whole feature grid, sampled at the coarse points.
+        # Reference: the head over every vertex, sampled at the coarse points.
         block_grid = gridding(
             PointCloud(block.all_points()), model.resolution, bounds, model.np_dtype
         )
@@ -322,20 +330,36 @@ class TestFeaturesAtSampledVoxels:
             gridding(block.partial, model.resolution, bounds, model.np_dtype), params
         )
         coarse = gridding_reverse(cell_conv(block_grid, kern), cfg.coarse_m, cfg.carve_threshold)
-        dense = refine(coarse, dense_features, params.refine_layers)[0]
+        want = feature_sample(dense_features, coarse)
+        dense = refine(coarse, want, params.refine_layers)[0]
 
         np.testing.assert_array_equal(result.coarse.points, coarse.points)
-        voxels = np.unique(_corner_table(coarse.points, model.resolution, bounds)[0])
-        assert result.features.voxels.dtype == voxels.dtype
-        np.testing.assert_array_equal(result.features.voxels, voxels)
-        np.testing.assert_array_equal(
-            result.features.table, dense_features.table[result.features.voxels]
-        )
-        np.testing.assert_array_equal(feature_sample(result.features, coarse),
-                                      feature_sample(dense_features, coarse))
+        assert result.features.shape == (cfg.coarse_m, model.feature_dim)
+        np.testing.assert_allclose(result.features, want, rtol=1e-12)
         got_coarse, got_dense = complete_cloud(partial, params, cfg)
         np.testing.assert_array_equal(got_coarse.points, coarse.points)
-        np.testing.assert_array_equal(got_dense.points, dense.points)
+        np.testing.assert_allclose(got_dense.points, dense.points, rtol=1e-12)
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_served_feature_head_reads_m_rows(self, preset, monkeypatch):
+        from pointcarve import nn
+        from pointcarve.training import make_block
+
+        cfg = _run_config(preset)
+        model = cfg.carve_config()
+        params = CarveModelParams.initialize(model, 25)
+        partial = random_cloud(np.random.default_rng(26), 300, -0.5, 0.5)
+        block = make_block(partial, compute_bounds(partial, cfg.bounds_padding_partial), cfg)
+        reads = []
+        linear = nn.linear
+
+        def counted(x, w, b, out=None):
+            reads.append(x.shape)
+            return linear(x, w, b, out)
+
+        monkeypatch.setattr(nn, "linear", counted)
+        engrave(block, params, cfg.coarse_m, cfg.carve_threshold)
+        assert reads == [(cfg.coarse_m, model.base_width)]
 
     @pytest.mark.parametrize("preset", ["tiny", "desk"])
     def test_no_array_is_feature_grid_sized(self, preset):
@@ -353,12 +377,13 @@ class TestFeaturesAtSampledVoxels:
             assert len(arrays) > 10
             assert [a.shape for a in arrays if a.size == grid_size] == []
             features = fwd.engrave.features
+            assert features.shape == (cfg.coarse_m, model.feature_dim)
             if keep_cache:
-                assert features is fwd.refine_tape.features
+                rows = fwd.engrave.unet_cache["rows"]
+                assert rows.shape == (cfg.coarse_m, model.base_width)
+                np.testing.assert_array_equal(fwd.refine_tape.acts[0][:, :-3], features)
             else:
                 assert fwd.refine_tape is None
-            assert features.table.shape == (len(features.voxels), model.feature_dim)
-            assert len(features.voxels) <= 8 * cfg.coarse_m
 
 
 def _slab_planes(monkeypatch, resolution, planes):
@@ -390,12 +415,13 @@ class TestKernelHeadInSlabs:
         block_grid = gridding(
             PointCloud(block.all_points()), model.resolution, bounds, model.np_dtype
         )
-        kern, dense_features = predict_kernels(
+        kern, _ = predict_kernels(
             gridding(block.partial, model.resolution, bounds, model.np_dtype), params
         )
         carved = cell_conv(block_grid, kern)
         coarse = gridding_reverse(carved, cfg.coarse_m, cfg.carve_threshold)
-        dense = refine(coarse, dense_features, params.refine_layers)[0]
+        features = engrave(block, params, cfg.coarse_m, cfg.carve_threshold).features
+        dense = refine(coarse, features, params.refine_layers)[0]
 
         slabs = _slab_planes(monkeypatch, model.resolution, 3)
         assert len(slabs) > 2 and slabs[-1][1] - slabs[-1][0] != 3
@@ -530,11 +556,10 @@ def _refine_chunks(monkeypatch, rows):
 
 def _whole_batch_dense(coarse, features, layers):
     """The refinement MLP over every coarse point at once, one GEMM a layer."""
-    from pointcarve import feature_sample, nn
+    from pointcarve import nn
 
     dtype = layers[0][0].dtype
-    h = np.concatenate([feature_sample(features, coarse).astype(dtype),
-                        coarse.points.astype(dtype)], axis=1)
+    h = np.concatenate([features.astype(dtype), coarse.points.astype(dtype)], axis=1)
     for i, (w, b) in enumerate(layers):
         h = h @ w
         h += b
@@ -675,21 +700,22 @@ class TestNoAliasing:
             np.testing.assert_array_equal(arr, before)
 
     def test_feature_table_is_fresh(self):
+        # engrave's (m, F) features: the head's rows at the coarse points.
         from pointcarve import nn
 
         params = CarveModelParams.initialize(TINY, seed=8)
         partial = random_cloud(np.random.default_rng(14), 48)
         block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
-        table = engrave(block, params, 24).features.table
-        assert table.base is None
-        assert not any(np.shares_memory(table, buf) for buf in nn._local.buffers.values())
+        features = engrave(block, params, 24).features
+        assert features.shape == (24, TINY.feature_dim) and features.base is None
+        assert not any(np.shares_memory(features, buf) for buf in nn._local.buffers.values())
 
     def test_threads_keep_their_own_workspace(self, monkeypatch):
         import sys
         import threading
 
         from pointcarve import gen_shape, SyntheticShapeSpec
-        from pointcarve.training import complete_cloud, loss_and_grads_sample
+        from pointcarve.training import complete_cloud, loss_and_grads_sample, make_block
 
         params = CarveModelParams.initialize(TINY, seed=8)
         cfg = _run_config("tiny")
@@ -705,9 +731,11 @@ class TestNoAliasing:
 
         def work_on(i):
             coarse, dense = complete_cloud(partials[i], params, cfg)
+            bounds = compute_bounds(partials[i], cfg.bounds_padding_partial)
+            features = engrave(make_block(partials[i], bounds, cfg), params, cfg.coarse_m).features
             step = loss_and_grads_sample(partials[i], gts[i], params, cfg, aug_seed=i)
             return [predict_kernels(grids[i], params)[0].values, coarse.points, dense.points,
-                    np.float64(step.loss.total), *step.grads.values()]
+                    features, np.float64(step.loss.total), *step.grads.values()]
 
         expected = [[a.copy() for a in work_on(i)] for i in range(len(grids))]
         results: dict[tuple[int, int], list[np.ndarray]] = {}

@@ -139,6 +139,18 @@ def trained(synth_dir, tmp_path_factory):
     return work, ckpt
 
 
+def test_train_with_too_few_bottleneck_cells_leaves_no_log(synth_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "deep.cfg"
+    cfg_path.write_text(TINY_CFG_TEXT.replace("unet_stages = 2", "unet_stages = 3"))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg_path), "--out", str(ckpt),
+                 "--manifest", str(synth_dir / "manifest.txt")])
+    assert_one_line_failure(code, capsys, "invalid config: grid_res=8 must be divisible by "
+                            "2^unet_stages=8 and at least 2^(unet_stages+1)=16")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 class TestTrainCompleteEval:
     def test_train_outputs(self, trained):
         work, ckpt = trained

@@ -17,9 +17,9 @@ from pointcarve import (
 from pointcarve.gradcheck import check_feature_sample, check_gridding_reverse
 from pointcarve.gridding import (
     _CORNERS,
+    _corner_at,
     _corner_table,
     _reverse_select,
-    _table_corners,
     feature_sample_query_grad,
 )
 
@@ -244,13 +244,13 @@ class TestGriddingReverseGrad:
 class TestFeatureSample:
     def test_query_on_vertex(self, rng, unit_range):
         values = rng.random((*RES, 6))
-        grid = FeatureGrid.dense(values, unit_range)
+        grid = FeatureGrid(values, unit_range)
         out = feature_sample(grid, PointCloud(np.array([[1 / 3, 2 / 3, 0.0]])))
         np.testing.assert_allclose(out[0], values[1, 2, 0], atol=1e-12)
 
     def test_cell_center_is_corner_mean(self, rng, unit_range):
         values = rng.random((*RES, 3))
-        grid = FeatureGrid.dense(values, unit_range)
+        grid = FeatureGrid(values, unit_range)
         center = np.array([[0.5, 0.5, 0.5]])  # center of cell (1,1,1)
         out = feature_sample(grid, PointCloud(center))
         expected = values[1:3, 1:3, 1:3].reshape(8, 3).mean(axis=0)
@@ -258,34 +258,34 @@ class TestFeatureSample:
 
     def test_constant_grid_constant_output(self, rng, unit_range):
         values = np.full((*RES, 2), 3.25)
-        out = feature_sample(FeatureGrid.dense(values, unit_range), random_cloud(rng, 40))
+        out = feature_sample(FeatureGrid(values, unit_range), random_cloud(rng, 40))
         assert out.shape == (40, 2)
         np.testing.assert_allclose(out, 3.25, atol=1e-12)
 
 
 class TestFeatureSampleGrad:
     def test_zero_upstream(self, rng, unit_range):
-        grid = FeatureGrid.dense(rng.random((*RES, 4)), unit_range)
+        grid = FeatureGrid(rng.random((*RES, 4)), unit_range)
         query = random_cloud(rng, 10)
         grad = feature_sample_grad(grid, query, np.zeros((10, 4)))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_vertex_delta(self, unit_range):
-        grid = FeatureGrid.dense(np.zeros((*RES, 2)), unit_range)
+        grid = FeatureGrid(np.zeros((*RES, 2)), unit_range)
         query = PointCloud(np.array([[1 / 3, 0.0, 0.0]]))
         upstream = np.array([[1.0, 0.0]])
         grad = feature_sample_grad(grid, query, upstream)
-        assert grad.shape == (64, 2)
-        assert grad.reshape(*RES, 2)[1, 0, 0, 0] == pytest.approx(1.0)
+        assert grad.shape == (*RES, 2)
+        assert grad[1, 0, 0, 0] == pytest.approx(1.0)
         assert np.sum(np.abs(grad)) == pytest.approx(1.0)
 
     def test_grid_memory_layout_does_not_matter(self, rng, unit_range):
         values = rng.standard_normal((*RES, 3))
         query = random_cloud(rng, 7)
         upstream = rng.standard_normal((7, 3))
-        want = feature_sample_grad(FeatureGrid.dense(values, unit_range), query, upstream)
+        want = feature_sample_grad(FeatureGrid(values, unit_range), query, upstream)
         assert np.abs(want).sum() > 0
-        fortran = FeatureGrid.dense(np.asfortranarray(values), unit_range)
+        fortran = FeatureGrid(np.asfortranarray(values), unit_range)
         np.testing.assert_array_equal(feature_sample_grad(fortran, query, upstream), want)
 
     def test_matches_finite_differences(self):
@@ -293,58 +293,60 @@ class TestFeatureSampleGrad:
         assert result.passed, f"max rel err {result.max_rel_err}"
 
     def test_shape_mismatch_errors(self, rng, unit_range):
-        grid = FeatureGrid.dense(rng.random((*RES, 4)), unit_range)
+        grid = FeatureGrid(rng.random((*RES, 4)), unit_range)
         with pytest.raises(ValueError, match="upstream"):
             feature_sample_grad(grid, random_cloud(rng, 10), np.zeros((10, 3)))
 
 
-class TestFeatureTable:
-    """A FeatureGrid that lists some vertices samples like the dense grid
-    it was gathered from, and its adjoint is the dense one at those rows."""
+def padded_interior(values, pad=1):
+    """`values` as the interior of a zero-padded buffer: a strided view, as
+    the trunk is in the encoder-decoder's padded workspace."""
+    buf = np.zeros(tuple(n + 2 * pad for n in values.shape[:3]) + values.shape[3:], values.dtype)
+    inner = buf[pad:-pad, pad:-pad, pad:-pad]
+    inner[...] = values
+    return inner
 
-    def table_of(self, dense, query, extra=()):
-        """dense's rows at the corners the query reads plus `extra` vertices."""
-        idx = np.concatenate([_corner_table(query.points, dense.resolution, dense.range)[0].ravel(),
-                              np.asarray(extra, dtype=np.int64)])
-        voxels = np.unique(idx)
-        return FeatureGrid(dense.table[voxels], dense.range, voxels, dense.resolution)
+
+class TestFeatureTable:
+    """A FeatureGrid is an (H, W, M, F) array of any strides, read in place:
+    a padded buffer's interior samples like a contiguous copy of it."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_table_gradient_is_dense_gradient_at_listed_voxels(self, rng, unit_range, dtype):
+        # The gradient over a strided view is the contiguous grid's, a fresh
+        # contiguous (H, W, M, F) array, zero at every vertex no query reads.
         res = (6, 5, 7)
-        dense = FeatureGrid.dense(rng.standard_normal((*res, 3)).astype(dtype), unit_range)
+        values = rng.standard_normal((*res, 3)).astype(dtype)
+        dense, view = FeatureGrid(values, unit_range), FeatureGrid(padded_interior(values), unit_range)
+        assert not view.values.flags.c_contiguous
         query = random_cloud(rng, 9, -0.1, 1.1)
-        unread = [0, 17, int(np.prod(res)) - 1]
-        table = self.table_of(dense, query, unread)
-        assert table.table.shape == (len(table.voxels), 3) and len(table.voxels) <= 8 * 9 + 3
         upstream = rng.standard_normal((9, 3)).astype(dtype)
-        np.testing.assert_array_equal(feature_sample(table, query), feature_sample(dense, query))
-        dense_grad = feature_sample_grad(dense, query, upstream)
-        table_grad = feature_sample_grad(table, query, upstream)
-        assert table_grad.shape == table.table.shape and table_grad.dtype == dtype
-        np.testing.assert_array_equal(table_grad, dense_grad[table.voxels])
-        unlisted = np.setdiff1d(np.arange(len(dense_grad)), table.voxels)
-        np.testing.assert_array_equal(dense_grad[unlisted], 0.0)
-        read = np.isin(table.voxels, _corner_table(query.points, res, unit_range)[0])
+        np.testing.assert_array_equal(feature_sample(view, query), feature_sample(dense, query))
+        grad = feature_sample_grad(view, query, upstream)
+        assert grad.shape == (*res, 3) and grad.dtype == dtype and grad.flags.c_contiguous
+        np.testing.assert_array_equal(grad, feature_sample_grad(dense, query, upstream))
+        read = np.zeros(res, dtype=bool)
+        ijk = _corner_table(query.points, res, unit_range)[0]
+        for k in range(8):
+            read[_corner_at(ijk, k)] = True
         assert (~read).any()
-        np.testing.assert_array_equal(table_grad[~read], 0.0)
-        np.testing.assert_array_equal(feature_sample_query_grad(table, query, upstream),
+        np.testing.assert_array_equal(grad[~read], 0.0)
+        np.testing.assert_array_equal(feature_sample_query_grad(view, query, upstream),
                                       feature_sample_query_grad(dense, query, upstream))
 
-    @pytest.mark.parametrize("listed", [False, True])
+    @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_per_corner_reads_equal_the_gather_form(self, rng, unit_range, dtype, listed):
+    def test_per_corner_reads_equal_the_gather_form(self, rng, unit_range, dtype, strided):
         # Sampling reads one corner's rows at a time; the reference gathers
         # all 8 into an (N, 8, F) block first. Same adds, same order: equal
-        # bit for bit, values and query gradients.
+        # bit for bit, values and query gradients, whatever the strides.
         res = (6, 5, 7)
-        features = FeatureGrid.dense(rng.standard_normal((*res, 5)).astype(dtype), unit_range)
+        values = rng.standard_normal((*res, 5)).astype(dtype)
+        features = FeatureGrid(padded_interior(values) if strided else values, unit_range)
         query = random_cloud(rng, 60, -0.1, 1.1)
-        if listed:
-            features = self.table_of(features, query)
         upstream = rng.standard_normal((60, 5))
-        rows, w, (wx, wy, wz) = _table_corners(features, query.points)
-        vals = features.table[rows]
+        ijk, w, (wx, wy, wz) = _corner_table(query.points, res, unit_range)
+        vals = np.stack([values[_corner_at(ijk, k)] for k in range(8)], axis=1)
         ref = np.zeros((60, 5), dtype)
         for k in range(8):
             ref += w[:, k, None] * vals[:, k]
@@ -364,26 +366,13 @@ class TestFeatureTable:
             feature_sample_query_grad(features, query, upstream), ref_grad * active
         )
 
-    def test_query_outside_the_listed_vertices_rejected(self, rng, unit_range):
-        dense = FeatureGrid.dense(rng.standard_normal((*RES, 2)), unit_range)
-        table = self.table_of(dense, PointCloud(np.array([[0.1, 0.1, 0.1]])))
-        far = PointCloud(np.array([[0.9, 0.9, 0.9]]))
-        for call in (lambda: feature_sample(table, far),
-                     lambda: feature_sample_grad(table, far, np.ones((1, 2))),
-                     lambda: feature_sample_query_grad(table, far, np.ones((1, 2)))):
-            with pytest.raises(ValueError, match="does not list"):
-                call()
-
-    def test_table_construction_checks(self, unit_range):
-        table = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="must be 4D"):
-            FeatureGrid.dense(table, unit_range)
-        for voxels in ([0, 2, 1], [0, 1, 1], [-1, 0, 1], [0, 1, 64], [0.0, 1.0, 2.0]):
-            with pytest.raises(ValueError, match="sorted, unique flat vertex indices"):
-                FeatureGrid(table, unit_range, np.array(voxels), RES)
-        with pytest.raises(ValueError, match=r"must be \(2, F\)"):
-            FeatureGrid(table, unit_range, np.array([0, 1]), RES)
-        grid = FeatureGrid(table, unit_range, np.array([0, 5, 63]), RES)
+    def test_table_construction_checks(self, rng, unit_range):
+        for shape in ((3, 2), (4, 4, 4)):
+            with pytest.raises(ValueError, match="must be 4D"):
+                FeatureGrid(np.zeros(shape), unit_range)
+        values = padded_interior(rng.standard_normal((*RES, 2)))
+        grid = FeatureGrid(values, unit_range)
+        assert grid.values is values
         assert grid.resolution == RES and grid.channels == 2
 
 
@@ -419,7 +408,7 @@ def corner_cases(seed=11, count=80):
         points[face] = np.where(rng.random((n, 3)) < 0.5, bounds.lo, bounds.hi)[face]
         dtype = (np.float32, np.float64)[t % 2]
         channels = int(rng.integers(1, 6))
-        features = FeatureGrid.dense(rng.standard_normal(res + (channels,)).astype(dtype), bounds)
+        features = FeatureGrid(rng.standard_normal(res + (channels,)).astype(dtype), bounds)
         yield points, features, bounds
 
 
@@ -430,14 +419,14 @@ class TestCornerTableOracle:
             flat = np.zeros(int(np.prod(res)))
             for _, v, w, _ in reference_corners(points, res, bounds):
                 flat += np.bincount(np.ravel_multi_index(v, res), weights=w, minlength=flat.size)
-            dtype = features.table.dtype
+            dtype = features.values.dtype
             got = gridding(PointCloud(points), res, bounds, dtype).values
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, flat.reshape(res).astype(dtype))
 
     def test_feature_sample_matches_corner_loop(self):
         for points, features, bounds in corner_cases():
-            values = features.table.reshape(*features.resolution, -1)
+            values = features.values
             ref = np.zeros((len(points), features.channels), values.dtype)
             for _, v, w, _ in reference_corners(points, features.resolution, bounds):
                 ref += w[:, None] * values[v]
@@ -449,7 +438,7 @@ class TestCornerTableOracle:
         rng = np.random.default_rng(3)
         for points, features, bounds in corner_cases(seed=12):
             upstream = rng.standard_normal((len(points), features.channels))
-            values = features.table.reshape(*features.resolution, -1)
+            values = features.values
             grid_upstream = upstream.astype(values.dtype)
             res = np.asarray(features.resolution)
             du = (res - 1) / bounds.extent
@@ -465,7 +454,7 @@ class TestCornerTableOracle:
                 ref_query[:, 2] += g * wx * wy * sz * du[2]
             cloud = PointCloud(points)
             grad = feature_sample_grad(features, cloud, grid_upstream)
-            np.testing.assert_array_equal(grad, ref_grid.reshape(grad.shape))
+            np.testing.assert_array_equal(grad, ref_grid)
             np.testing.assert_array_equal(
                 feature_sample_query_grad(features, cloud, upstream), ref_query * active
             )

@@ -1,11 +1,13 @@
 """File formats: XYZ, PLY, config round trips, checkpoint container."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pointcarve import (
+    CarveModelConfig,
     CarveModelParams,
     CheckpointMeta,
     PointCloud,
@@ -246,6 +248,20 @@ class TestRunConfig:
             RunConfig(grid_res=2048)
         with pytest.raises(ValueError, match="grid_res must be <= 256"):
             RunConfig.from_text("grid_res = 512\n")
+
+    def test_grid_res_leaves_two_cells_at_the_bottleneck(self):
+        # The model needs both rules; the config names both fields at once.
+        want = ("invalid config: grid_res=8 must be divisible by 2^unet_stages=8 "
+                "and at least 2^(unet_stages+1)=16")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            RunConfig(grid_res=8, unet_stages=3)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            RunConfig.from_text("grid_res = 8\nunet_stages = 3\n")
+        for grid_res, stages in ((8, 2), (16, 3), (4, 1)):
+            cfg = RunConfig(grid_res=grid_res, unet_stages=stages)
+            assert cfg.carve_config().resolution == (grid_res,) * 3
+        with pytest.raises(ValueError, match=r"must be at least 2\^\(stages\+1\)=16 per axis"):
+            CarveModelConfig(resolution=(8, 16, 16), stages=3)
 
     def test_comments_and_spacing(self):
         cfg = RunConfig.from_text("grid_res=16 # inline comment\nunet_stages = 2\n")

@@ -138,6 +138,19 @@ class TestEvaluate:
         loaded = EvalReport.load(path)
         assert loaded == report
 
+    @pytest.mark.parametrize("names", [("car.v2",), ("car.v2", "plane")])
+    def test_dotted_category_names_round_trip(self, names, tmp_path):
+        means = {name: 1.5 + i for i, name in enumerate(names)}
+        report = EvalReport(
+            category_means=means, category_counts={name: 3 for name in names},
+            overall=float(np.mean(list(means.values()))), weighted=False,
+            config_hash="0123456789ab", seed=7, created_utc="2026-01-01T00:00:00Z",
+        )
+        path = tmp_path / "report.txt"
+        report.save(path)
+        assert "category.car.v2.mean_cd_scaled: 1.5" in path.read_text()
+        assert EvalReport.load(path) == report
+
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no
