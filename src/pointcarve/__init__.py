@@ -26,7 +26,6 @@ from .cloud import (
     mirror_symmetric_block,
     normalize_unit_cube,
     sample_block_points,
-    subsample_fixed,
 )
 from .config import RunConfig
 from .gridding import (
@@ -59,10 +58,9 @@ from .refine import refine, refine_grads
 from .sensoraug import (
     SensorPose,
     VisibilityConfig,
+    draw_pose,
     frustum_cull,
     generate_partials,
-    random_drop,
-    random_sensor,
     visible_points,
 )
 from .shapes import SyntheticShapeSpec, gen_shape
@@ -84,13 +82,13 @@ __all__ = [
     "TrackedSequence", "VisibilityConfig", "VoxelGrid",
     "build_point_block", "cd_scaled", "cell_conv", "cell_conv_grads",
     "chamfer", "chamfer_and_grad", "chamfer_grad", "complete_cloud", "compute_bounds",
-    "consistency", "engrave", "engrave_grads", "evaluate", "feature_sample",
+    "consistency", "draw_pose", "engrave", "engrave_grads", "evaluate", "feature_sample",
     "feature_sample_grad", "frustum_cull", "gen_shape", "generate_partials",
     "gridding", "gridding_reverse", "gridding_reverse_grad",
     "load_checkpoint", "loss_comp", "loss_sim", "lr_schedule",
     "mirror_symmetric_block", "normalize_unit_cube", "optimizer_step",
-    "predict_kernels", "random_drop", "random_sensor", "refine",
+    "predict_kernels", "refine",
     "refine_grads", "sample_block_points", "save_checkpoint",
-    "sensitivity_sweep", "subsample_fixed", "train_toy",
+    "sensitivity_sweep", "train_toy",
     "valid_point_percentage", "visible_points",
 ]

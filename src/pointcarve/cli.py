@@ -159,11 +159,21 @@ def _cmd_check_grads(args) -> int:
     return 0 if ok else 1
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error naming the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+_jobs = _int_at_least(1)
+_seed = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--families", default=",".join(FAMILIES))
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--points", type=int, default=2048, help="surface samples per shape")
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("augment", help="emit virtual-sensor partial views of a cloud")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)
 
@@ -220,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--levels", required=True, help="comma-separated levels in (0, 1]")
     p.add_argument("--method", choices=("random", "sensor"), default="random")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel per-sample workers (results are identical)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check-grads", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check_grads)
 
     return parser

@@ -200,25 +200,10 @@ def mirror_symmetric_block(
     return PointCloud(np.concatenate([partial.points, mirrored], axis=0))
 
 
-@dataclass(frozen=True)
-class UnitCubeTransform:
-    """Record of the isotropic normalization; `invert` undoes `apply`."""
-
-    center: np.ndarray
-    scale: float
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return (points - self.center) * self.scale
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        return points / self.scale + self.center
-
-
-def normalize_unit_cube(cloud: PointCloud) -> tuple[PointCloud, UnitCubeTransform]:
+def normalize_unit_cube(cloud: PointCloud) -> PointCloud:
     """Isotropically scale + translate so the tight box fits in [-0.5, 0.5]^3.
 
-    The longest axis spans exactly [-0.5, 0.5]; the inverse transform is
-    returned for de-normalization.
+    The longest axis spans exactly [-0.5, 0.5].
     """
     if len(cloud) == 0:
         raise ValueError("empty input")
@@ -227,42 +212,4 @@ def normalize_unit_cube(cloud: PointCloud) -> tuple[PointCloud, UnitCubeTransfor
     extent = float((hi - lo).max())
     if extent == 0 or not np.isfinite(1.0 / extent):
         raise ValueError("all points coincident; cannot normalize")
-    transform = UnitCubeTransform(center=(lo + hi) / 2.0, scale=1.0 / extent)
-    return PointCloud(transform.apply(cloud.points)), transform
-
-
-def subsample_fixed(
-    cloud: PointCloud, m: int, method: str = "random", seed: int = 0
-) -> PointCloud:
-    """Exactly m points; oversampling repeats points, methods are seeded."""
-    n = len(cloud)
-    if n == 0:
-        raise ValueError("empty input")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = np.random.default_rng(seed)
-    if method == "random":
-        if m <= n:
-            idx = rng.permutation(n)[:m]
-        else:
-            idx = np.concatenate(
-                [np.tile(np.arange(n), m // n), rng.choice(n, m % n, replace=False)]
-            )
-    elif method == "farthest-point":
-        idx = _farthest_point_indices(cloud.points, min(m, n), rng)
-        if m > n:
-            idx = np.concatenate([idx, idx[np.arange(m - n) % n]])
-    else:
-        raise ValueError(f"unknown subsample method {method!r}")
-    return PointCloud(cloud.points[idx])
-
-
-def _farthest_point_indices(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    chosen = np.empty(m, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    dist = np.sum((points - points[chosen[0]]) ** 2, axis=1)
-    for k in range(1, m):
-        chosen[k] = int(np.argmax(dist))
-        dist = np.minimum(dist, np.sum((points - points[chosen[k]]) ** 2, axis=1))
-    return chosen
+    return PointCloud((cloud.points - (lo + hi) / 2.0) * (1.0 / extent))

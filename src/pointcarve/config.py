@@ -22,7 +22,7 @@ from .carving import CarveModelConfig
 # such as one stored in a checkpoint, cannot ask for a far larger grid.
 MAX_GRID_RES = 256
 
-_CONSTRUCTION_MODES = ("uniform", "none", "mirror", "gt")
+_CONSTRUCTION_MODES = ("uniform", "none", "mirror")
 _SAMPLING_MODES = ("lattice", "random")
 _DTYPES = ("float32", "float64")
 
@@ -46,7 +46,6 @@ class RunConfig:
     n_per_axis: int = 13
     block_sampling: str = "lattice"
     mirror_axis: str = "x"
-    gt_points_count: int = 1331
     bounds_padding_gt: float = 0.0
     bounds_padding_partial: float = 0.15
     eps_box_frac: float = 1e-3
@@ -126,7 +125,6 @@ class RunConfig:
             f"block_sampling must be one of {_SAMPLING_MODES}, got {self.block_sampling!r}",
         )
         check(self.mirror_axis in ("x", "y", "z"), "mirror_axis must be x, y or z")
-        check(self.gt_points_count >= 1, "gt_points_count must be >= 1")
         check(self.bounds_padding_gt >= 0, "bounds_padding_gt must be >= 0")
         check(self.bounds_padding_partial >= 0, "bounds_padding_partial must be >= 0")
         check(self.eps_box_frac > 0, "eps_box_frac must be > 0")
@@ -140,6 +138,7 @@ class RunConfig:
         check(self.batch_size >= 1, "batch_size must be >= 1")
         check(self.epochs >= 1, "epochs must be >= 1")
         check(self.max_steps >= 0, "max_steps must be >= 0 (0 = unlimited)")
+        check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         check(0 < self.sensor_vfov_deg < 180, "sensor_vfov_deg must be in (0, 180)")
         check(0 < self.sensor_hfov_deg < 180, "sensor_hfov_deg must be in (0, 180)")
         check(self.depth_buffer_res >= 16, "depth_buffer_res must be >= 16")
@@ -214,6 +213,7 @@ class RunConfig:
     def from_text(text: str, source: str = "<config>") -> "RunConfig":
         known = {f.name: f for f in fields(RunConfig)}
         values: dict = {}
+        first_line: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -225,6 +225,10 @@ class RunConfig:
             rendered = rendered.strip()
             if key not in known:
                 raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{source}:{lineno}: duplicate config key {key!r} "
+                                 f"(first on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 values[key] = _parse_value(known[key].type, rendered)
             except ValueError as exc:
@@ -238,20 +242,24 @@ class RunConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
 
 
+_KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}
+
+
+def _is_kind(kind: str, value) -> bool:
+    """Whether value may fill a `kind` field; bools are not numbers here."""
+    return isinstance(value, _KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
+
+
 def _typed(name: str, annotation: str, value):
     """value as its field's declared type, so `to_text` renders it as parsed.
 
-    Integers are accepted for float fields; bools are not numbers here.
+    Integers are accepted for float fields.
     """
     if "tuple" in annotation:
+        if not (isinstance(value, tuple) and all(_is_kind("int", v) for v in value)):
+            raise ValueError(f"invalid config: {name} must be a tuple of int, got {value!r}")
         return tuple(int(v) for v in value)
-    if annotation == "float":
-        ok = isinstance(value, numbers.Real)
-    elif annotation == "int":
-        ok = isinstance(value, numbers.Integral)
-    else:
-        ok = isinstance(value, {"bool": bool, "str": str}[annotation])
-    if not ok or (annotation != "bool" and isinstance(value, bool)):
+    if not _is_kind(annotation, value):
         raise ValueError(f"invalid config: {name} must be {annotation}, got {value!r}")
     return {"float": float, "int": int, "bool": bool, "str": str}[annotation](value)
 

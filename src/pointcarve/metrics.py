@@ -15,7 +15,7 @@ from .carving import CarveModelParams
 from .cloud import PointCloud, compute_bounds, normalize_unit_cube
 from .config import RunConfig
 from .losses import chamfer
-from .sensoraug import VisibilityConfig, _draw_pose, visible_points
+from .sensoraug import VisibilityConfig, draw_pose, visible_points
 
 OCCUPANCY_RES = 64
 SWEEP_TOLERANCE = 0.02
@@ -232,11 +232,11 @@ def _cull_to_level(
         # A view cull first (poses live in the normalized unit-cube frame);
         # if the result is still above the window, random-cull the rest.
         try:
-            normalized, _ = normalize_unit_cube(partial)
+            normalized = normalize_unit_cube(partial)
         except ValueError:
             normalized = None
         for _ in range(16 if normalized is not None else 0):
-            pose = _draw_pose(rng, fov[0], fov[1])
+            pose = draw_pose(rng, fov[0], fov[1])
             idx = visible_points(normalized, pose, vis_cfg)
             if len(idx) == 0:
                 continue

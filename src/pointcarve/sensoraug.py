@@ -66,8 +66,8 @@ class VisibilityConfig:
             raise ValueError("depth_eps must be > 0")
 
 
-def random_sensor(
-    seed: int,
+def draw_pose(
+    rng: np.random.Generator,
     vfov: float = math.radians(DEFAULT_FOV_DEG),
     hfov: float = math.radians(DEFAULT_FOV_DEG),
 ) -> SensorPose:
@@ -76,11 +76,6 @@ def random_sensor(
     Up is the projection of +z onto the image plane (+x when the view is
     degenerate with z).
     """
-    rng = np.random.default_rng(seed)
-    return _draw_pose(rng, vfov, hfov)
-
-
-def _draw_pose(rng: np.random.Generator, vfov: float, hfov: float) -> SensorPose:
     while True:
         v = rng.standard_normal(3)
         norm = np.linalg.norm(v)
@@ -160,13 +155,13 @@ def generate_partials(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    normalized, _ = normalize_unit_cube(gt)
+    normalized = normalize_unit_cube(gt)
     rng = np.random.default_rng(seed)
     partials = []
     min_count = max(1, int(math.ceil(min_visible_frac * len(gt))))
     for _ in range(t):
         for _attempt in range(MAX_POSE_ATTEMPTS):
-            pose = _draw_pose(rng, vfov, hfov)
+            pose = draw_pose(rng, vfov, hfov)
             idx = visible_points(normalized, pose, cfg)
             if len(idx) >= min_count:
                 break
@@ -174,13 +169,3 @@ def generate_partials(
             raise ValueError("degenerate shape for augmentation")
         partials.append(PointCloud(gt.points[idx]))
     return partials
-
-
-def random_drop(gt: PointCloud, fraction: float, seed: int) -> PointCloud:
-    """Keep a uniformly random ceil((1 - fraction) * |gt|) subset."""
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
-    n_keep = int(math.ceil((1.0 - fraction) * len(gt)))
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(gt), n_keep, replace=False))
-    return PointCloud(gt.points[idx])

@@ -22,7 +22,6 @@ from .cloud import (
     build_point_block,
     compute_bounds,
     mirror_symmetric_block,
-    subsample_fixed,
 )
 from .config import RunConfig
 from .losses import LossBreakdown, chamfer, chamfer_and_grad
@@ -86,9 +85,7 @@ def lr_schedule(epoch: int, lr0: float, halve_every: int = 40) -> float:
 # ---------------------------------------------------------------------------
 
 
-def make_block(
-    partial: PointCloud, range: BoundingRange, config: RunConfig, gt: PointCloud | None = None
-) -> PointBlock:
+def make_block(partial: PointCloud, range: BoundingRange, config: RunConfig) -> PointBlock:
     """Assemble the point-block per the configured construction mode."""
     mode = config.block_construction
     if mode == "uniform":
@@ -104,11 +101,6 @@ def make_block(
         mirrored = mirror_symmetric_block(clamped, axis, center)
         filler = PointCloud(mirrored.points[len(clamped):])
         return assemble_block(partial, filler, range)
-    if mode == "gt":
-        if gt is None:
-            raise ValueError("gt block construction requires the ground-truth cloud")
-        filler = subsample_fixed(gt, config.gt_points_count, "random", config.seed)
-        return assemble_block(partial, PointCloud(range.clamp(filler.points)), range)
     raise ValueError(f"unknown block construction {mode!r}")
 
 
@@ -124,10 +116,9 @@ def forward_sample(
     range: BoundingRange,
     params: CarveModelParams,
     config: RunConfig,
-    gt: PointCloud | None = None,
     keep_cache: bool = False,
 ) -> SampleForward:
-    block = make_block(partial, range, config, gt)
+    block = make_block(partial, range, config)
     result = engrave(block, params, config.coarse_m, config.carve_threshold, keep_cache)
     dense, tape = refine(result.coarse, result.features, params.refine_layers, keep_cache)
     return SampleForward(engrave=result, dense=dense, refine_tape=tape)
@@ -150,7 +141,7 @@ def complete_cloud(
         range = compute_bounds(
             partial, config.bounds_padding_partial, eps_box_frac=config.eps_box_frac
         )
-    fwd = forward_sample(partial, range, params, config, gt)
+    fwd = forward_sample(partial, range, params, config)
     return fwd.engrave.coarse, fwd.dense
 
 
@@ -192,7 +183,7 @@ def loss_and_grads_sample(
 ) -> StepResult:
     """Total objective and parameter gradients for one training sample."""
     range = compute_bounds(gt, config.bounds_padding_gt, eps_box_frac=config.eps_box_frac)
-    anchor = forward_sample(partial, range, params, config, gt, keep_cache=True)
+    anchor = forward_sample(partial, range, params, config, keep_cache=True)
     coarse, dense = anchor.engrave.coarse, anchor.dense
 
     cd_coarse, d_coarse, _ = chamfer_and_grad(coarse, gt)
@@ -215,7 +206,7 @@ def loss_and_grads_sample(
             config.min_visible_frac,
         )
         for variant_partial in variants:
-            vfwd = forward_sample(variant_partial, range, params, config, gt, keep_cache=True)
+            vfwd = forward_sample(variant_partial, range, params, config, keep_cache=True)
             cd_c, g_vc, g_ac = chamfer_and_grad(vfwd.engrave.coarse, coarse, config.alpha)
             cd_q, g_vq, g_aq = chamfer_and_grad(vfwd.dense, dense, config.alpha)
             sim += cd_c + cd_q

@@ -127,6 +127,20 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
     assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-synth", "augment", "sweep", "check-grads"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    argv = {
+        "gen-synth": ["gen-synth", "--out", str(tmp_path / "d"), "--count", "1"],
+        "augment": ["augment", "--in", "a.xyz", "--t", "1", "--out", str(tmp_path / "d")],
+        "sweep": ["sweep", "--ckpt", "m.ckpt", "--manifest", "m.txt", "--levels", "0.5"],
+        "check-grads": ["check-grads"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def trained(synth_dir, tmp_path_factory):
     work = tmp_path_factory.mktemp("train")
@@ -148,6 +162,23 @@ def test_train_with_too_few_bottleneck_cells_leaves_no_log(synth_dir, tmp_path, 
                  "--manifest", str(synth_dir / "manifest.txt")])
     assert_one_line_failure(code, capsys, "invalid config: grid_res=8 must be divisible by "
                             "2^unet_stages=8 and at least 2^(unet_stages+1)=16")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("old,new,needle", [
+    ("grid_res = 8\n", "grid_res = 8\ngrid_res = 16\n",
+     "tiny.cfg:3: duplicate config key 'grid_res' (first on line 2)"),
+    ("seed = 3", "seed = -1", "invalid config: seed must be >= 0, got -1"),
+    ("seed = 3", "block_construction = gt", "block_construction must be one of"),
+    ("seed = 3", "gt_points_count = 1331", "tiny.cfg:16: unknown config key 'gt_points_count'"),
+])
+def test_train_rejects_config_in_one_line(synth_dir, tmp_path, capsys, old, new, needle):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG_TEXT.replace(old, new))
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "m.ckpt"),
+                 "--manifest", str(synth_dir / "manifest.txt")])
+    assert_one_line_failure(code, capsys, needle)
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
@@ -421,6 +452,15 @@ CKPT_CASES = {
     "bad-magic": (lambda raw: b"JUNK" + raw[4:], "bad magic"),
     "version-1": (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
                   "unsupported checkpoint version 1 "),
+    "version-2": (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+                  "unsupported checkpoint version 2 (this build reads version 3)"),
+    # A v2 config text under a v3 header: the gt mode and its key are gone.
+    "construction-gt": (lambda raw: rewrite_config(raw, "block_construction = uniform",
+                                                   "block_construction = gt"),
+                        "block_construction must be one of ('uniform', 'none', 'mirror')"),
+    "gt_points_count": (lambda raw: rewrite_config(raw, "mirror_axis = x\n",
+                                                   "mirror_axis = x\ngt_points_count = 1331\n"),
+                        "unknown config key 'gt_points_count'"),
     "flipped-config-byte": (_flip_config_byte, "does not match its stored hash"),
     "grid_res-0": (lambda raw: rewrite_config(raw, "grid_res = 8", "grid_res = 0"),
                    "grid_res must be >= 4"),

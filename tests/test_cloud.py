@@ -11,7 +11,6 @@ from pointcarve import (
     mirror_symmetric_block,
     normalize_unit_cube,
     sample_block_points,
-    subsample_fixed,
 )
 
 from conftest import random_cloud
@@ -138,51 +137,24 @@ class TestNormalizeUnitCube:
         corners = np.array(
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float
         )
-        out, _ = normalize_unit_cube(PointCloud(corners))
+        out = normalize_unit_cube(PointCloud(corners))
         assert out.points.min() == pytest.approx(-0.5)
         assert out.points.max() == pytest.approx(0.5)
 
     def test_isotropic_scaling(self):
         cloud = PointCloud(np.array([[0, 0, 0], [4, 2, 0]], dtype=float))
-        out, _ = normalize_unit_cube(cloud)
+        out = normalize_unit_cube(cloud)
         np.testing.assert_allclose(out.points[:, 0], [-0.5, 0.5])
         np.testing.assert_allclose(out.points[:, 1], [-0.25, 0.25])
 
     def test_round_trip(self, rng):
         cloud = random_cloud(rng, 500, -7, 13)
-        out, transform = normalize_unit_cube(cloud)
-        back = transform.invert(out.points)
+        out = normalize_unit_cube(cloud)
+        lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+        back = out.points * (hi - lo).max() + (lo + hi) / 2
         np.testing.assert_allclose(back, cloud.points, atol=1e-9)
 
     def test_coincident_points_error(self):
         with pytest.raises(ValueError, match="coincident"):
             normalize_unit_cube(PointCloud(np.ones((4, 3))))
 
-
-class TestSubsampleFixed:
-    def test_same_size_is_permutation(self, rng):
-        cloud = random_cloud(rng, 50)
-        out = subsample_fixed(cloud, 50, "random", seed=3)
-        got = np.asarray(sorted(map(tuple, out.points)))
-        want = np.asarray(sorted(map(tuple, cloud.points)))
-        np.testing.assert_array_equal(got, want)
-
-    def test_farthest_point_square_diagonal(self):
-        # Exhaustive check: from any seeded first corner of a unit square the
-        # farthest second pick is the diagonally opposite corner.
-        corners = np.array(
-            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float
-        )
-        diagonal = {0: 2, 1: 3, 2: 0, 3: 1}
-        for seed in range(8):
-            first = int(np.random.default_rng(seed).integers(4))
-            out = subsample_fixed(PointCloud(corners), 2, "farthest-point", seed=seed)
-            np.testing.assert_array_equal(out.points[0], corners[first])
-            np.testing.assert_array_equal(out.points[1], corners[diagonal[first]])
-
-    def test_oversampling_repeats(self):
-        cloud = PointCloud(np.array([[0, 0, 0], [1, 1, 1]], dtype=float))
-        out = subsample_fixed(cloud, 3, "random", seed=0)
-        assert len(out) == 3
-        uniq = np.unique(out.points, axis=0)
-        assert len(uniq) == 2

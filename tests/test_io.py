@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pointcarve import (
     load_checkpoint,
     save_checkpoint,
 )
+from pointcarve.checkpoint import VERSION
 from pointcarve.config import MAX_GRID_RES
 from pointcarve.pcio import (
     read_dataset_manifest,
@@ -171,6 +173,11 @@ class TestRunConfig:
             RunConfig(refine_widths=(16, 8))
         with pytest.raises(ValueError, match="alpha"):
             RunConfig(alpha=-0.1)
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            RunConfig(seed=-1)
+        # A block of gt points cannot be served: `complete` has no gt.
+        with pytest.raises(ValueError, match=re.escape("('uniform', 'none', 'mirror'), got 'gt'")):
+            RunConfig(block_construction="gt")
 
     def test_presets(self):
         desk = RunConfig.preset("desk")
@@ -201,11 +208,11 @@ class TestRunConfig:
         RunConfig(grid_res=256, unet_stages=2, unet_base_width=3, kernel_size=5, feature_dim=7,
                   refine_widths=(9, 6), coarse_m=77, carve_threshold=-0.0, dtype="float64",
                   block_construction="mirror", n_per_axis=4, block_sampling="random",
-                  mirror_axis="z", gt_points_count=5, bounds_padding_gt=0.1,
+                  mirror_axis="z", bounds_padding_gt=0.1,
                   bounds_padding_partial=1e-300, eps_box_frac=0.1 + 0.2, alpha=2.0,
                   t_variants=0, sensoraug=False, detach_anchors=True, lr=3e-5,
                   lr_halve_every=1, adam_beta1=0.0, adam_beta2=0.5, adam_eps=1e-12,
-                  batch_size=1, epochs=1, max_steps=9, seed=-3, sensor_vfov_deg=1.5,
+                  batch_size=1, epochs=1, max_steps=9, seed=3, sensor_vfov_deg=1.5,
                   sensor_hfov_deg=179.0, depth_buffer_res=16, depth_eps=2.0,
                   min_visible_frac=0.5, data_manifest="m.txt", val_count=0),
         RunConfig(data_manifest="dir with space/a=b.txt"),
@@ -226,19 +233,25 @@ class TestRunConfig:
 
     def test_field_types(self):
         # Integers are floats' values; everything else must have its own type.
-        cfg = RunConfig(lr=1, carve_threshold=0)
+        cfg = RunConfig(lr=1, carve_threshold=0, refine_widths=(np.int64(8), 6))
         assert type(cfg.lr) is float and "lr = 1.0\n" in cfg.to_text()
+        assert [type(w) for w in cfg.refine_widths] == [int, int]
         for key, value, kind in [("grid_res", 32.0, "int"), ("seed", True, "int"),
                                  ("lr", True, "float"), ("sensoraug", 1, "bool"),
-                                 ("dtype", 3, "str"), ("data_manifest", None, "str")]:
+                                 ("dtype", 3, "str"), ("data_manifest", None, "str"),
+                                 ("refine_widths", (8.7, 6), "a tuple of int"),
+                                 ("refine_widths", (True, 6), "a tuple of int"),
+                                 ("refine_widths", 5, "a tuple of int"),
+                                 ("refine_widths", [8, 6], "a tuple of int")]:
             with pytest.raises(ValueError, match=f"invalid config: {key} must be {kind}, got"):
                 RunConfig(**{key: value})
 
     def test_existing_config_text_and_hashes_unchanged(self):
         # The canonical texts of the presets hash as they did before the
-        # field type and string rules (values computed by the earlier code).
-        assert RunConfig().config_hash() == "53b430f6c35c"
-        assert RunConfig.preset("paper").config_hash() == "761c6a51bc0e"
+        # field type and string rules (values computed by the earlier code),
+        # re-pinned when checkpoint v3 dropped `gt_points_count`.
+        assert RunConfig().config_hash() == "e78808dcbe20"
+        assert RunConfig.preset("paper").config_hash() == "cb27993a328b"
         text = "# desk\ngrid_res = 32  # inline\nlr = 0.0001\nsensoraug = true\ndata_manifest =\n"
         assert RunConfig.from_text(text) == RunConfig()
 
@@ -267,9 +280,22 @@ class TestRunConfig:
         cfg = RunConfig.from_text("grid_res=16 # inline comment\nunet_stages = 2\n")
         assert cfg.grid_res == 16 and cfg.unet_stages == 2
 
+    def test_duplicate_key_rejected(self):
+        text = "grid_res = 16\n# note\ngrid_res = 32\n"
+        want = "run.cfg:3: duplicate config key 'grid_res' (first on line 1)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            RunConfig.from_text(text, source="run.cfg")
+
 class TestCheckpoint:
     TINY = RunConfig(grid_res=8, unet_stages=2, unet_base_width=2, feature_dim=4,
                      refine_widths=(8, 6))
+
+    def test_format_doc_states_this_version(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        stated = re.findall(r"format version \(u32, = (\d+)\)", doc)
+        reads = re.findall(r"this build reads version (\d+)", doc)
+        assert stated and reads
+        assert {int(v) for v in stated + reads} == {VERSION}
 
     def test_round_trip(self, tmp_path):
         cfg = self.TINY.replace(n_per_axis=5, coarse_m=64, carve_threshold=0.1,

@@ -3,16 +3,14 @@
 import math
 
 import numpy as np
-import pytest
 
 from pointcarve import (
     PointCloud,
     SensorPose,
     VisibilityConfig,
+    draw_pose,
     frustum_cull,
     generate_partials,
-    random_drop,
-    random_sensor,
     visible_points,
 )
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
@@ -32,18 +30,22 @@ def axis_pose(vfov=math.radians(60), hfov=math.radians(60)) -> SensorPose:
 
 
 class TestRandomSensor:
+    """Poses from `draw_pose` with a freshly seeded generator."""
+
     def test_deterministic(self):
-        a = random_sensor(5)
-        b = random_sensor(5)
+        a = draw_pose(np.random.default_rng(5))
+        b = draw_pose(np.random.default_rng(5))
         np.testing.assert_array_equal(a.position, b.position)
         np.testing.assert_array_equal(a.up, b.up)
 
     def test_looks_at_origin(self):
-        pose = random_sensor(11)
+        pose = draw_pose(np.random.default_rng(11))
         np.testing.assert_allclose(pose.view, -pose.position, atol=1e-12)
 
     def test_unit_sphere_statistics(self):
-        positions = np.array([random_sensor(seed).position for seed in range(10_000)])
+        positions = np.array(
+            [draw_pose(np.random.default_rng(seed)).position for seed in range(10_000)]
+        )
         norms = np.linalg.norm(positions, axis=1)
         assert abs(norms.mean() - 1.0) < 1e-12
         # Per-octant counts within 5 sigma of the uniform binomial expectation.
@@ -55,14 +57,14 @@ class TestRandomSensor:
 
     def test_up_orthogonal(self):
         for seed in range(50):
-            pose = random_sensor(seed)
+            pose = draw_pose(np.random.default_rng(seed))
             assert abs(pose.view @ pose.up) < 1e-9
 
 
 class TestFrustumCull:
     def test_origin_always_inside(self):
         for seed in range(10):
-            pose = random_sensor(seed)
+            pose = draw_pose(np.random.default_rng(seed))
             idx = frustum_cull(PointCloud(np.zeros((1, 3))), pose)
             assert list(idx) == [0]
 
@@ -100,7 +102,7 @@ class TestVisiblePoints:
 
     def test_huge_eps_reduces_to_frustum(self, rng):
         cloud = random_cloud(rng, 300, -0.5, 0.5)
-        pose = random_sensor(3)
+        pose = draw_pose(np.random.default_rng(3))
         cfg = VisibilityConfig(resolution=32, depth_eps=1e9)
         np.testing.assert_array_equal(
             visible_points(cloud, pose, cfg), frustum_cull(cloud, pose)
@@ -109,14 +111,14 @@ class TestVisiblePoints:
     def test_subset_of_frustum(self, rng):
         for seed in range(5):
             cloud = random_cloud(rng, 200, -0.5, 0.5)
-            pose = random_sensor(seed)
+            pose = draw_pose(np.random.default_rng(seed))
             vis = set(visible_points(cloud, pose))
             frus = set(frustum_cull(cloud, pose))
             assert vis <= frus
 
     def test_eps_monotonicity(self, rng):
         cloud = random_cloud(rng, 200, -0.5, 0.5)
-        pose = random_sensor(9)
+        pose = draw_pose(np.random.default_rng(9))
         small = set(visible_points(cloud, pose, VisibilityConfig(64, 0.005)))
         large = set(visible_points(cloud, pose, VisibilityConfig(64, 0.05)))
         assert small <= large
@@ -125,7 +127,7 @@ class TestVisiblePoints:
         # A pixel's unique depth minimum at resolution R stays visible at 2R.
         for seed in range(5):
             cloud = random_cloud(rng, 300, -0.5, 0.5)
-            pose = random_sensor(seed + 20)
+            pose = draw_pose(np.random.default_rng(seed + 20))
             eps = 0.01
             coarse = set(visible_points(cloud, pose, VisibilityConfig(32, eps)))
             fine = set(visible_points(cloud, pose, VisibilityConfig(64, eps)))
@@ -158,28 +160,3 @@ class TestGeneratePartials:
         for partial in generate_partials(gt, 4, seed=4, min_visible_frac=0.05):
             assert len(partial) >= 0.05 * len(gt)
 
-
-class TestRandomDrop:
-    def test_count_rule(self, rng):
-        gt = random_cloud(rng, 2048)
-        out = random_drop(gt, 0.5, seed=0)
-        assert len(out) == 1024
-
-    def test_subset(self, rng):
-        gt = random_cloud(rng, 100)
-        out = random_drop(gt, 0.3, seed=1)
-        gt_set = {tuple(p) for p in gt.points}
-        assert all(tuple(p) in gt_set for p in out.points)
-
-    def test_deterministic(self, rng):
-        gt = random_cloud(rng, 64)
-        np.testing.assert_array_equal(
-            random_drop(gt, 0.25, seed=9).points, random_drop(gt, 0.25, seed=9).points
-        )
-
-    def test_fraction_bounds(self, rng):
-        gt = random_cloud(rng, 10)
-        with pytest.raises(ValueError):
-            random_drop(gt, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            random_drop(gt, 1.0, seed=0)
