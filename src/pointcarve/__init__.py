@@ -23,7 +23,6 @@ from .cloud import (
     PointCloud,
     build_point_block,
     compute_bounds,
-    mirror_symmetric_block,
     normalize_unit_cube,
     sample_block_points,
 )
@@ -86,7 +85,7 @@ __all__ = [
     "feature_sample_grad", "frustum_cull", "gen_shape", "generate_partials",
     "gridding", "gridding_reverse", "gridding_reverse_grad",
     "load_checkpoint", "loss_comp", "loss_sim", "lr_schedule",
-    "mirror_symmetric_block", "normalize_unit_cube", "optimizer_step",
+    "normalize_unit_cube", "optimizer_step",
     "predict_kernels", "refine",
     "refine_grads", "sample_block_points", "save_checkpoint",
     "sensitivity_sweep", "train_toy",

@@ -52,7 +52,7 @@ Memory layout of the inference forward:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,7 +244,6 @@ class CarveModelParams:
 
     config: CarveModelConfig
     tensors: dict[str, np.ndarray]
-    seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         expected = self.config.tensor_shapes()
@@ -262,7 +261,7 @@ class CarveModelParams:
 
     @staticmethod
     def initialize(config: CarveModelConfig, seed: int = 0) -> "CarveModelParams":
-        """Fan-in-scaled uniform weights, zero biases, recorded seed.
+        """Fan-in-scaled uniform weights drawn from `seed`, zero biases.
 
         The kernel head's bias is 1 at the center tap so an untrained model
         starts as an identity carve (the block grid passes through).
@@ -278,7 +277,7 @@ class CarveModelParams:
                 tensors[name] = nn.fan_in_uniform(rng, shape, fan_in, dtype)
         center = (config.kernel_size**3 - 1) // 2
         tensors["kernel_head.b"][center] = 1.0
-        return CarveModelParams(config=config, tensors=tensors, seed=seed)
+        return CarveModelParams(config=config, tensors=tensors)
 
     @property
     def param_count(self) -> int:
@@ -297,7 +296,7 @@ class CarveModelParams:
                 vec[pos : pos + arr.size].reshape(arr.shape).astype(self.config.np_dtype)
             )
             pos += arr.size
-        return CarveModelParams(config=self.config, tensors=tensors, seed=self.seed)
+        return CarveModelParams(config=self.config, tensors=tensors)
 
     def flatten_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
         """Grads (possibly sparse over names) packed in declared order."""

@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="emit virtual-sensor partial views of a cloud")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)

@@ -132,48 +132,25 @@ def compute_bounds(
     return BoundingRange(lo, hi)
 
 
-def sample_block_points(
-    range: BoundingRange,
-    n_per_axis: int,
-    mode: str = "lattice",
-    seed: int = 0,
-) -> PointCloud:
-    """n_per_axis^3 filler points spread through the range.
-
-    Lattice mode places them at the centers of an n^3 regular subdivision
-    (deterministic); random mode draws them uniformly with the given seed.
-    """
+def sample_block_points(range: BoundingRange, n_per_axis: int) -> PointCloud:
+    """n_per_axis^3 filler points at the centers of an n^3 regular subdivision."""
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
-    if mode == "lattice":
-        ticks = [
-            range.lo[a] + (np.arange(n_per_axis) + 0.5) / n_per_axis * range.extent[a]
-            for a in (0, 1, 2)
-        ]
-        gx, gy, gz = np.meshgrid(*ticks, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    elif mode == "random":
-        rng = np.random.default_rng(seed)
-        pts = range.lo + rng.random((n_per_axis**3, 3)) * range.extent
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    return PointCloud(pts)
+    ticks = [
+        range.lo[a] + (np.arange(n_per_axis) + 0.5) / n_per_axis * range.extent[a]
+        for a in (0, 1, 2)
+    ]
+    gx, gy, gz = np.meshgrid(*ticks, indexing="ij")
+    return PointCloud(np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1))
 
 
-def build_point_block(
-    partial: PointCloud,
-    range: BoundingRange,
-    n_per_axis: int,
-    mode: str = "lattice",
-    seed: int = 0,
-) -> PointBlock:
+def build_point_block(partial: PointCloud, range: BoundingRange, n_per_axis: int) -> PointBlock:
     """Assemble a point-block; out-of-range partial points are clamped.
 
     The number of clamped points is reported on the block rather than raised,
     to stay robust to noisy range estimates.
     """
-    sampled = sample_block_points(range, n_per_axis, mode, seed)
-    return assemble_block(partial, sampled, range)
+    return assemble_block(partial, sample_block_points(range, n_per_axis), range)
 
 
 def assemble_block(partial: PointCloud, sampled: PointCloud, range: BoundingRange) -> PointBlock:
@@ -186,18 +163,6 @@ def assemble_block(partial: PointCloud, sampled: PointCloud, range: BoundingRang
         range=range,
         clamped_count=clamped,
     )
-
-
-def mirror_symmetric_block(
-    partial: PointCloud, plane_axis: str | int, plane_offset: float
-) -> PointCloud:
-    """Union of the cloud and its reflection across an axis-aligned plane."""
-    axis = {"x": 0, "y": 1, "z": 2}.get(plane_axis, plane_axis)
-    if axis not in (0, 1, 2):
-        raise ValueError(f"plane_axis must be one of x/y/z, got {plane_axis!r}")
-    mirrored = partial.points.copy()
-    mirrored[:, axis] = 2.0 * plane_offset - mirrored[:, axis]
-    return PointCloud(np.concatenate([partial.points, mirrored], axis=0))
 
 
 def normalize_unit_cube(cloud: PointCloud) -> PointCloud:

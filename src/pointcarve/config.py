@@ -22,8 +22,7 @@ from .carving import CarveModelConfig
 # such as one stored in a checkpoint, cannot ask for a far larger grid.
 MAX_GRID_RES = 256
 
-_CONSTRUCTION_MODES = ("uniform", "none", "mirror")
-_SAMPLING_MODES = ("lattice", "random")
+_CONSTRUCTION_MODES = ("uniform", "none")
 _DTYPES = ("float32", "float64")
 
 
@@ -44,8 +43,6 @@ class RunConfig:
     # Point-block construction
     block_construction: str = "uniform"
     n_per_axis: int = 13
-    block_sampling: str = "lattice"
-    mirror_axis: str = "x"
     bounds_padding_gt: float = 0.0
     bounds_padding_partial: float = 0.15
     eps_box_frac: float = 1e-3
@@ -53,7 +50,6 @@ class RunConfig:
     alpha: float = 0.5
     t_variants: int = 2
     sensoraug: bool = True
-    detach_anchors: bool = False
     lr: float = 1e-4
     lr_halve_every: int = 40
     adam_beta1: float = 0.9
@@ -120,11 +116,6 @@ class RunConfig:
             f"block_construction must be one of {_CONSTRUCTION_MODES}, got {self.block_construction!r}",
         )
         check(self.n_per_axis >= 2, "n_per_axis must be >= 2")
-        check(
-            self.block_sampling in _SAMPLING_MODES,
-            f"block_sampling must be one of {_SAMPLING_MODES}, got {self.block_sampling!r}",
-        )
-        check(self.mirror_axis in ("x", "y", "z"), "mirror_axis must be x, y or z")
         check(self.bounds_padding_gt >= 0, "bounds_padding_gt must be >= 0")
         check(self.bounds_padding_partial >= 0, "bounds_padding_partial must be >= 0")
         check(self.eps_box_frac > 0, "eps_box_frac must be > 0")

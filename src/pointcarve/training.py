@@ -21,7 +21,6 @@ from .cloud import (
     assemble_block,
     build_point_block,
     compute_bounds,
-    mirror_symmetric_block,
 )
 from .config import RunConfig
 from .losses import LossBreakdown, chamfer, chamfer_and_grad
@@ -31,12 +30,11 @@ from .sensoraug import VisibilityConfig, generate_partials
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators plus the last applied learning rate."""
+    """Adaptive-moment accumulators and the number of steps taken."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
-    lr: float = 0.0
 
     def __post_init__(self):
         if self.step < 0:
@@ -70,7 +68,7 @@ def optimizer_step(
     m_hat = m / (1.0 - beta1**step)
     v_hat = v / (1.0 - beta2**step)
     new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, OptimizerState(step=step, m=m, v=v, lr=lr)
+    return new_params, OptimizerState(step=step, m=m, v=v)
 
 
 def lr_schedule(epoch: int, lr0: float, halve_every: int = 40) -> float:
@@ -89,18 +87,9 @@ def make_block(partial: PointCloud, range: BoundingRange, config: RunConfig) -> 
     """Assemble the point-block per the configured construction mode."""
     mode = config.block_construction
     if mode == "uniform":
-        return build_point_block(
-            partial, range, config.n_per_axis, config.block_sampling, config.seed
-        )
+        return build_point_block(partial, range, config.n_per_axis)
     if mode == "none":
         return assemble_block(partial, PointCloud.empty(), range)
-    if mode == "mirror":
-        axis = {"x": 0, "y": 1, "z": 2}[config.mirror_axis]
-        center = float((range.lo[axis] + range.hi[axis]) / 2.0)
-        clamped = PointCloud(range.clamp(partial.points))
-        mirrored = mirror_symmetric_block(clamped, axis, center)
-        filler = PointCloud(mirrored.points[len(clamped):])
-        return assemble_block(partial, filler, range)
     raise ValueError(f"unknown block construction {mode!r}")
 
 
@@ -211,9 +200,8 @@ def loss_and_grads_sample(
             cd_q, g_vq, g_aq = chamfer_and_grad(vfwd.dense, dense, config.alpha)
             sim += cd_c + cd_q
             variant_cds.append((cd_c, cd_q))
-            if not config.detach_anchors:
-                d_coarse = d_coarse + g_ac
-                d_dense = d_dense + g_aq
+            d_coarse = d_coarse + g_ac
+            d_dense = d_dense + g_aq
             _accumulate(grads, _backward_sample(vfwd, params, g_vc, g_vq))
 
     _accumulate(grads, _backward_sample(anchor, params, d_coarse, d_dense))

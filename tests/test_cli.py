@@ -127,6 +127,14 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
     assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["0", "-3"])
+def test_t_below_one_is_usage_error(tmp_path, capsys, t):
+    capsys.readouterr()
+    assert main(["augment", "--in", "a.xyz", "--t", t, "--out", str(tmp_path / "d")]) == 2
+    assert f"--t: must be >= 1, got {t}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["gen-synth", "augment", "sweep", "check-grads"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     argv = {
@@ -171,6 +179,10 @@ def test_train_with_too_few_bottleneck_cells_leaves_no_log(synth_dir, tmp_path, 
     ("seed = 3", "seed = -1", "invalid config: seed must be >= 0, got -1"),
     ("seed = 3", "block_construction = gt", "block_construction must be one of"),
     ("seed = 3", "gt_points_count = 1331", "tiny.cfg:16: unknown config key 'gt_points_count'"),
+    ("seed = 3", "block_construction = mirror", "got 'mirror'"),
+    ("seed = 3", "block_sampling = random", "tiny.cfg:16: unknown config key 'block_sampling'"),
+    ("seed = 3", "mirror_axis = z", "tiny.cfg:16: unknown config key 'mirror_axis'"),
+    ("seed = 3", "detach_anchors = true", "tiny.cfg:16: unknown config key 'detach_anchors'"),
 ])
 def test_train_rejects_config_in_one_line(synth_dir, tmp_path, capsys, old, new, needle):
     cfg_path = tmp_path / "tiny.cfg"
@@ -376,9 +388,8 @@ class TestCheckpointServesTrainingConfig:
     def test_complete_runs_the_saved_pipeline(self, tmp_path):
         cfg = RunConfig(
             grid_res=8, unet_stages=2, unet_base_width=2, feature_dim=4,
-            refine_widths=(8, 6), coarse_m=32, block_construction="mirror",
-            block_sampling="random", eps_box_frac=0.01, bounds_padding_gt=0.1,
-            seed=5, dtype="float64",
+            refine_widths=(8, 6), coarse_m=32, block_construction="none", n_per_axis=5,
+            eps_box_frac=0.01, bounds_padding_gt=0.1, seed=5, dtype="float64",
         )
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, CarveModelParams.initialize(cfg.carve_config(), 2),
@@ -448,19 +459,34 @@ def _flip_config_byte(raw: bytes) -> bytes:
     return bytes(out)
 
 
+def _with_line(line: str):
+    """A corruption that adds the config line `line` to the stored text."""
+    return lambda raw: rewrite_config(raw, "n_per_axis = 3\n", f"n_per_axis = 3\n{line}\n")
+
+
 CKPT_CASES = {
     "bad-magic": (lambda raw: b"JUNK" + raw[4:], "bad magic"),
     "version-1": (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
                   "unsupported checkpoint version 1 "),
     "version-2": (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
-                  "unsupported checkpoint version 2 (this build reads version 3)"),
-    # A v2 config text under a v3 header: the gt mode and its key are gone.
+                  "unsupported checkpoint version 2 (this build reads version 4)"),
+    "version-3": (lambda raw: raw[:4] + (3).to_bytes(4, "little") + raw[8:],
+                  "unsupported checkpoint version 3 (this build reads version 4)"),
+    # Older config texts under a v4 header: the gt (v2) and mirror (v3)
+    # constructions are gone, as are the keys v2 and v3 texts still hold.
     "construction-gt": (lambda raw: rewrite_config(raw, "block_construction = uniform",
                                                    "block_construction = gt"),
-                        "block_construction must be one of ('uniform', 'none', 'mirror')"),
-    "gt_points_count": (lambda raw: rewrite_config(raw, "mirror_axis = x\n",
-                                                   "mirror_axis = x\ngt_points_count = 1331\n"),
+                        "block_construction must be one of ('uniform', 'none'), got 'gt'"),
+    "construction-mirror": (lambda raw: rewrite_config(raw, "block_construction = uniform",
+                                                       "block_construction = mirror"),
+                            "('uniform', 'none'), got 'mirror'"),
+    "gt_points_count": (_with_line("gt_points_count = 1331"),
                         "unknown config key 'gt_points_count'"),
+    "block_sampling": (_with_line("block_sampling = lattice"),
+                       "unknown config key 'block_sampling'"),
+    "mirror_axis": (_with_line("mirror_axis = x"), "unknown config key 'mirror_axis'"),
+    "detach_anchors": (_with_line("detach_anchors = false"),
+                       "unknown config key 'detach_anchors'"),
     "flipped-config-byte": (_flip_config_byte, "does not match its stored hash"),
     "grid_res-0": (lambda raw: rewrite_config(raw, "grid_res = 8", "grid_res = 0"),
                    "grid_res must be >= 4"),

@@ -8,7 +8,6 @@ from pointcarve import (
     PointCloud,
     build_point_block,
     compute_bounds,
-    mirror_symmetric_block,
     normalize_unit_cube,
     sample_block_points,
 )
@@ -69,18 +68,13 @@ class TestSampleBlockPoints:
         assert len(sample_block_points(unit_range, 11)) == 11**3
 
     def test_lattice_cell_centers(self, unit_range):
-        pts = sample_block_points(unit_range, 2, "lattice").points
+        pts = sample_block_points(unit_range, 2).points
         expected = {0.25, 0.75}
         assert set(np.round(pts.ravel(), 12)) == expected
 
-    def test_random_mode_deterministic(self, unit_range):
-        a = sample_block_points(unit_range, 3, "random", seed=9)
-        b = sample_block_points(unit_range, 3, "random", seed=9)
-        np.testing.assert_array_equal(a.points, b.points)
-
     def test_lattice_points_distinct_and_inside(self, rng):
         bounds = BoundingRange([-1, 2, 0.5], [4, 3, 9])
-        pts = sample_block_points(bounds, 5, "lattice").points
+        pts = sample_block_points(bounds, 5).points
         assert len(np.unique(pts, axis=0)) == len(pts)
         assert np.all(pts > bounds.lo) and np.all(pts < bounds.hi)
 
@@ -105,31 +99,6 @@ class TestBuildPointBlock:
         block = build_point_block(partial, unit_range, 2)
         assert block.clamped_count == 1
         np.testing.assert_allclose(block.partial.points[1], [1.0, 0.5, 0.5])
-
-
-class TestMirror:
-    def test_reflection_across_x0(self):
-        out = mirror_symmetric_block(PointCloud(np.array([[1.0, 0.0, 0.0]])), "x", 0.0)
-        np.testing.assert_allclose(out.points, [[1, 0, 0], [-1, 0, 0]])
-
-    def test_point_on_plane_duplicated(self):
-        out = mirror_symmetric_block(PointCloud(np.array([[0.0, 1.0, 2.0]])), "x", 0.0)
-        assert len(out) == 2
-        np.testing.assert_allclose(out.points[0], out.points[1])
-
-    def test_count_doubles(self, rng):
-        partial = random_cloud(rng, 2048)
-        assert len(mirror_symmetric_block(partial, "y", 0.5)) == 4096
-
-    def test_second_application_duplicates(self, rng):
-        # A mirrored cloud is symmetric, so mirroring it again is set-equal
-        # (with multiplicity) to duplicating it.
-        cloud = random_cloud(rng, 32)
-        once = mirror_symmetric_block(cloud, "z", 0.3)
-        twice = mirror_symmetric_block(once, "z", 0.3)
-        got = np.asarray(sorted(map(tuple, twice.points)))
-        want = np.asarray(sorted(map(tuple, np.concatenate([once.points, once.points]))))
-        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestNormalizeUnitCube:

@@ -176,8 +176,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
             RunConfig(seed=-1)
         # A block of gt points cannot be served: `complete` has no gt.
-        with pytest.raises(ValueError, match=re.escape("('uniform', 'none', 'mirror'), got 'gt'")):
+        with pytest.raises(ValueError, match=re.escape("('uniform', 'none'), got 'gt'")):
             RunConfig(block_construction="gt")
+        with pytest.raises(ValueError, match=re.escape("('uniform', 'none'), got 'mirror'")):
+            RunConfig(block_construction="mirror")
 
     def test_presets(self):
         desk = RunConfig.preset("desk")
@@ -207,10 +209,9 @@ class TestRunConfig:
         RunConfig.preset("paper"),
         RunConfig(grid_res=256, unet_stages=2, unet_base_width=3, kernel_size=5, feature_dim=7,
                   refine_widths=(9, 6), coarse_m=77, carve_threshold=-0.0, dtype="float64",
-                  block_construction="mirror", n_per_axis=4, block_sampling="random",
-                  mirror_axis="z", bounds_padding_gt=0.1,
+                  block_construction="none", n_per_axis=4, bounds_padding_gt=0.1,
                   bounds_padding_partial=1e-300, eps_box_frac=0.1 + 0.2, alpha=2.0,
-                  t_variants=0, sensoraug=False, detach_anchors=True, lr=3e-5,
+                  t_variants=0, sensoraug=False, lr=3e-5,
                   lr_halve_every=1, adam_beta1=0.0, adam_beta2=0.5, adam_eps=1e-12,
                   batch_size=1, epochs=1, max_steps=9, seed=3, sensor_vfov_deg=1.5,
                   sensor_hfov_deg=179.0, depth_buffer_res=16, depth_eps=2.0,
@@ -249,9 +250,10 @@ class TestRunConfig:
     def test_existing_config_text_and_hashes_unchanged(self):
         # The canonical texts of the presets hash as they did before the
         # field type and string rules (values computed by the earlier code),
-        # re-pinned when checkpoint v3 dropped `gt_points_count`.
-        assert RunConfig().config_hash() == "e78808dcbe20"
-        assert RunConfig.preset("paper").config_hash() == "cb27993a328b"
+        # re-pinned when checkpoint v3 dropped `gt_points_count` and when v4
+        # dropped `block_sampling`, `mirror_axis` and `detach_anchors`.
+        assert RunConfig().config_hash() == "7fd7c1fed9e8"
+        assert RunConfig.preset("paper").config_hash() == "0845032398d6"
         text = "# desk\ngrid_res = 32  # inline\nlr = 0.0001\nsensoraug = true\ndata_manifest =\n"
         assert RunConfig.from_text(text) == RunConfig()
 

@@ -14,7 +14,6 @@ from pointcarve import (
     compute_bounds,
     gridding,
     gridding_reverse,
-    mirror_symmetric_block,
     normalize_unit_cube,
 )
 
@@ -81,13 +80,6 @@ def test_normalize_round_trip(points):
     # The map is isotropic: one scale and the box center undo it.
     back = normalized.points * extent + (lo + hi) / 2
     np.testing.assert_allclose(back, cloud.points, atol=1e-9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(cloud_arrays(), st.sampled_from(["x", "y", "z"]), finite_coord)
-def test_mirror_doubles_count(points, axis, offset):
-    cloud = PointCloud(points)
-    assert len(mirror_symmetric_block(cloud, axis, offset)) == 2 * len(cloud)
 
 
 @settings(max_examples=20, deadline=None)

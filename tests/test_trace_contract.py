@@ -88,5 +88,8 @@ def test_traced_tiny_sample_and_completion_run(monkeypatch):
     # The lazy k-d tree builder still goes through the counted name.
     assert sum(c["losses.kdtree_builds"] for c in tracer.counts.values()) > 0
     for name in ("nn.conv1.heads.fwd", "nn.conv1.heads.bwd", "nn.conv3.dec1.bwd",
-                 "gridding.feature_sample.bwd", "refine.fwd", "training.sample"):
+                 "gridding.feature_sample.bwd", "refine.fwd", "training.sample",
+                 "cloud.block"):
         assert name in names
+    # The block's counter binds `build_point_block`'s signature.
+    assert any("cloud.block.clamped" in c for c in tracer.counts.values())
