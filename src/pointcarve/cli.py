@@ -125,12 +125,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
-    groups = read_sequence_manifest(args.manifest)
+    groups = sorted(read_sequence_manifest(args.manifest).items())
+    for object_id, frames in groups:
+        if len(frames) < 2:
+            raise ValueError(f"{args.manifest}: object {object_id!r} has 1 frame, "
+                             "needs at least 2")
     values = []
-    for object_id, frames in sorted(groups.items()):
+    for object_id, frames in groups:
         clouds = tuple(_load_points(p) for _, p in frames)
-        value = consistency(TrackedSequence(object_id, clouds))
-        values.append(value)
+        values.append(consistency(TrackedSequence(object_id, clouds)))
+    # Every object is scored before the first row, so a failure prints none.
+    for (object_id, _), value in zip(groups, values):
         print(f"{object_id},{value * 1e3:.6g}")
     print(f"mean,{float(np.mean(values)) * 1e3:.6g}")
     return 0
@@ -218,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true",
                    help="weight the overall mean by category sample counts")
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="parallel per-sample workers (results are identical)")
+                   help="threads to score samples on (results are identical; "
+                        "faster only with one BLAS thread per call)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("consistency", help="cross-frame consistency of completions")
@@ -232,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("random", "sensor"), default="random")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="parallel per-sample workers (results are identical)")
+                   help="threads to score samples on (results are identical; "
+                        "faster only with one BLAS thread per call)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check-grads", help="finite-difference gradient suite")

@@ -5,6 +5,7 @@ consistency, valid-point percentage, sensitivity sweeps and category tables.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,6 +17,7 @@ from .cloud import PointCloud, compute_bounds, normalize_unit_cube
 from .config import RunConfig
 from .losses import chamfer
 from .sensoraug import VisibilityConfig, draw_pose, visible_points
+from .training import complete_cloud
 
 OCCUPANCY_RES = 64
 SWEEP_TOLERANCE = 0.02
@@ -146,25 +148,37 @@ class EvalReport:
         )
 
 
-def _complete_and_score(args) -> float:
-    from .training import complete_cloud
+@contextmanager
+def _naming(label: str):
+    """Prefix a ValueError raised while working on one sample with its label."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
 
-    params, config, partial, gt = args
-    _, dense = complete_cloud(partial, params, config, gt=gt)
-    return cd_scaled(dense, gt)
+
+def _map_samples(params, config, samples, jobs: int) -> list[float]:
+    """Dense CD x 10^3 of each (label, partial, gt) sample, in order, on at
+    most min(jobs, samples) threads sharing `params`. Each sample is pure
+    work, so the result does not depend on jobs."""
+
+    def score(sample) -> float:
+        label, partial, gt = sample
+        with _naming(label):
+            _, dense = complete_cloud(partial, params, config, gt=gt)
+            return cd_scaled(dense, gt)
+
+    if jobs <= 1 or len(samples) <= 1:
+        return [score(s) for s in samples]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(jobs, len(samples))) as pool:
+        return list(pool.map(score, samples))
 
 
-def _map_samples(params, config, pairs, jobs: int) -> list[float]:
-    """Order-preserving per-sample completion scores; pure work, so the
-    result is identical for any jobs count. Starts at most one worker per
-    sample: a fork-started pool starts all its workers at the first submit."""
-    tasks = [(params, config, partial, gt) for partial, gt in pairs]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_complete_and_score(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_complete_and_score, tasks))
+def _label(index: int, category: str) -> str:
+    """A dataset sample's name in errors: its 1-based entry number and category."""
+    return f"sample {index + 1} ({category})"
 
 
 def evaluate(
@@ -181,7 +195,8 @@ def evaluate(
     """
     if not dataset:
         raise ValueError("empty dataset")
-    scores = _map_samples(params, config, [(p, g) for _, p, g in dataset], jobs)
+    samples = [(_label(i, c), p, g) for i, (c, p, g) in enumerate(dataset)]
+    scores = _map_samples(params, config, samples, jobs)
     by_cat: dict[str, list[float]] = {}
     for (category, _, _), score in zip(dataset, scores):
         by_cat.setdefault(category, []).append(score)
@@ -247,8 +262,6 @@ def _cull_to_level(
             if vpp > level + tol:
                 base = candidate
                 break
-    elif method != "random":
-        raise ValueError(f"unknown sweep cull method {method!r}")
     # Monotone prefix culling over a seeded permutation.
     perm = rng.permutation(len(base))
     lo_k, hi_k = 1, len(base)
@@ -285,18 +298,22 @@ def sensitivity_sweep(
         raise ValueError("no level to sweep")
     if any(not (0 < lv <= 1) for lv in levels):
         raise ValueError("levels must lie in (0, 1]")
+    if method not in ("random", "sensor"):
+        raise ValueError(f"unknown sweep cull method {method!r}")
     vis_cfg = VisibilityConfig(config.depth_buffer_res, config.depth_eps)
     fov = (math.radians(config.sensor_vfov_deg), math.radians(config.sensor_hfov_deg))
     points: list[SweepPoint] = []
     for level in sorted(levels):
         rng = np.random.default_rng(seed)
-        pairs = []
-        for _, partial, gt in dataset:
-            culled = _cull_to_level(partial, gt, level, rng, method, vis_cfg, fov)
+        samples = []
+        for i, (category, partial, gt) in enumerate(dataset):
+            label = _label(i, category)
+            with _naming(label):
+                culled = _cull_to_level(partial, gt, level, rng, method, vis_cfg, fov)
             if culled is not None and len(culled):
-                pairs.append((culled, gt))
-        if pairs:
-            cds = _map_samples(params, config, pairs, jobs)
+                samples.append((label, culled, gt))
+        if samples:
+            cds = _map_samples(params, config, samples, jobs)
             points.append(SweepPoint(level, float(np.mean(cds)), len(cds)))
         else:
             points.append(SweepPoint(level, float("nan"), 0))

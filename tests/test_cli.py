@@ -225,6 +225,20 @@ class TestTrainCompleteEval:
         train_hash = RunConfig.load(work / "tiny.cfg").config_hash()
         assert f"config_hash: {train_hash}\n" in text
 
+    def test_eval_jobs_2_writes_the_jobs_1_report(self, trained, synth_dir, tmp_path):
+        _, ckpt = trained
+        reports = []
+        for jobs in ("1", "2"):
+            report = tmp_path / f"report_{jobs}.txt"
+            code = main(["eval", "--ckpt", str(ckpt), "--manifest",
+                         str(synth_dir / "manifest.txt"), "--report", str(report),
+                         "--jobs", jobs])
+            assert code == 0
+            lines = report.read_text().splitlines()
+            reports.append([line for line in lines if not line.startswith("created_utc:")])
+        assert len(reports[0]) == len(lines) - 1
+        assert reports[1] == reports[0]
+
     def test_sweep_rows(self, trained, synth_dir, capsys):
         _, ckpt = trained
         code = main(["sweep", "--ckpt", str(ckpt), "--manifest",
@@ -259,6 +273,17 @@ class TestConsistencyCommand:
         # CD(f0,f1)=2, CD(f1,f2)=8 -> consistency 5.0 -> x10^3 = 5000
         assert out[0] == "car0,5000"
         assert out[1] == "mean,5000"
+
+    def test_object_with_one_frame_prints_no_row(self, tmp_path, capsys):
+        for i, x in enumerate((0.0, 1.0, 3.0)):
+            write_xyz(tmp_path / f"f{i}.xyz", PointCloud(np.array([[x, 0.0, 0.0]])))
+        manifest = tmp_path / "seq.txt"
+        manifest.write_text("carA 0 f0.xyz\ncarA 1 f1.xyz\ncarB 0 f2.xyz\n")
+        capsys.readouterr()
+        code = main(["consistency", "--manifest", str(manifest)])
+        line = assert_one_line_failure(code, capsys, "")
+        assert line == f"error: {manifest}: object 'carB' has 1 frame, needs at least 2"
+        assert capsys.readouterr().out == ""
 
 
 class TestAugmentCommand:
@@ -336,7 +361,8 @@ from pointcarve.cli import main
 
 ckpt, src, out = sys.argv[1:]
 assert main(["complete", "--ckpt", ckpt, "--in", src, "--out", out]) == 0
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
+loaded = [m for m in sys.modules
+          if m.split(".")[0] in ("scipy", "concurrent") or m.split(".")[:2] == ["numpy", "ma"]]
 assert loaded == [], loaded
 
 from pointcarve import PointCloud, chamfer
@@ -640,6 +666,23 @@ class TestCorruptInputs:
         code = main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest),
                      "--report", str(tmp_path / "r.txt")])
         assert assert_one_line_failure(code, capsys, "non-finite") == line
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_sample_is_named(self, files, tmp_path, capsys, command, jobs):
+        work, ckpt = files
+        write_xyz(tmp_path / "one.xyz", PointCloud(np.array([[0.1, 0.2, 0.3]])))
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"box {work / 'in.xyz'} {work / 'in.xyz'}\n"
+                            f"sphere {work / 'in.xyz'} one.xyz\n")
+        argv = [command, "--ckpt", str(ckpt), "--manifest", str(manifest), "--jobs", jobs]
+        argv += (["--report", str(tmp_path / "r.txt")] if command == "eval"
+                 else ["--levels", "0.5,1.0"])
+        capsys.readouterr()
+        line = assert_one_line_failure(main(argv), capsys, "")
+        assert line == "error: sample 2 (sphere): degenerate cloud and eps_box is zero"
+        assert capsys.readouterr().out == ""
         assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("command,empty", [

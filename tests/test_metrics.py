@@ -1,5 +1,7 @@
 """Consistency, valid-point percentage, scaled CD and the report format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,8 +155,8 @@ class TestEvaluate:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps in this one."""
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no
+    thread and maps in this one."""
 
     max_workers = []
 
@@ -177,14 +179,28 @@ def test_pool_starts_at_most_one_worker_per_sample(tiny_model, tiny_dataset, mon
     import concurrent.futures
 
     serial = evaluate(tiny_model, tiny_dataset, TINY_CFG)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
     report = evaluate(tiny_model, tiny_dataset, TINY_CFG, jobs=jobs)
     assert _RecordingPool.max_workers == [workers]
     assert report.category_means == serial.category_means
 
 
+def test_threads_give_the_serial_results(tiny_model, tiny_dataset):
+    serial = evaluate(tiny_model, tiny_dataset, TINY_CFG)
+    threaded = evaluate(tiny_model, tiny_dataset, TINY_CFG, jobs=3)
+    assert replace(threaded, created_utc=serial.created_utc) == serial
+    levels = [0.3, 0.6, 1.0]
+    serial = sensitivity_sweep(tiny_model, tiny_dataset, levels, TINY_CFG, seed=4)
+    assert all(p.sample_count == len(tiny_dataset) for p in serial)
+    assert sensitivity_sweep(tiny_model, tiny_dataset, levels, TINY_CFG, seed=4, jobs=3) == serial
+
+
 class TestSensitivitySweep:
+    def test_unknown_method_is_rejected(self, tiny_model, tiny_dataset):
+        with pytest.raises(ValueError, match="unknown sweep cull method 'bogus'"):
+            sensitivity_sweep(tiny_model, tiny_dataset, [1.0], TINY_CFG, method="bogus")
+
     def test_level_one_reproduces_plain_eval(self, rng):
         params = CarveModelParams.initialize(TINY_CFG.carve_config(), seed=1)
         gt, cat = gen_shape(SyntheticShapeSpec("box", count=512, seed=5))
