@@ -9,7 +9,6 @@ losses and virtual-sensor augmentation.
 from .carving import (
     CarveModelConfig,
     CarveModelParams,
-    KernelField,
     cell_conv,
     cell_conv_grads,
     engrave,
@@ -75,7 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundingRange", "CarveModelConfig", "CarveModelParams", "CheckpointMeta",
-    "EvalReport", "FeatureGrid", "KernelField", "LossBreakdown",
+    "EvalReport", "FeatureGrid", "LossBreakdown",
     "OptimizerState", "PointBlock", "PointCloud",
     "RunConfig", "SensorPose", "SyntheticShapeSpec",
     "TrackedSequence", "VisibilityConfig", "VoxelGrid",

@@ -30,8 +30,8 @@ Memory layout of the inference forward:
   fresh buffer, because the backward reads both the skips and the
   decoders' activations.
 - The kernel head's K^3 * H * W * M values never exist as a whole.
-  `engrave` carves with a `KernelField` that is the head over the trunk,
-  and `cell_conv` evaluates its taps one slab of x-planes at a time
+  `engrave` hands `cell_conv` the trunk and the head's weights, and
+  `cell_conv` evaluates the taps one slab of x-planes at a time
   (KERNEL_SLAB_VOXELS), each slab one `nn.conv1` into (K^3, slab) planes
   that are freed before the next slab's are made. `cell_conv_grads` feeds
   each slab's tap gradient, in a workspace buffer, straight to the head's
@@ -46,7 +46,7 @@ Memory layout of the inference forward:
 - Without a kept cache, those padded buffers and every other temporary come
   from the calling thread's `nn.workspace` and are reused by the next call.
   A workspace buffer never leaves the public function that fills it: the
-  kernel field, the features, `EngraveResult`, `predict_kernels`'
+  carved grid, the features, `EngraveResult`, `predict_kernels`'
   results and a kept `unet_cache` are fresh arrays their caller owns.
 """
 
@@ -76,75 +76,30 @@ from .gridding import (
 KERNEL_SLAB_VOXELS = 1 << 14
 
 
-@dataclass(frozen=True)
-class KernelField:
-    """One K^3 kernel per grid vertex, in one of two forms.
-
-    Kernel taps are ordered lexicographically over offsets
-    (dx, dy, dz) in [-K//2, K//2]^3; the center tap sits at index (K^3-1)//2.
-
-    - Explicit: `values` is an (H, W, M, K^3) array, checked finite here.
-      It has no backward: `cell_conv_grads` takes a kernel head.
-    - A kernel head over a trunk (`from_head`): `values` is None, `trunk`
-      is an (H, W, M, C) activation and `head` its (C, K^3) weights and
-      (K^3,) bias, so cell c's kernel is w.T @ trunk[c] + b. The values
-      never exist as a whole: `taps` evaluates one slab of x-planes at a
-      time and checks that slab for non-finite values.
-    """
-
-    values: np.ndarray | None
-    kernel_size: int
-    trunk: np.ndarray | None = None
-    head: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self):
-        k = self.kernel_size
-        if k < 1 or k % 2 == 0:
-            raise ValueError(f"kernel size must be odd and >= 1, got {k}")
-        if (self.values is None) == (self.trunk is None):
-            raise ValueError("a kernel field needs either values or a trunk, not both")
-        if self.trunk is not None:
-            w, b = self.head
-            if self.trunk.ndim != 4 or w.shape != (self.trunk.shape[3], k**3) or b.shape != (k**3,):
-                raise ValueError(
-                    f"kernel head ({w.shape}, {b.shape}) does not map trunk {self.trunk.shape} "
-                    f"to {k**3} taps"
-                )
-            return
-        v = np.asarray(self.values)
-        if v.ndim != 4 or v.shape[3] != k**3:
-            raise ValueError(f"kernel field must be (H, W, M, {k**3}), got {v.shape}")
-        _check_finite(v)
-        object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def from_head(trunk: np.ndarray, params: "CarveModelParams") -> "KernelField":
-        """The params' kernel head over the (H, W, M, C) trunk."""
-        t = params.tensors
-        return KernelField(
-            None, params.config.kernel_size, trunk, (t["kernel_head.w"], t["kernel_head.b"])
-        )
-
-    @property
-    def resolution(self) -> tuple[int, int, int]:
-        return (self.trunk if self.values is None else self.values).shape[:3]
-
-    def taps(self, s: int, e: int) -> np.ndarray:
-        """The (K^3, e - s, W, M) tap planes of x-planes [s, e).
-
-        A view of explicit values; for a kernel head, fresh planes from one
-        `nn.conv1` on the trunk's slab.
-        """
-        if self.values is not None:
-            return np.moveaxis(self.values[s:e], -1, 0)
-        w, b = self.head
-        return _check_finite(nn.conv1(self.trunk[s:e], w, b))
-
-
 def _check_finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
-        raise ValueError("kernel field contains non-finite values")
+        raise ValueError("kernel head output contains non-finite values")
     return values
+
+
+def _head_kernel_size(
+    block_grid: VoxelGrid, trunk: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> int:
+    """K of the kernel head (w, b) over `trunk`: w is (C, K^3) and b (K^3,)
+    for an odd K, and the (H, W, M, C) trunk lies on the block grid."""
+    taps = b.shape[0] if b.ndim == 1 else 0
+    K = round(taps ** (1 / 3))
+    if trunk.ndim != 4 or w.shape != (trunk.shape[3], taps) or K**3 != taps or K % 2 == 0:
+        raise ValueError(
+            f"kernel head ({w.shape}, {b.shape}) does not map trunk {trunk.shape} "
+            f"to K^3 taps for an odd K"
+        )
+    if trunk.shape[:3] != block_grid.values.shape:
+        raise ValueError(
+            f"kernel head trunk resolution {trunk.shape[:3]} does not match "
+            f"grid resolution {block_grid.values.shape}"
+        )
+    return K
 
 
 def _slabs(H: int, plane: int) -> list[tuple[int, int]]:
@@ -155,7 +110,8 @@ def _slabs(H: int, plane: int) -> list[tuple[int, int]]:
 
 
 def kernel_offsets(kernel_size: int) -> np.ndarray:
-    """The (K^3, 3) lexicographic offset table matching KernelField tap order."""
+    """The (K^3, 3) lexicographic offsets (dx, dy, dz) in [-K//2, K//2]^3,
+    in kernel tap order: the center tap sits at index (K^3-1)//2."""
     r = kernel_size // 2
     rng = np.arange(-r, r + 1)
     gx, gy, gz = np.meshgrid(rng, rng, rng, indexing="ij")
@@ -313,25 +269,25 @@ class CarveModelParams:
         return [(t[f"refine{i}.w"], t[f"refine{i}.b"]) for i in range(n)]
 
 
-def cell_conv(block_grid: VoxelGrid, kernels: KernelField) -> VoxelGrid:
-    """Convolve each grid value with its own kernel (zero padding outside).
+def cell_conv(
+    block_grid: VoxelGrid, trunk: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> VoxelGrid:
+    """Convolve each grid value with its own kernel (zero padding outside):
+    the kernel head (w, b) over the (H, W, M, C) trunk, so cell c's K^3 taps,
+    in `kernel_offsets` order, are w.T @ trunk[c] + b.
 
     output(c) = sum over offsets o of kernel_c(o) * input(c + o), added in
-    tap order. Runs in slabs of x-planes, reading each slab's taps from
-    `kernels.taps`.
+    tap order. Runs in slabs of x-planes: a slab's taps are one `nn.conv1`
+    on that slab of the trunk, checked finite.
     """
-    if kernels.resolution != block_grid.values.shape:
-        raise ValueError(
-            f"kernel field resolution {kernels.resolution} does not match "
-            f"grid resolution {block_grid.values.shape}"
-        )
+    K = _head_kernel_size(block_grid, trunk, w, b)
     g = block_grid.values
-    gp = _padded_grid(g, kernels.kernel_size // 2)
+    gp = _padded_grid(g, K // 2)
     H, W, M = g.shape
     out = np.zeros_like(g)
-    shifts = _shifts(kernels.kernel_size)
+    shifts = _shifts(K)
     for s, e in _slabs(H, W * M):
-        taps = kernels.taps(s, e)
+        taps = _check_finite(nn.conv1(trunk[s:e], w, b))
         acc = out[s:e]
         tmp = nn.workspace("cell_conv.tap", acc.shape, np.result_type(taps, g))
         for idx, (dx, dy, dz) in enumerate(shifts):
@@ -356,27 +312,22 @@ def _padded_grid(g: np.ndarray, r: int) -> np.ndarray:
 
 
 def cell_conv_grads(
-    block_grid: VoxelGrid, kernels: KernelField, upstream: np.ndarray
+    block_grid: VoxelGrid, trunk: np.ndarray, w: np.ndarray, b: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjoint of cell_conv over a kernel head: its (trunk, weight, bias)
-    gradients, and no grid gradient. An explicit field is rejected.
+    """Adjoint of cell_conv: the kernel head's (trunk, weight, bias)
+    gradients, and no grid gradient.
 
     Runs in cell_conv's slabs: each slab's tap gradient, upstream times the
     shifted grid, fills (K^3, slab) planes of a workspace buffer that one
     `nn.conv1_grads` on that slab of the trunk reads. The weight and bias
     gradients add up over the slabs in order.
     """
-    if kernels.values is not None:
-        raise ValueError("cell_conv_grads needs a kernel head, not an explicit kernel field")
+    K = _head_kernel_size(block_grid, trunk, w, b)
     g = block_grid.values
-    if kernels.resolution != g.shape:
-        raise ValueError("kernel field resolution does not match grid resolution")
     upstream = np.asarray(upstream)
     if upstream.shape != g.shape:
         raise ValueError(f"upstream must have shape {g.shape}, got {upstream.shape}")
     H, W, M = g.shape
-    K = kernels.kernel_size
-    trunk, (w, b) = kernels.trunk, kernels.head
     dtype = np.result_type(trunk, w, b)
     gp = _padded_grid(g, K // 2)
     d_trunk = np.empty(trunk.shape, dtype)
@@ -481,10 +432,10 @@ def _unet_backward(cache: dict, params: CarveModelParams, d_trunk: np.ndarray) -
 
 def predict_kernels(
     partial_grid: VoxelGrid, params: CarveModelParams
-) -> tuple[KernelField, FeatureGrid]:
-    """Predict per-cell carve kernels and the refinement features at every
-    vertex from P-hat. `engrave` runs the feature head only on the trunk
-    sampled at its coarse points; this is the dense reference."""
+) -> tuple[np.ndarray, FeatureGrid]:
+    """Predict per-cell carve kernels, an (H, W, M, K^3) array in
+    `kernel_offsets` tap order, and the refinement features at every vertex
+    from P-hat. `engrave` never forms either: this is the dense reference."""
     if partial_grid.values.shape != params.config.resolution:
         raise ValueError(
             f"grid resolution {partial_grid.values.shape} does not match "
@@ -495,7 +446,7 @@ def predict_kernels(
     kern = nn.conv1(trunk, t["kernel_head.w"], t["kernel_head.b"])
     feat = nn.conv1(trunk, t["feature_head.w"], t["feature_head.b"])
     return (
-        KernelField(np.moveaxis(kern, 0, -1), params.config.kernel_size),
+        np.moveaxis(kern, 0, -1),
         FeatureGrid(np.moveaxis(feat, 0, -1), partial_grid.range),
     )
 
@@ -538,7 +489,7 @@ def engrave(
     )
     partial_grid = gridding(block.partial, cfg.resolution, block.range, cfg.np_dtype)
     trunk, cache = _unet_forward(partial_grid.values, params, keep_cache)
-    carved = cell_conv(block_grid, KernelField.from_head(trunk, params))
+    carved = cell_conv(block_grid, trunk, t["kernel_head.w"], t["kernel_head.b"])
     coarse = gridding_reverse(carved, m, threshold)
     rows = feature_sample(FeatureGrid(trunk, block.range), coarse)
     features = nn.linear(rows, t["feature_head.w"], t["feature_head.b"])
@@ -580,9 +531,8 @@ def engrave_grads(
     )
     d_coarse = d_coarse + feature_sample_query_grad(trunk, result.coarse, d_rows)
     d_carved = gridding_reverse_grad(result.carved, len(result.coarse), result.threshold, d_coarse)
-    kernels = KernelField.from_head(trunk.values, params)
     d_trunk, grads["kernel_head.w"], grads["kernel_head.b"] = cell_conv_grads(
-        result.block_grid, kernels, d_carved
+        result.block_grid, trunk.values, t["kernel_head.w"], t["kernel_head.b"], d_carved
     )
     d_trunk += feature_sample_grad(trunk, result.coarse, d_rows)
     grads.update(_unet_backward(cache, params, d_trunk))

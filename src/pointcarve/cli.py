@@ -144,7 +144,12 @@ def _cmd_consistency(args) -> int:
 def _cmd_sweep(args) -> int:
     params, config = load_checkpoint(args.ckpt)
     dataset = _load_dataset(args.manifest)
-    levels = [float(v) for v in args.levels.split(",") if v.strip()]
+    levels = []
+    for v in filter(str.strip, args.levels.split(",")):
+        try:
+            levels.append(float(v))
+        except ValueError:
+            raise ValueError(f"--levels: {v.strip()!r} is not a number") from None
     points = sensitivity_sweep(
         params, dataset, levels, config, args.method, args.seed, jobs=args.jobs
     )

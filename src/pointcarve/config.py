@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .carving import CarveModelConfig
+from .pcio import read_text
 
 # Largest grid side. At 256^3 each float32 channel of a full-resolution
 # activation takes 64 MB (a desk-width stem output 0.5 GB), so a config text,
@@ -198,7 +199,7 @@ class RunConfig:
 
     @staticmethod
     def load(path: str | Path) -> "RunConfig":
-        return RunConfig.from_text(Path(path).read_text(), source=str(path))
+        return RunConfig.from_text(read_text(path), source=str(path))
 
     @staticmethod
     def from_text(text: str, source: str = "<config>") -> "RunConfig":

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import nn
-from .carving import CarveModelParams, KernelField, cell_conv, cell_conv_grads
+from .carving import CarveModelParams, cell_conv, cell_conv_grads
 from .cloud import BoundingRange, PointCloud
 from .gridding import (
     FeatureGrid,
@@ -147,10 +147,10 @@ def check_cell_conv(seed: int, instances: int = 20) -> GradCheckResult:
         trunk = rng.standard_normal((res, res, res, channels))
         w, b = rng.standard_normal((channels, 27)), rng.standard_normal(27)
         upstream = rng.standard_normal((res, res, res))
-        d_trunk, d_w, d_b = cell_conv_grads(grid, KernelField(None, 3, trunk, (w, b)), upstream)
+        d_trunk, d_w, d_b = cell_conv_grads(grid, trunk, w, b, upstream)
 
         def phi(t_, w_, b_):
-            out = cell_conv(grid, KernelField(None, 3, t_, (w_, b_))).values
+            out = cell_conv(grid, t_, w_, b_).values
             return float(np.sum(upstream * out))
 
         worst = max(worst, _fd_compare(lambda v: phi(v, w, b), trunk, d_trunk, rng))

@@ -298,6 +298,9 @@ def sensitivity_sweep(
         raise ValueError("no level to sweep")
     if any(not (0 < lv <= 1) for lv in levels):
         raise ValueError("levels must lie in (0, 1]")
+    for i, lv in enumerate(levels):
+        if lv in levels[:i]:
+            raise ValueError(f"level {lv} given twice")
     if method not in ("random", "sensor"):
         raise ValueError(f"unknown sweep cull method {method!r}")
     vis_cfg = VisibilityConfig(config.depth_buffer_res, config.depth_eps)

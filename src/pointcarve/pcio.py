@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloud
+
+
+def read_text(path: str | Path) -> str:
+    """The file's UTF-8 text; any other bytes raise one error naming the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
 
 
 def read_xyz(path: str | Path) -> PointCloud:
@@ -17,7 +29,8 @@ def read_xyz(path: str | Path) -> PointCloud:
     non-finite coordinate raises with its line number.
     """
     pts, linenos = [], []
-    with open(path) as fh:
+    # Lines as a text-mode file splits them: at \n, \r\n and \r only.
+    with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -185,7 +198,7 @@ def read_dataset_manifest(path: str | Path) -> list[tuple[str, Path, Path]]:
     """Lines `category partial_path gt_path`; paths relative to the manifest."""
     base = Path(path).parent
     entries = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -204,7 +217,7 @@ def read_sequence_manifest(path: str | Path) -> dict[str, list[tuple[int, Path]]
     base = Path(path).parent
     groups: dict[str, list[tuple[int, Path]]] = {}
     first_line: dict[tuple[str, int], int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -19,7 +19,6 @@ import scipy.ndimage
 from pointcarve import (
     BoundingRange,
     CarveModelParams,
-    KernelField,
     PointCloud,
     RunConfig,
     TrackedSequence,
@@ -103,13 +102,15 @@ def test_criterion_2_conv_oracle():
     for _ in range(20):
         g = rng.standard_normal((6, 6, 6))
         kern = rng.standard_normal((6, 6, 6, 27))
-        out = cell_conv(VoxelGrid(g, unit_range), KernelField(kern, 3)).values
+        out = cell_conv(VoxelGrid(g, unit_range), kern, np.eye(27), np.zeros(27)).values
         worst = max(worst, float(np.abs(out - brute_force_cell_conv(g, kern, 3)).max()))
     shared = rng.standard_normal(27)
     g = rng.standard_normal((6, 6, 6))
     const = cell_conv(
         VoxelGrid(g, unit_range),
-        KernelField(np.broadcast_to(shared, (6, 6, 6, 27)).copy(), 3),
+        np.broadcast_to(shared, (6, 6, 6, 27)).copy(),
+        np.eye(27),
+        np.zeros(27),
     ).values
     ref = scipy.ndimage.correlate(g, shared.reshape(3, 3, 3), mode="constant", cval=0.0)
     shared_err = float(np.abs(const - ref).max())

@@ -10,7 +10,6 @@ import scipy.ndimage
 from pointcarve import (
     CarveModelConfig,
     CarveModelParams,
-    KernelField,
     PointCloud,
     VoxelGrid,
     build_point_block,
@@ -47,36 +46,40 @@ def brute_force_cell_conv(grid: np.ndarray, kern: np.ndarray, K: int) -> np.ndar
     return out
 
 
-def identity_kernels(res, K=3) -> KernelField:
-    values = np.zeros((*res, K**3))
-    values[..., (K**3 - 1) // 2] = 1.0
-    return KernelField(values, K)
+def explicit_cell_conv(grid: VoxelGrid, kern: np.ndarray) -> VoxelGrid:
+    """cell_conv with the (H, W, M, K^3) kernels `kern`: the identity head
+    over them, whose taps reproduce `kern` exactly."""
+    taps = kern.shape[-1]
+    return cell_conv(grid, kern, np.eye(taps, dtype=kern.dtype), np.zeros(taps, kern.dtype))
 
 
 class TestCellConv:
     def test_identity_kernels(self, rng, unit_range):
         g = rng.random((5, 5, 5))
-        out = cell_conv(VoxelGrid(g, unit_range), identity_kernels((5, 5, 5)))
+        kern = np.zeros((5, 5, 5, 27))
+        kern[..., 13] = 1.0
+        out = explicit_cell_conv(VoxelGrid(g, unit_range), kern)
         np.testing.assert_array_equal(out.values, g)
 
     def test_zero_kernels(self, rng, unit_range):
         g = rng.random((4, 4, 4))
-        out = cell_conv(VoxelGrid(g, unit_range), KernelField(np.zeros((4, 4, 4, 27)), 3))
+        out = explicit_cell_conv(VoxelGrid(g, unit_range), np.zeros((4, 4, 4, 27)))
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_matches_brute_force(self, rng, unit_range):
-        for _ in range(5):
-            g = rng.standard_normal((6, 6, 6))
-            kern = rng.standard_normal((6, 6, 6, 27))
-            out = cell_conv(VoxelGrid(g, unit_range), KernelField(kern, 3))
-            expected = brute_force_cell_conv(g, kern, 3)
-            np.testing.assert_allclose(out.values, expected, atol=1e-6)
+        for K in (1, 3, 5):
+            for _ in range(5):
+                g = rng.standard_normal((6, 6, 6))
+                kern = rng.standard_normal((6, 6, 6, K**3))
+                out = explicit_cell_conv(VoxelGrid(g, unit_range), kern)
+                expected = brute_force_cell_conv(g, kern, K)
+                np.testing.assert_allclose(out.values, expected, atol=1e-6)
 
     def test_constant_kernels_equal_shared_conv(self, rng, unit_range):
         g = rng.standard_normal((6, 6, 6))
         shared = rng.standard_normal(27)
         kern = np.broadcast_to(shared, (6, 6, 6, 27)).copy()
-        out = cell_conv(VoxelGrid(g, unit_range), KernelField(kern, 3))
+        out = explicit_cell_conv(VoxelGrid(g, unit_range), kern)
         reference = scipy.ndimage.correlate(
             g, shared.reshape(3, 3, 3), mode="constant", cval=0.0
         )
@@ -85,47 +88,49 @@ class TestCellConv:
     def test_linearity_in_grid(self, rng, unit_range):
         x = rng.standard_normal((5, 5, 5))
         y = rng.standard_normal((5, 5, 5))
-        kern = KernelField(rng.standard_normal((5, 5, 5, 27)), 3)
+        kern = rng.standard_normal((5, 5, 5, 27))
         a, b = 1.7, -0.4
-        left = cell_conv(VoxelGrid(a * x + b * y, unit_range), kern).values
+        left = explicit_cell_conv(VoxelGrid(a * x + b * y, unit_range), kern).values
         right = (
-            a * cell_conv(VoxelGrid(x, unit_range), kern).values
-            + b * cell_conv(VoxelGrid(y, unit_range), kern).values
+            a * explicit_cell_conv(VoxelGrid(x, unit_range), kern).values
+            + b * explicit_cell_conv(VoxelGrid(y, unit_range), kern).values
         )
         np.testing.assert_allclose(left, right, atol=1e-9)
 
     def test_resolution_mismatch_errors(self, rng, unit_range):
         g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
         with pytest.raises(ValueError, match="resolution"):
-            cell_conv(g, KernelField(np.zeros((5, 5, 5, 27)), 3))
+            explicit_cell_conv(g, np.zeros((5, 5, 5, 27)))
 
 
-def head_field(rng, res, channels=3, dtype=np.float64) -> KernelField:
-    """A random 3^3 kernel head over a random (*res, channels) trunk."""
+def kernel_head(rng, res, channels=3, dtype=np.float64, K=3):
+    """A random (trunk, w, b): a K^3 kernel head over a (*res, channels) trunk."""
     trunk = rng.standard_normal((*res, channels)).astype(dtype)
-    w, b = rng.standard_normal((channels, 27)).astype(dtype), rng.standard_normal(27).astype(dtype)
-    return KernelField(None, 3, trunk, (w, b))
+    w = rng.standard_normal((channels, K**3)).astype(dtype)
+    return trunk, w, rng.standard_normal(K**3).astype(dtype)
 
 
-def brute_force_head_grads(grid: np.ndarray, head: KernelField, upstream: np.ndarray):
+def brute_force_head_grads(grid: np.ndarray, trunk: np.ndarray, w: np.ndarray,
+                           upstream: np.ndarray, K: int = 3):
     """Reference (trunk, weight, bias) gradients: tap o of cell c gets
     upstream(c) * grid(c + o), zero outside the grid, and one whole-grid
     `nn.conv1_grads` maps those taps to the head."""
     from pointcarve import nn
 
     H, W, M = grid.shape
-    gp = np.pad(grid, 1)
+    r = K // 2
+    gp = np.pad(grid, r)
     d_taps = np.stack([
-        upstream * gp[1 + dx : 1 + dx + H, 1 + dy : 1 + dy + W, 1 + dz : 1 + dz + M]
-        for dx, dy, dz in kernel_offsets(3)
+        upstream * gp[r + dx : r + dx + H, r + dy : r + dy + W, r + dz : r + dz + M]
+        for dx, dy, dz in kernel_offsets(K)
     ])
-    return nn.conv1_grads(head.trunk, head.head[0], d_taps)
+    return nn.conv1_grads(trunk, w, d_taps)
 
 
 class TestCellConvGrads:
     def test_zero_upstream(self, rng, unit_range):
         g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
-        for grad in cell_conv_grads(g, head_field(rng, (4, 4, 4)), np.zeros((4, 4, 4))):
+        for grad in cell_conv_grads(g, *kernel_head(rng, (4, 4, 4)), np.zeros((4, 4, 4))):
             np.testing.assert_array_equal(grad, 0.0)
 
     def test_identity_kernel_adjoint(self, rng, unit_range):
@@ -135,10 +140,10 @@ class TestCellConvGrads:
         trunk = rng.standard_normal((4, 5, 6, 3))
         b = np.zeros(27)
         b[13] = 1.0
-        head = KernelField(None, 3, trunk, (np.zeros((3, 27)), b))
-        np.testing.assert_array_equal(cell_conv(g, head).values, g.values)
+        head = (trunk, np.zeros((3, 27)), b)
+        np.testing.assert_array_equal(cell_conv(g, *head).values, g.values)
         upstream = rng.standard_normal((4, 5, 6))
-        d_trunk, d_w, d_b = cell_conv_grads(g, head, upstream)
+        d_trunk, d_w, d_b = cell_conv_grads(g, *head, upstream)
         np.testing.assert_array_equal(d_trunk, 0.0)
         assert d_b[13] == pytest.approx(np.sum(upstream * g.values), rel=1e-12)
         np.testing.assert_allclose(
@@ -152,24 +157,20 @@ class TestCellConvGrads:
     def test_shape_mismatch_errors(self, rng, unit_range):
         g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
         with pytest.raises(ValueError, match="upstream"):
-            cell_conv_grads(g, head_field(rng, (4, 4, 4)), np.zeros((5, 5, 5)))
-
-    def test_explicit_field_is_rejected(self, rng, unit_range):
-        g = VoxelGrid(rng.random((4, 4, 4)), unit_range)
-        with pytest.raises(ValueError, match="needs a kernel head"):
-            cell_conv_grads(g, KernelField(rng.random((4, 4, 4, 27)), 3), np.zeros((4, 4, 4)))
+            cell_conv_grads(g, *kernel_head(rng, (4, 4, 4)), np.zeros((5, 5, 5)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_head_grads_match_the_brute_force_taps(self, rng, unit_range, dtype):
-        g = VoxelGrid(rng.standard_normal((5, 6, 7)).astype(dtype), unit_range)
-        head = head_field(rng, (5, 6, 7), dtype=dtype)
-        upstream = rng.standard_normal((5, 6, 7)).astype(dtype)
-        got = cell_conv_grads(g, head, upstream)
-        want = brute_force_head_grads(g.values, head, upstream)
-        assert [a.shape for a in got] == [(5, 6, 7, 3), (3, 27), (27,)]
-        for a, ref in zip(got, want):
-            assert a.dtype == dtype
-            np.testing.assert_array_equal(a, ref)
+        for K in (1, 3, 5):
+            g = VoxelGrid(rng.standard_normal((5, 6, 7)).astype(dtype), unit_range)
+            trunk, w, b = kernel_head(rng, (5, 6, 7), dtype=dtype, K=K)
+            upstream = rng.standard_normal((5, 6, 7)).astype(dtype)
+            got = cell_conv_grads(g, trunk, w, b, upstream)
+            want = brute_force_head_grads(g.values, trunk, w, upstream, K)
+            assert [a.shape for a in got] == [(5, 6, 7, 3), (3, K**3), (K**3,)]
+            for a, ref in zip(got, want):
+                assert a.dtype == dtype
+                np.testing.assert_array_equal(a, ref)
 
 
 DESK = CarveModelConfig(
@@ -188,7 +189,7 @@ class TestPredictKernels:
             np.zeros((32, 32, 32), dtype=np.float64), _range_unit()
         )
         kern, feat = predict_kernels(grid, params)
-        assert kern.values.shape == (32, 32, 32, 27)
+        assert kern.shape == (32, 32, 32, 27)
         assert feat.values.shape == (32, 32, 32, 32) and feat.resolution == (32, 32, 32)
 
     def test_zero_grid_zero_heads_gives_bias(self, rng):
@@ -197,14 +198,14 @@ class TestPredictKernels:
         params.tensors["kernel_head.b"][:] = 0.25
         grid = VoxelGrid(np.zeros((8, 8, 8)), _range_unit())
         kern, _ = predict_kernels(grid, params)
-        np.testing.assert_allclose(kern.values, 0.25, atol=1e-12)
+        np.testing.assert_allclose(kern, 0.25, atol=1e-12)
 
     def test_deterministic_forward(self, rng):
         params = CarveModelParams.initialize(TINY, seed=2)
         grid = VoxelGrid(rng.random((8, 8, 8)), _range_unit())
         k1, f1 = predict_kernels(grid, params)
         k2, f2 = predict_kernels(grid, params)
-        np.testing.assert_array_equal(k1.values, k2.values)
+        np.testing.assert_array_equal(k1, k2)
         np.testing.assert_array_equal(f1.values, f2.values)
 
     def test_resolution_mismatch_errors(self, rng):
@@ -224,7 +225,7 @@ class TestPredictKernels:
         r = _range_unit()
         k1, _ = predict_kernels(gridding(cloud, (8, 8, 8), r), params)
         k2, _ = predict_kernels(gridding(perm, (8, 8, 8), r), params)
-        np.testing.assert_allclose(k1.values, k2.values, atol=1e-12)
+        np.testing.assert_allclose(k1, k2, atol=1e-12)
 
 
 def _range_unit():
@@ -246,7 +247,7 @@ class TestEngrave:
         block_grid = gridding(PointCloud(block.all_points()), (8, 8, 8), bounds, np.float64)
         partial_grid = gridding(block.partial, (8, 8, 8), bounds, np.float64)
         kern, feat2 = predict_kernels(partial_grid, params)
-        carved = cell_conv(block_grid, kern)
+        carved = explicit_cell_conv(block_grid, kern)
         coarse2 = gridding_reverse(carved, 32, 0.0)
         np.testing.assert_array_equal(result.coarse.points, coarse2.points)
         # The head after sampling, or sampled after the head: equal up to rounding.
@@ -329,7 +330,9 @@ class TestFeaturesAtSampledVoxels:
         kern, dense_features = predict_kernels(
             gridding(block.partial, model.resolution, bounds, model.np_dtype), params
         )
-        coarse = gridding_reverse(cell_conv(block_grid, kern), cfg.coarse_m, cfg.carve_threshold)
+        coarse = gridding_reverse(
+            explicit_cell_conv(block_grid, kern), cfg.coarse_m, cfg.carve_threshold
+        )
         want = feature_sample(dense_features, coarse)
         dense = refine(coarse, want, params.refine_layers)[0]
 
@@ -418,7 +421,7 @@ class TestKernelHeadInSlabs:
         kern, _ = predict_kernels(
             gridding(block.partial, model.resolution, bounds, model.np_dtype), params
         )
-        carved = cell_conv(block_grid, kern)
+        carved = explicit_cell_conv(block_grid, kern)
         coarse = gridding_reverse(carved, cfg.coarse_m, cfg.carve_threshold)
         features = engrave(block, params, cfg.coarse_m, cfg.carve_threshold).features
         dense = refine(coarse, features, params.refine_layers)[0]
@@ -428,7 +431,7 @@ class TestKernelHeadInSlabs:
         for keep_cache in (False, True):
             result = engrave(block, params, cfg.coarse_m, cfg.carve_threshold, keep_cache)
             np.testing.assert_array_equal(result.carved.values, carved.values)
-        np.testing.assert_array_equal(cell_conv(block_grid, kern).values, carved.values)
+        np.testing.assert_array_equal(explicit_cell_conv(block_grid, kern).values, carved.values)
         got_coarse, got_dense = complete_cloud(partial, params, cfg)
         np.testing.assert_array_equal(got_coarse.points, coarse.points)
         np.testing.assert_array_equal(got_dense.points, dense.points)
@@ -452,18 +455,17 @@ class TestKernelHeadInSlabs:
         w, b = rng.standard_normal((4, 27)), rng.standard_normal(27)
         grid = VoxelGrid(rng.random((7, 5, 6)), _range_unit())
         upstream = rng.standard_normal((7, 5, 6))
-        head = KernelField(None, 3, trunk, (w, b))
-        d_trunk_ref, d_w_ref, d_b_ref = brute_force_head_grads(grid.values, head, upstream)
+        d_trunk_ref, d_w_ref, d_b_ref = brute_force_head_grads(grid.values, trunk, w, upstream)
 
         if in_slabs:
             assert len(_slab_planes(monkeypatch, (7, 5, 6), 3)) == 3
         else:
             assert len(carving._slabs(7, 5 * 6)) == 1
-        explicit = KernelField(np.moveaxis(nn.conv1(trunk, w, b), 0, -1), 3)
+        explicit = np.moveaxis(nn.conv1(trunk, w, b), 0, -1)
         np.testing.assert_array_equal(
-            cell_conv(grid, head).values, cell_conv(grid, explicit).values
+            cell_conv(grid, trunk, w, b).values, explicit_cell_conv(grid, explicit).values
         )
-        d_trunk, d_w, d_b = cell_conv_grads(grid, head, upstream)
+        d_trunk, d_w, d_b = cell_conv_grads(grid, trunk, w, b, upstream)
         np.testing.assert_array_equal(d_trunk, d_trunk_ref)
         np.testing.assert_allclose(d_w, d_w_ref, rtol=1e-12)
         np.testing.assert_allclose(d_b, d_b_ref, rtol=1e-12)
@@ -472,17 +474,45 @@ class TestKernelHeadInSlabs:
         rng = np.random.default_rng(34)
         trunk = rng.standard_normal((6, 4, 4, 2))
         trunk[5, 0, 0, 0] = np.inf  # in the last of three slabs
-        head = KernelField(None, 3, trunk, (rng.standard_normal((2, 27)), np.zeros(27)))
+        w = rng.standard_normal((2, 27))
         _slab_planes(monkeypatch, (6, 4, 4), 2)
         grid = VoxelGrid(rng.random((6, 4, 4)), _range_unit())
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite values"):
-            cell_conv(grid, head)
+            cell_conv(grid, trunk, w, np.zeros(27))
 
-    def test_field_needs_values_or_a_head(self, rng):
-        with pytest.raises(ValueError, match="either values or a trunk"):
-            KernelField(None, 3)
+    @pytest.mark.parametrize("grads", [False, True])
+    def test_head_that_is_no_odd_cube_or_off_grid_is_rejected(self, rng, grads):
+        grid = VoxelGrid(rng.random((4, 4, 4)), _range_unit())
+
+        def carve(trunk, w, b):
+            if grads:
+                return cell_conv_grads(grid, trunk, w, b, np.zeros((4, 4, 4)))
+            return cell_conv(grid, trunk, w, b)
+
+        trunk = rng.random((4, 4, 4, 2))
+        for taps in (8, 26, 2):
+            with pytest.raises(ValueError, match="does not map trunk"):
+                carve(trunk, rng.random((2, taps)), np.zeros(taps))
         with pytest.raises(ValueError, match="does not map trunk"):
-            KernelField(None, 3, rng.random((4, 4, 4, 2)), (rng.random((3, 27)), np.zeros(27)))
+            carve(trunk, rng.random((3, 27)), np.zeros(27))  # w's rows are not C
+        with pytest.raises(ValueError, match="does not map trunk"):
+            carve(trunk, rng.random((2, 27)), np.zeros(26))  # nor b's width w's
+        with pytest.raises(ValueError, match="trunk resolution .* grid resolution"):
+            carve(rng.random((4, 5, 4, 2)), rng.random((2, 27)), np.zeros(27))
+
+    def test_kernel_size_5_runs_end_to_end(self):
+        from pointcarve.training import complete_cloud, loss_and_grads_sample
+
+        cfg = _run_config("tiny").replace(kernel_size=5)
+        params = CarveModelParams.initialize(cfg.carve_config(), 37)
+        gt = random_cloud(np.random.default_rng(38), 200, -0.5, 0.5)
+        partial = PointCloud(gt.points[:100])
+        coarse, dense = complete_cloud(partial, params, cfg)
+        assert len(coarse) == cfg.coarse_m and np.all(np.isfinite(dense.points))
+        step = loss_and_grads_sample(partial, gt, params, cfg, aug_seed=1)
+        assert np.isfinite(step.loss.total)
+        assert step.grads["kernel_head.w"].shape == (cfg.unet_base_width, 125)
+        assert np.any(step.grads["kernel_head.w"] != 0)
 
     @pytest.mark.parametrize("preset", ["tiny", "desk"])
     def test_no_array_is_kernel_field_sized(self, preset):
@@ -734,7 +764,7 @@ class TestNoAliasing:
             bounds = compute_bounds(partials[i], cfg.bounds_padding_partial)
             features = engrave(make_block(partials[i], bounds, cfg), params, cfg.coarse_m).features
             step = loss_and_grads_sample(partials[i], gts[i], params, cfg, aug_seed=i)
-            return [predict_kernels(grids[i], params)[0].values, coarse.points, dense.points,
+            return [predict_kernels(grids[i], params)[0], coarse.points, dense.points,
                     features, np.float64(step.loss.total), *step.grads.values()]
 
         expected = [[a.copy() for a in work_on(i)] for i in range(len(grids))]

@@ -257,6 +257,19 @@ class TestTrainCompleteEval:
                      str(synth_dir / "manifest.txt"), "--levels", levels])
         assert_one_line_failure(code, capsys, "no level to sweep")
 
+    @pytest.mark.parametrize("levels,line", [
+        ("0.5,abc", "error: --levels: 'abc' is not a number"),
+        ("0.5, 1e-3x", "error: --levels: '1e-3x' is not a number"),
+        ("0.5,0.5", "error: level 0.5 given twice"),
+    ])
+    def test_sweep_bad_level_is_runtime_error(self, trained, synth_dir, capsys, levels, line):
+        _, ckpt = trained
+        capsys.readouterr()
+        code = main(["sweep", "--ckpt", str(ckpt), "--manifest",
+                     str(synth_dir / "manifest.txt"), "--levels", levels])
+        assert assert_one_line_failure(code, capsys, "") == line
+        assert capsys.readouterr().out == ""
+
 
 class TestConsistencyCommand:
     def test_hand_built_sequence(self, tmp_path, capsys):
@@ -716,6 +729,25 @@ class TestCorruptInputs:
         line = assert_one_line_failure(main(argv), capsys, "no points")
         assert f"{src}: no points" in line
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("reader", ["xyz", "dataset", "sequence", "config"])
+    def test_text_that_is_not_utf8_names_the_file(self, files, tmp_path, capsys, reader):
+        work, ckpt = files
+        bad = tmp_path / {"xyz": "bad.xyz", "config": "bad.cfg"}.get(reader, "m.txt")
+        bad.write_bytes(b"# \xc3\xa9\n\xff 0 0\n")  # a valid two-byte character, then 0xff
+        out = str(tmp_path / "out")
+        argv = {
+            "xyz": ["complete", "--ckpt", str(ckpt), "--in", str(bad), "--out", out],
+            "dataset": ["eval", "--ckpt", str(ckpt), "--manifest", str(bad), "--report", out],
+            "sequence": ["consistency", "--manifest", str(bad)],
+            "config": ["train", "--config", str(bad), "--out", out,
+                       "--manifest", str(work / "in.xyz")],
+        }[reader]
+        capsys.readouterr()
+        line = assert_one_line_failure(main(argv), capsys, "")
+        assert line == f"error: {bad}: not UTF-8 text (byte 0xff at offset 5)"
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", list(MANIFEST_CASES))
     def test_corrupt_manifest(self, files, tmp_path, capsys, case):

@@ -201,6 +201,17 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError, match="unknown sweep cull method 'bogus'"):
             sensitivity_sweep(tiny_model, tiny_dataset, [1.0], TINY_CFG, method="bogus")
 
+    def test_repeated_level_is_rejected_before_any_work(self, tiny_model, tiny_dataset,
+                                                        monkeypatch):
+        from pointcarve import metrics
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a sample was completed")
+
+        monkeypatch.setattr(metrics, "complete_cloud", no_work)
+        with pytest.raises(ValueError, match="^level 0.5 given twice$"):
+            sensitivity_sweep(tiny_model, tiny_dataset, [0.5, 1.0, 0.5], TINY_CFG)
+
     def test_level_one_reproduces_plain_eval(self, rng):
         params = CarveModelParams.initialize(TINY_CFG.carve_config(), seed=1)
         gt, cat = gen_shape(SyntheticShapeSpec("box", count=512, seed=5))
