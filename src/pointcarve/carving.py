@@ -44,7 +44,8 @@ Memory layout of the inference forward:
   array `refine` reads. `predict_kernels` runs the same head over every
   vertex, the dense reference.
 - Without a kept cache, those padded buffers and every other temporary come
-  from the calling thread's `nn.workspace` and are reused by the next call.
+  from the calling thread's workspace (`nn.halo_buffer` for the padded ones,
+  `nn.workspace` scratch for the rest) and are reused by the next call.
   A workspace buffer never leaves the public function that fills it: the
   carved grid, the features, `EngraveResult`, `predict_kernels`'
   results and a kept `unet_cache` are fresh arrays their caller owns.
@@ -304,9 +305,9 @@ def _shifts(K: int) -> np.ndarray:
 
 
 def _padded_grid(g: np.ndarray, r: int) -> np.ndarray:
-    """g inside a zero halo of width r, in a workspace buffer."""
+    """g inside a zero halo of width r, in a haloed workspace buffer."""
     H, W, M = g.shape
-    gp = nn.workspace(f"carving.grid.pad{r}", (H + 2 * r, W + 2 * r, M + 2 * r), g.dtype)
+    gp = nn.halo_buffer(f"carving.grid.pad{r}", (H + 2 * r, W + 2 * r, M + 2 * r), g.dtype)
     gp[r : r + H, r : r + W, r : r + M] = g
     return gp
 

@@ -16,6 +16,7 @@ from .carving import CarveModelParams
 from .cloud import PointCloud, compute_bounds, normalize_unit_cube
 from .config import RunConfig
 from .losses import chamfer
+from .pcio import read_text
 from .sensoraug import VisibilityConfig, draw_pose, visible_points
 from .training import complete_cloud
 
@@ -112,12 +113,14 @@ class EvalReport:
         for name in sorted(self.category_means):
             lines.append(f"category.{name}.count: {self.category_counts[name]}")
             lines.append(f"category.{name}.mean_cd_scaled: {self.category_means[name]!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @staticmethod
     def load(path: str | Path) -> "EvalReport":
+        """Read a report `save` wrote. A file that is not UTF-8, a missing
+        key or a malformed value raises one ValueError naming the file."""
         entries: dict[str, str] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -127,25 +130,40 @@ class EvalReport:
             entries[key] = value
         if entries.get("schema") != "pointcarve-eval-report/1":
             raise ValueError(f"{path}: unknown report schema {entries.get('schema')!r}")
+
+        def field(key: str, parse):
+            if key not in entries:
+                raise ValueError(f"{path}: missing key {key!r}")
+            try:
+                return parse(entries[key])
+            except ValueError:
+                raise ValueError(f"{path}: {key}: malformed value {entries[key]!r}") from None
+
         means: dict[str, float] = {}
         counts: dict[str, int] = {}
-        for key, value in entries.items():
+        for key in entries:
             if key.startswith("category."):
                 # Off the right: a category name may itself hold dots.
                 name, _, fieldname = key.removeprefix("category.").rpartition(".")
                 if fieldname == "count":
-                    counts[name] = int(value)
+                    counts[name] = field(key, int)
                 elif fieldname == "mean_cd_scaled":
-                    means[name] = float(value)
+                    means[name] = field(key, float)
         return EvalReport(
             category_means=means,
             category_counts=counts,
-            overall=float(entries["overall_cd_scaled"]),
-            weighted=entries["weighted"] == "true",
-            config_hash=entries["config_hash"],
-            seed=int(entries["seed"]),
-            created_utc=entries["created_utc"],
+            overall=field("overall_cd_scaled", float),
+            weighted=field("weighted", _parse_bool),
+            config_hash=field("config_hash", str),
+            seed=field("seed", int),
+            created_utc=field("created_utc", str),
         )
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
 
 
 @contextmanager

@@ -17,11 +17,21 @@ chunk of it, runs without a pad or a copy. Only interiors are written,
 except by the flat kernels, which re-zero the halo faces their padding rows
 spill onto.
 
-Workspace. `workspace(role, shape, dtype)` is the calling thread's buffer
-for that key: zeroed when first made, then reused by every later call with
-the same key. It may hold only values that die before the public function
-that filled them returns; a workspace buffer never appears in a returned
-value or a kept tape. Buffers live as long as their thread, one per key.
+Workspace. Each thread keeps two kinds of reusable buffer, which live as
+long as the thread. Either may hold only values that die before the public
+function that filled them returns; neither appears in a returned value or a
+kept tape.
+
+- Scratch: `workspace(role, shape, dtype)` is a view of the first
+  prod(shape) elements of the thread's one buffer for (role, dtype), grown
+  when a request is larger than it. Lifetimes within a role never overlap,
+  so every layer shape shares it. Its contents are undefined: every caller
+  writes each element before reading it.
+- Haloed: `halo_buffer(role, shape, dtype)` is kept by exact shape and
+  zeroed when first made. Callers write only its interior, so its halo stays
+  zero; a halo's place moves with the shape, so these are never shared
+  across shapes. `padded(shape, dtype, role)`, `carving`'s padded block grid
+  and the upsampled backward's parity grids use it.
 
 Flat layout. Flattened to rows of ((H+2)(W+2)(M+2), C_in), tap (dx, dy, dz)
 of every output row is the input row at offset dx*(W+2)(M+2) + dy*(M+2) +
@@ -93,6 +103,7 @@ where the other is); `conv1` and `linear` add the bias in place.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import weakref
 
@@ -119,14 +130,33 @@ _local = threading.local()
 _PADDED: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 
-def workspace(role: str, shape, dtype) -> np.ndarray:
-    """The calling thread's reusable buffer for (role, shape, dtype).
-
-    Zero when first made; afterwards it holds whatever its last user left.
-    """
+def _buffers() -> dict:
+    """The calling thread's buffers: scratch keyed (role, dtype), haloed
+    keyed (role, shape, dtype)."""
     buffers = getattr(_local, "buffers", None)
     if buffers is None:
         buffers = _local.buffers = {}
+    return buffers
+
+
+def workspace(role: str, shape, dtype) -> np.ndarray:
+    """A `shape` view of the thread's scratch buffer for (role, dtype),
+    grown to fit; its values are undefined, and it is valid until the
+    thread's next request for the role."""
+    buffers = _buffers()
+    key = (role, np.dtype(dtype))
+    size = math.prod(shape)
+    buf = buffers.get(key)
+    if buf is None or buf.size < size:
+        buf = buffers[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def halo_buffer(role: str, shape, dtype) -> np.ndarray:
+    """The thread's buffer for (role, shape, dtype), zeroed when first made,
+    so a halo that no user writes stays zero. Never shared across shapes:
+    the halo's place moves with the shape."""
+    buffers = _buffers()
     key = (role, tuple(shape), np.dtype(dtype))
     buf = buffers.get(key)
     if buf is None:
@@ -137,12 +167,12 @@ def workspace(role: str, shape, dtype) -> np.ndarray:
 def padded(shape, dtype, role: str | None = None) -> np.ndarray:
     """The (H, W, M, C) interior of a zero-haloed (H+2, W+2, M+2, C) buffer.
 
-    The buffer is the thread's workspace buffer for `role`, or a fresh one
-    when role is None (for arrays that outlive the call, such as tapes).
+    The buffer is the thread's `halo_buffer` for `role`, or a fresh one when
+    role is None (for arrays that outlive the call, such as tapes).
     """
     H, W, M, C = shape
     full = (H + 2, W + 2, M + 2, C)
-    buf = np.zeros(full, dtype) if role is None else workspace(role, full, dtype)
+    buf = np.zeros(full, dtype) if role is None else halo_buffer(role, full, dtype)
     _PADDED[id(buf)] = buf
     return buf[1:-1, 1:-1, 1:-1]
 
@@ -563,7 +593,7 @@ def _upsampled_conv3_grads(yp: np.ndarray, w: np.ndarray, upstream: np.ndarray, 
     cout = w.shape[-1]
     # The upstream's 8 parity grids, each in y's padded layout; only the
     # interiors are written, so the halo stays zero.
-    g = workspace("conv3.parity_upstream", (8, Hp, Wp, Mp, cout), upstream.dtype)
+    g = halo_buffer("conv3.parity_upstream", (8, Hp, Wp, Mp, cout), upstream.dtype)
     g.reshape(2, 2, 2, Hp, Wp, Mp, cout)[:, :, :, 1:-1, 1:-1, 1:-1] = upstream.reshape(
         H, 2, W, 2, M, 2, cout
     ).transpose(1, 3, 5, 0, 2, 4, 6)

@@ -559,10 +559,21 @@ class TestKernelHeadInSlabs:
         assert max(voxels for _, voxels in seen) <= carving.KERNEL_SLAB_VOXELS < 32**3
         assert len(outputs) >= 4
 
-    def test_no_trunk_workspace_buffer(self):
+    def test_no_trunk_workspace_buffer(self, monkeypatch):
         from pointcarve import nn
         from pointcarve.training import complete_cloud
 
+        parity = []
+        workspace = nn.workspace
+
+        def recording(role, shape, dtype):
+            if role == "conv3.parity":
+                parity.append(tuple(shape))
+            return workspace(role, shape, dtype)
+
+        # Scratch buffers are keyed by (role, dtype), so the parity
+        # accumulator's shapes are read off its requests.
+        monkeypatch.setattr(nn, "workspace", recording)
         cfg = _run_config("desk")
         params = CarveModelParams.initialize(cfg.carve_config(), 39)
         partial = random_cloud(np.random.default_rng(40), 300, -0.5, 0.5)
@@ -574,7 +585,6 @@ class TestKernelHeadInSlabs:
         # One buffer per level: each decoder writes over its skip, and the
         # sub-pixel shuffle accumulates one parity at a time.
         assert not [role for role in roles if role.startswith("carving.unet.dec")]
-        parity = [shape for role, shape, _ in nn._local.buffers if role == "conv3.parity"]
         assert parity and all(len(shape) == 2 for shape in parity)
 
 

@@ -1,5 +1,7 @@
 """Consistency, valid-point percentage, scaled CD and the report format."""
 
+import codecs
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from pointcarve import (
 )
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
 
-from conftest import random_cloud
+from conftest import random_cloud, run_fresh_python
 
 TINY_CFG = RunConfig(
     grid_res=8,
@@ -152,6 +154,73 @@ class TestEvaluate:
         report.save(path)
         assert "category.car.v2.mean_cd_scaled: 1.5" in path.read_text()
         assert EvalReport.load(path) == report
+
+
+def _saved_report(path, names=("box", "sphere")):
+    means = {name: 1.5 + i for i, name in enumerate(names)}
+    report = EvalReport(
+        category_means=means, category_counts={name: 3 for name in names},
+        overall=float(np.mean(list(means.values()))), weighted=False,
+        config_hash="0123456789ab", seed=7, created_utc="2026-01-01T00:00:00Z",
+    )
+    report.save(path)
+    return report
+
+
+class TestReportLoad:
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        _saved_report(path)
+        path.write_bytes(path.read_bytes().replace(b"box", b"b\xffx"))
+        with pytest.raises(ValueError, match=r"report\.txt: not UTF-8 text \(byte 0xff at offset \d+\)"):
+            EvalReport.load(path)
+
+    @pytest.mark.parametrize("key", ["overall_cd_scaled", "weighted", "config_hash", "seed",
+                                     "created_utc"])
+    def test_missing_key_is_named(self, key, tmp_path):
+        path = tmp_path / "report.txt"
+        _saved_report(path)
+        kept = [line for line in path.read_text().splitlines() if not line.startswith(f"{key}: ")]
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ValueError, match=f"report\\.txt: missing key '{key}'"):
+            EvalReport.load(path)
+
+    @pytest.mark.parametrize("key,bad", [
+        ("overall_cd_scaled", "abc"), ("seed", "7.5"), ("weighted", "yes"),
+        ("category.box.count", "three"), ("category.sphere.mean_cd_scaled", "1,5"),
+    ])
+    def test_malformed_value_is_named(self, key, bad, tmp_path):
+        path = tmp_path / "report.txt"
+        _saved_report(path)
+        lines = [f"{key}: {bad}" if line.startswith(f"{key}: ") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        message = f"report.txt: {key}: malformed value '{bad}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EvalReport.load(path)
+
+    def test_non_ascii_names_round_trip_under_an_ascii_locale(self, tmp_path, monkeypatch):
+        # A C locale without UTF-8 mode or coercion: the locale's encoding
+        # is ASCII, which cannot encode these names.
+        for var, value in (("LC_ALL", "C"), ("PYTHONUTF8", "0"), ("PYTHONCOERCECLOCALE", "0")):
+            monkeypatch.setenv(var, value)
+        path = tmp_path / "report.txt"
+        code = (
+            "import sys\n"
+            "from pointcarve import EvalReport\n"
+            # Escaped: an ASCII locale cannot pass these names on the command line.
+            "names = ('caf\\u00e9', '\\u043c\\u0435\\u0431\\u0435\\u043b\\u044c')\n"
+            "report = EvalReport(category_means={n: 1.5 for n in names},\n"
+            "    category_counts={n: 3 for n in names}, overall=1.5, weighted=False,\n"
+            "    config_hash='0123456789ab', seed=7, created_utc='2026-01-01T00:00:00Z')\n"
+            "report.save(sys.argv[1])\n"
+            "assert EvalReport.load(sys.argv[1]) == report\n"
+            "import locale; print(locale.getpreferredencoding(False))\n"
+        )
+        encoding = run_fresh_python(code, str(path)).strip()
+        assert codecs.lookup(encoding).name == "ascii"
+        text = path.read_bytes().decode("utf-8")
+        assert "category.café.count: 3" in text and "category.мебель.count: 3" in text
 
 
 class _RecordingPool:

@@ -280,15 +280,21 @@ def test_interior_of_a_foreign_array_is_copied():
 def test_workspace_is_per_key_and_per_thread():
     import threading
 
+    # One buffer per (role, dtype): every shape of the role is a view of
+    # it, and a larger request grows it.
     a = nn.workspace("test.ws", (3, 4), np.float32)
-    assert nn.workspace("test.ws", (3, 4), np.float32) is a
-    assert nn.workspace("test.ws", (3, 4), np.float64) is not a
-    assert nn.workspace("test.ws2", (3, 4), np.float32) is not a
+    assert a.shape == (3, 4)
+    assert np.shares_memory(nn.workspace("test.ws", (2, 5), np.float32), a)
+    big = nn.workspace("test.ws", (4, 4), np.float32)
+    assert np.shares_memory(nn.workspace("test.ws", (3, 4), np.float32), big)
+    assert not np.shares_memory(nn.workspace("test.ws", (3, 4), np.float64), big)
+    assert not np.shares_memory(nn.workspace("test.ws2", (3, 4), np.float32), big)
     other = []
     t = threading.Thread(target=lambda: other.append(nn.workspace("test.ws", (3, 4), np.float32)))
     t.start()
-    t.join()
-    assert other[0] is not a
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert not np.shares_memory(other[0], big)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
