@@ -3,7 +3,7 @@
 Layout (integers little-endian; documented in docs/formats.md):
 
     magic        4 bytes  b"PCRV"
-    version      u32      currently 4
+    version      u32      currently 5
     text_len     u32      byte length of the config text
     config text  UTF-8    canonical RunConfig.to_text() of the training run
     config hash  12 bytes RunConfig.config_hash() of that text, ASCII hex
@@ -28,7 +28,7 @@ from .carving import CarveModelParams
 from .config import RunConfig
 
 MAGIC = b"PCRV"
-VERSION = 4
+VERSION = 5
 _HEAD = struct.Struct("<4sII")
 _HASH_LEN = 12
 

@@ -1,4 +1,4 @@
-"""Run configuration: every pipeline hyperparameter in one flat record.
+"""Run configuration: every settable pipeline hyperparameter in one flat record.
 
 The on-disk format is plain ``key = value`` lines ('#' starts a comment);
 unknown keys are rejected and every field is validated with an explicit
@@ -16,7 +16,9 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .carving import CarveModelConfig
+from .cloud import DEFAULT_EPS_BOX_FRAC
 from .pcio import read_text
+from .sensoraug import DEFAULT_DEPTH_BUFFER_RES, DEFAULT_FOV_DEG
 
 # Largest grid side. At 256^3 each float32 channel of a full-resolution
 # activation takes 64 MB (a desk-width stem output 0.5 GB), so a config text,
@@ -46,26 +48,20 @@ class RunConfig:
     n_per_axis: int = 13
     bounds_padding_gt: float = 0.0
     bounds_padding_partial: float = 0.15
-    eps_box_frac: float = 1e-3
+    eps_box_frac: float = DEFAULT_EPS_BOX_FRAC
     # Objective / optimizer
     alpha: float = 0.5
     t_variants: int = 2
     sensoraug: bool = True
     lr: float = 1e-4
-    lr_halve_every: int = 40
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 4
     epochs: int = 12
     max_steps: int = 0
     seed: int = 0
     # Virtual sensor
-    sensor_vfov_deg: float = 49.1
-    sensor_hfov_deg: float = 49.1
-    depth_buffer_res: int = 160
-    depth_eps: float = 0.01
-    min_visible_frac: float = 0.05
+    sensor_vfov_deg: float = DEFAULT_FOV_DEG
+    sensor_hfov_deg: float = DEFAULT_FOV_DEG
+    depth_buffer_res: int = DEFAULT_DEPTH_BUFFER_RES
     # Data
     data_manifest: str = ""
     val_count: int = 20
@@ -123,10 +119,6 @@ class RunConfig:
         check(self.alpha >= 0, "alpha must be >= 0")
         check(self.t_variants >= 0, "t_variants must be >= 0")
         check(self.lr > 0, "lr must be > 0")
-        check(self.lr_halve_every >= 1, "lr_halve_every must be >= 1")
-        check(0 <= self.adam_beta1 < 1, "adam_beta1 must be in [0, 1)")
-        check(0 <= self.adam_beta2 < 1, "adam_beta2 must be in [0, 1)")
-        check(self.adam_eps > 0, "adam_eps must be > 0")
         check(self.batch_size >= 1, "batch_size must be >= 1")
         check(self.epochs >= 1, "epochs must be >= 1")
         check(self.max_steps >= 0, "max_steps must be >= 0 (0 = unlimited)")
@@ -134,8 +126,6 @@ class RunConfig:
         check(0 < self.sensor_vfov_deg < 180, "sensor_vfov_deg must be in (0, 180)")
         check(0 < self.sensor_hfov_deg < 180, "sensor_hfov_deg must be in (0, 180)")
         check(self.depth_buffer_res >= 16, "depth_buffer_res must be >= 16")
-        check(self.depth_eps > 0, "depth_eps must be > 0")
-        check(0 < self.min_visible_frac < 1, "min_visible_frac must be in (0, 1)")
         check(self.val_count >= 0, "val_count must be >= 0")
 
     # -- presets ----------------------------------------------------------

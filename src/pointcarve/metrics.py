@@ -17,7 +17,7 @@ from .cloud import PointCloud, compute_bounds, normalize_unit_cube
 from .config import RunConfig
 from .losses import chamfer
 from .pcio import read_text
-from .sensoraug import VisibilityConfig, draw_pose, visible_points
+from .sensoraug import MAX_POSE_ATTEMPTS, VisibilityConfig, draw_pose, visible_points
 from .training import complete_cloud
 
 OCCUPANCY_RES = 64
@@ -268,7 +268,7 @@ def _cull_to_level(
             normalized = normalize_unit_cube(partial)
         except ValueError:
             normalized = None
-        for _ in range(16 if normalized is not None else 0):
+        for _ in range(MAX_POSE_ATTEMPTS if normalized is not None else 0):
             pose = draw_pose(rng, fov[0], fov[1])
             idx = visible_points(normalized, pose, vis_cfg)
             if len(idx) == 0:
@@ -321,7 +321,7 @@ def sensitivity_sweep(
             raise ValueError(f"level {lv} given twice")
     if method not in ("random", "sensor"):
         raise ValueError(f"unknown sweep cull method {method!r}")
-    vis_cfg = VisibilityConfig(config.depth_buffer_res, config.depth_eps)
+    vis_cfg = VisibilityConfig(config.depth_buffer_res)
     fov = (math.radians(config.sensor_vfov_deg), math.radians(config.sensor_hfov_deg))
     points: list[SweepPoint] = []
     for level in sorted(levels):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import warnings
 from pathlib import Path
 
@@ -141,9 +142,10 @@ def read_ply(path: str | Path) -> PointCloud:
             cols = {name: data[:, k] for k, (_, name) in enumerate(properties)}
         else:
             stride = sum(_PLY_SIZES[ptype] for ptype, _ in properties)
-            payload = fh.read(stride * n_vertices)
-            if len(payload) != stride * n_vertices:
+            # Checked before reading, so a huge claimed count allocates nothing.
+            if stride * n_vertices > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError(f"{path}: truncated binary payload")
+            payload = fh.read(stride * n_vertices)
             offsets = {}
             offset = 0
             for ptype, name in properties:

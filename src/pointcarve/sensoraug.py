@@ -16,7 +16,9 @@ import numpy as np
 from .cloud import PointCloud, normalize_unit_cube
 
 DEFAULT_FOV_DEG = 49.1
+DEFAULT_DEPTH_BUFFER_RES = 160
 MAX_POSE_ATTEMPTS = 16
+MIN_VISIBLE_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class SensorPose:
 class VisibilityConfig:
     """Depth-buffer sizing for the occlusion test."""
 
-    resolution: int = 160
+    resolution: int = DEFAULT_DEPTH_BUFFER_RES
     depth_eps: float = 0.01
 
     def __post_init__(self):
@@ -144,21 +146,20 @@ def generate_partials(
     cfg: VisibilityConfig = VisibilityConfig(),
     vfov: float = math.radians(DEFAULT_FOV_DEG),
     hfov: float = math.radians(DEFAULT_FOV_DEG),
-    min_visible_frac: float = 0.05,
 ) -> list[PointCloud]:
     """T partial views of gt from independent random sensors.
 
     The cloud is normalized to [-0.5, 0.5]^3 for the visibility test and the
     surviving points are returned in the original frame (selected by index,
     so each partial is an exact subset of gt). A pose that sees fewer than
-    min_visible_frac of the points is re-drawn, up to 16 attempts.
+    MIN_VISIBLE_FRAC of the points is re-drawn, up to MAX_POSE_ATTEMPTS times.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     normalized = normalize_unit_cube(gt)
     rng = np.random.default_rng(seed)
     partials = []
-    min_count = max(1, int(math.ceil(min_visible_frac * len(gt))))
+    min_count = max(1, int(math.ceil(MIN_VISIBLE_FRAC * len(gt))))
     for _ in range(t):
         for _attempt in range(MAX_POSE_ATTEMPTS):
             pose = draw_pose(rng, vfov, hfov)

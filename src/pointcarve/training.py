@@ -27,6 +27,12 @@ from .losses import LossBreakdown, chamfer, chamfer_and_grad
 from .refine import RefineTape, refine, refine_grads
 from .sensoraug import VisibilityConfig, generate_partials
 
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_HALVE_EVERY = 40
+
 
 @dataclass
 class OptimizerState:
@@ -51,10 +57,9 @@ def optimizer_step(
     params: np.ndarray,
     grads: np.ndarray,
     state: OptimizerState,
-    hyper: tuple[float, float, float, float],
+    lr: float,
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One bias-corrected adaptive-moment update on the flat parameter vector."""
-    lr, beta1, beta2, eps = hyper
+    """One bias-corrected Adam update on the flat parameter vector."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
@@ -63,19 +68,19 @@ def optimizer_step(
     if len(bad):
         raise ValueError(f"non-finite gradient at parameter index {int(bad[0])}")
     step = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads**2
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads**2
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, OptimizerState(step=step, m=m, v=v)
 
 
-def lr_schedule(epoch: int, lr0: float, halve_every: int = 40) -> float:
-    """Step-halving schedule: lr0 * 0.5^(epoch // halve_every)."""
+def lr_schedule(epoch: int, lr0: float) -> float:
+    """Step-halving schedule: lr0 * 0.5^(epoch // LR_HALVE_EVERY)."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return lr0 * 0.5 ** (epoch // halve_every)
+    return lr0 * 0.5 ** (epoch // LR_HALVE_EVERY)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +112,12 @@ def forward_sample(
     config: RunConfig,
     keep_cache: bool = False,
 ) -> SampleForward:
-    block = make_block(partial, range, config)
-    result = engrave(block, params, config.coarse_m, config.carve_threshold, keep_cache)
-    dense, tape = refine(result.coarse, result.features, params.refine_layers, keep_cache)
+    # Weights or inputs that overflow make non-finite values, which the
+    # stages' own finite checks name; numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = make_block(partial, range, config)
+        result = engrave(block, params, config.coarse_m, config.carve_threshold, keep_cache)
+        dense, tape = refine(result.coarse, result.features, params.refine_layers, keep_cache)
     return SampleForward(engrave=result, dense=dense, refine_tape=tape)
 
 
@@ -184,15 +192,13 @@ def loss_and_grads_sample(
     grads: dict[str, np.ndarray] = {}
     use_aug = config.sensoraug and config.alpha > 0 and config.t_variants > 0
     if use_aug:
-        vis_cfg = VisibilityConfig(config.depth_buffer_res, config.depth_eps)
         variants = generate_partials(
             gt,
             config.t_variants,
             aug_seed,
-            vis_cfg,
+            VisibilityConfig(config.depth_buffer_res),
             math.radians(config.sensor_vfov_deg),
             math.radians(config.sensor_hfov_deg),
-            config.min_visible_frac,
         )
         for variant_partial in variants:
             vfwd = forward_sample(variant_partial, range, params, config, keep_cache=True)
@@ -288,12 +294,11 @@ def train_toy(
     params = params.with_flat(master)
     state = OptimizerState.zeros(master.size)
     rng = np.random.default_rng(config.seed)
-    hyper_tail = (config.adam_beta1, config.adam_beta2, config.adam_eps)
 
     records: list[EpochRecord] = []
     steps_done = 0
     for epoch in range(config.epochs):
-        lr = lr_schedule(epoch, config.lr, config.lr_halve_every)
+        lr = lr_schedule(epoch, config.lr)
         order = rng.permutation(len(train_set))
         epoch_comp, epoch_sim, epoch_total = [], [], []
         for start in range(0, len(order), config.batch_size):
@@ -315,7 +320,7 @@ def train_toy(
                 batch_losses.append(result.loss)
                 _accumulate(batch_grads, result.grads)
             grads_flat = params.flatten_grads(batch_grads) / len(batch)
-            master, state = optimizer_step(master, grads_flat, state, (lr, *hyper_tail))
+            master, state = optimizer_step(master, grads_flat, state, lr)
             params = params.with_flat(master)
             steps_done += 1
             epoch_comp.extend(l.comp for l in batch_losses)

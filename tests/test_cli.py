@@ -40,6 +40,10 @@ val_count = 1
 seed = 3
 """
 
+# The keys a v4 config text held that v5 made constants, at their v4 defaults.
+V4_ONLY_KEYS = [("lr_halve_every", "40"), ("adam_beta1", "0.9"), ("adam_beta2", "0.999"),
+                ("adam_eps", "1e-08"), ("depth_eps", "0.01"), ("min_visible_frac", "0.05")]
+
 
 def rewrite_config(raw: bytes, old: str, new: str) -> bytes:
     """The checkpoint `raw` with `old` replaced by `new` in its config text, re-hashed."""
@@ -183,6 +187,8 @@ def test_train_with_too_few_bottleneck_cells_leaves_no_log(synth_dir, tmp_path, 
     ("seed = 3", "block_sampling = random", "tiny.cfg:16: unknown config key 'block_sampling'"),
     ("seed = 3", "mirror_axis = z", "tiny.cfg:16: unknown config key 'mirror_axis'"),
     ("seed = 3", "detach_anchors = true", "tiny.cfg:16: unknown config key 'detach_anchors'"),
+    *[("seed = 3", f"{key} = {value}", f"tiny.cfg:16: unknown config key '{key}'")
+      for key, value in V4_ONLY_KEYS],
 ])
 def test_train_rejects_config_in_one_line(synth_dir, tmp_path, capsys, old, new, needle):
     cfg_path = tmp_path / "tiny.cfg"
@@ -491,6 +497,37 @@ class TestDegenerateComplete:
         assert line.startswith("error: coarse coordinates overflow float32: largest magnitude")
         assert not out.exists()
 
+    @pytest.mark.parametrize("tensor,message", [
+        ("stem.w", "kernel head output contains non-finite values"),
+        ("stem.b", "kernel head output contains non-finite values"),
+        ("enc1.b", "grid values contain non-finite entries"),
+    ])
+    def test_overflowing_weights_exit_1_in_one_line(self, tmp_path, capsys, tensor, message):
+        # Finite float32 weights whose forward overflows: a stage's own finite
+        # check names the failure, and numpy prints no warning first.
+        params = CarveModelParams.initialize(self.DESK.carve_config(), 0)
+        params.tensors[tensor][0] = 3e38
+        ckpt, src, out = tmp_path / "big.ckpt", tmp_path / "in.xyz", tmp_path / "out.xyz"
+        save_checkpoint(ckpt, params, CheckpointMeta.from_config(self.DESK))
+        write_xyz(src, PointCloud(np.random.default_rng(0).random((64, 3))))
+        capsys.readouterr()
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["complete", "--ckpt", str(ckpt), "--in", str(src), "--out", str(out)])
+        line = assert_one_line_failure(code, capsys, "")
+        assert line == f"error: {message}"
+        assert np.geterr() == before
+        assert not out.exists()
+
+
+def _as_v4(raw: bytes) -> bytes:
+    """The file a v4 build saves for the same run: its text holds the v4-only keys."""
+    for after, keys in [("lr = 0.0001\n", V4_ONLY_KEYS[:4]),
+                        ("depth_buffer_res = 160\n", V4_ONLY_KEYS[4:])]:
+        raw = rewrite_config(raw, after, after + "".join(f"{k} = {v}\n" for k, v in keys))
+    return raw[:4] + (4).to_bytes(4, "little") + raw[8:]
+
 
 def _flip_config_byte(raw: bytes) -> bytes:
     out = bytearray(raw)
@@ -508,11 +545,12 @@ CKPT_CASES = {
     "version-1": (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
                   "unsupported checkpoint version 1 "),
     "version-2": (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
-                  "unsupported checkpoint version 2 (this build reads version 4)"),
+                  "unsupported checkpoint version 2 (this build reads version 5)"),
     "version-3": (lambda raw: raw[:4] + (3).to_bytes(4, "little") + raw[8:],
-                  "unsupported checkpoint version 3 (this build reads version 4)"),
-    # Older config texts under a v4 header: the gt (v2) and mirror (v3)
-    # constructions are gone, as are the keys v2 and v3 texts still hold.
+                  "unsupported checkpoint version 3 (this build reads version 5)"),
+    "version-4": (_as_v4, "unsupported checkpoint version 4 (this build reads version 5)"),
+    # Older config texts under a v5 header: the gt (v2) and mirror (v3)
+    # constructions are gone, as are the keys v2, v3 and v4 texts still hold.
     "construction-gt": (lambda raw: rewrite_config(raw, "block_construction = uniform",
                                                    "block_construction = gt"),
                         "block_construction must be one of ('uniform', 'none'), got 'gt'"),
@@ -526,6 +564,8 @@ CKPT_CASES = {
     "mirror_axis": (_with_line("mirror_axis = x"), "unknown config key 'mirror_axis'"),
     "detach_anchors": (_with_line("detach_anchors = false"),
                        "unknown config key 'detach_anchors'"),
+    **{key: (_with_line(f"{key} = {value}"), f"unknown config key '{key}'")
+       for key, value in V4_ONLY_KEYS},
     "flipped-config-byte": (_flip_config_byte, "does not match its stored hash"),
     "grid_res-0": (lambda raw: rewrite_config(raw, "grid_res = 8", "grid_res = 0"),
                    "grid_res must be >= 4"),
@@ -577,6 +617,12 @@ PLY_CASES = {
          + "end_header\n").encode()
         + np.array([[0, 0, 0], [1, np.nan, 3], [np.inf, 0, 0]], "<f4").tobytes(),
         "vertex 1: non-finite coordinate"),
+    # Compared with the file's size before any read, so neither count is
+    # allocated (10^18 vertices do not fit an index).
+    **{f"binary-count-{count}": (
+        (f"ply\nformat binary_little_endian 1.0\nelement vertex {count}\n" + _PLY_XYZ
+         + "end_header\n").encode() + bytes(12),
+        "truncated binary payload") for count in (10**12, 10**18)},
 }
 
 MANIFEST_CASES = {

@@ -1,6 +1,7 @@
 """File formats: XYZ, PLY, config round trips, checkpoint container."""
 
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -135,6 +136,22 @@ class TestPly:
         with pytest.raises(ValueError, match="truncated"):
             read_ply(p)
 
+    def test_huge_count_is_checked_before_reading(self, tmp_path):
+        # A payload of 10^7 vertices (120 MB) claimed by a 12-byte body is
+        # rejected against the file's size, with no buffer allocated for it.
+        p = tmp_path / "huge.ply"
+        p.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 10000000\n"
+                      b"property float x\nproperty float y\nproperty float z\nend_header\n"
+                      + bytes(12))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated binary payload"):
+                read_ply(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_unknown_property_skipped_with_warning(self, tmp_path):
         p = tmp_path / "extra.ply"
         p.write_text(
@@ -195,7 +212,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_floats_rejected(self, value):
         float_keys = [f.name for f in fields(RunConfig) if f.type == "float"]
-        assert "carve_threshold" in float_keys and "adam_eps" in float_keys
+        assert "carve_threshold" in float_keys and "sensor_vfov_deg" in float_keys
         for key in float_keys:
             with pytest.raises(ValueError, match=f"invalid config: {key} must be finite"):
                 RunConfig(**{key: value})
@@ -212,10 +229,9 @@ class TestRunConfig:
                   block_construction="none", n_per_axis=4, bounds_padding_gt=0.1,
                   bounds_padding_partial=1e-300, eps_box_frac=0.1 + 0.2, alpha=2.0,
                   t_variants=0, sensoraug=False, lr=3e-5,
-                  lr_halve_every=1, adam_beta1=0.0, adam_beta2=0.5, adam_eps=1e-12,
                   batch_size=1, epochs=1, max_steps=9, seed=3, sensor_vfov_deg=1.5,
-                  sensor_hfov_deg=179.0, depth_buffer_res=16, depth_eps=2.0,
-                  min_visible_frac=0.5, data_manifest="m.txt", val_count=0),
+                  sensor_hfov_deg=179.0, depth_buffer_res=16, data_manifest="m.txt",
+                  val_count=0),
         RunConfig(data_manifest="dir with space/a=b.txt"),
         RunConfig(data_manifest="données/ü.txt", lr=1, alpha=0),
     ]
@@ -250,10 +266,12 @@ class TestRunConfig:
     def test_existing_config_text_and_hashes_unchanged(self):
         # The canonical texts of the presets hash as they did before the
         # field type and string rules (values computed by the earlier code),
-        # re-pinned when checkpoint v3 dropped `gt_points_count` and when v4
-        # dropped `block_sampling`, `mirror_axis` and `detach_anchors`.
-        assert RunConfig().config_hash() == "7fd7c1fed9e8"
-        assert RunConfig.preset("paper").config_hash() == "0845032398d6"
+        # re-pinned when checkpoint v3 dropped `gt_points_count`, when v4
+        # dropped `block_sampling`, `mirror_axis` and `detach_anchors`, and
+        # when v5 dropped `lr_halve_every`, `adam_beta1`, `adam_beta2`,
+        # `adam_eps`, `depth_eps` and `min_visible_frac`.
+        assert RunConfig().config_hash() == "083a5e6b7ca0"
+        assert RunConfig.preset("paper").config_hash() == "afc6708e7f28"
         text = "# desk\ngrid_res = 32  # inline\nlr = 0.0001\nsensoraug = true\ndata_manifest =\n"
         assert RunConfig.from_text(text) == RunConfig()
 

@@ -13,6 +13,7 @@ from pointcarve import (
     generate_partials,
     visible_points,
 )
+from pointcarve.sensoraug import MIN_VISIBLE_FRAC
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
 
 from conftest import random_cloud
@@ -157,6 +158,6 @@ class TestGeneratePartials:
 
     def test_min_fraction_enforced(self):
         gt, _ = gen_shape(SyntheticShapeSpec("sphere", count=512, seed=3))
-        for partial in generate_partials(gt, 4, seed=4, min_visible_frac=0.05):
-            assert len(partial) >= 0.05 * len(gt)
+        for partial in generate_partials(gt, 4, seed=4):
+            assert len(partial) >= MIN_VISIBLE_FRAC * len(gt)
 

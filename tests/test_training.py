@@ -55,16 +55,14 @@ class TestOptimizerStep:
     def test_zero_gradients_leave_params(self):
         params = np.array([1.0, -2.0, 3.0])
         state = OptimizerState.zeros(3)
-        new, new_state = optimizer_step(params, np.zeros(3), state, (0.1, 0.9, 0.999, 1e-8))
+        new, new_state = optimizer_step(params, np.zeros(3), state, 0.1)
         np.testing.assert_array_equal(new, params)
         assert new_state.step == 1
 
     def test_single_scalar_first_step(self):
         # Bias-corrected first step with g=1: update is -lr / (1 + eps).
         lr, eps = 0.05, 1e-8
-        new, _ = optimizer_step(
-            np.array([0.7]), np.array([1.0]), OptimizerState.zeros(1), (lr, 0.9, 0.999, eps)
-        )
+        new, _ = optimizer_step(np.array([0.7]), np.array([1.0]), OptimizerState.zeros(1), lr)
         assert new[0] == pytest.approx(0.7 - lr / (1.0 + eps), abs=1e-15)
 
     def test_deterministic_trajectory(self):
@@ -75,7 +73,7 @@ class TestOptimizerStep:
             p = np.ones(5)
             state = OptimizerState.zeros(5)
             for g in grads:
-                p, state = optimizer_step(p, g, state, (0.01, 0.9, 0.999, 1e-8))
+                p, state = optimizer_step(p, g, state, 0.01)
             return p
 
         np.testing.assert_array_equal(run(), run())
@@ -84,11 +82,11 @@ class TestOptimizerStep:
         g = np.zeros(4)
         g[2] = np.nan
         with pytest.raises(ValueError, match="index 2"):
-            optimizer_step(np.zeros(4), g, OptimizerState.zeros(4), (0.1, 0.9, 0.999, 1e-8))
+            optimizer_step(np.zeros(4), g, OptimizerState.zeros(4), 0.1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            optimizer_step(np.zeros(3), np.zeros(4), OptimizerState.zeros(3), (0.1, 0.9, 0.999, 1e-8))
+            optimizer_step(np.zeros(3), np.zeros(4), OptimizerState.zeros(3), 0.1)
 
 
 class TestLrSchedule:
@@ -143,10 +141,8 @@ class TestTrainToy:
         coarse, dense = complete_cloud(partial, params, cfg, gt=gt)
         assert result.loss.comp == loss_comp(coarse, dense, gt)
         variants = generate_partials(
-            gt, cfg.t_variants, aug_seed,
-            VisibilityConfig(cfg.depth_buffer_res, cfg.depth_eps),
+            gt, cfg.t_variants, aug_seed, VisibilityConfig(cfg.depth_buffer_res),
             math.radians(cfg.sensor_vfov_deg), math.radians(cfg.sensor_hfov_deg),
-            cfg.min_visible_frac,
         )
         outs = [complete_cloud(v, params, cfg, gt=gt) for v in variants]
         assert len(outs) == 2
