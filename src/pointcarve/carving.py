@@ -28,7 +28,11 @@ Memory layout of the inference forward:
   is the interior of level0's padded buffer.
 - Training keeps its activations (`keep_cache`): there each decoder writes a
   fresh buffer, because the backward reads both the skips and the
-  decoders' activations.
+  decoders' activations. A kept tape is consumed by its backward:
+  `engrave_grads` takes it out of the `EngraveResult`, and `_unet_backward`
+  releases each activation, skip and skip gradient as soon as its last
+  reader is done, so a level's buffers are gone before the next level's
+  backward runs.
 - The kernel head's K^3 * H * W * M values never exist as a whole.
   `engrave` hands `cell_conv` the trunk and the head's weights, and
   `cell_conv` evaluates the taps one slab of x-planes at a time
@@ -397,32 +401,39 @@ def _unet_backward(cache: dict, params: CarveModelParams, d_trunk: np.ndarray) -
     trunk, which both heads' backward add up.
 
     Each activation's gradient reads the sign of the kept activation, which
-    equals the pre-activation's (see `nn.leaky_relu_grad`).
+    equals the pre-activation's (see `nn.leaky_relu_grad`). Consumes the
+    cache: each kept activation and each skip gradient is dropped once its
+    last reader is done.
     """
     cfg = params.config
     t = params.tensors
+    skips, acts = cache["skips"], cache["acts"]
     grads: dict[str, np.ndarray] = {}
     d_y = d_trunk
     d_skips = [None] * (cfg.stages + 1)
     for e in range(1, cfg.stages + 1):
         # Reverse of decoder stage e (the decoder ran stages..1, so dec1 first).
         j = cfg.stages - e
-        act = cache["acts"][j]
-        coarse = cache["skips"][e] if e == cfg.stages else cache["acts"][j - 1]
+        act, acts[j] = acts[j], None
+        coarse = skips[e] if e == cfg.stages else acts[j - 1]
         # Padded, so the flat backward reads the upstream's halo in place.
         d_pre = nn.leaky_relu_grad(act, d_y, out=nn.padded(act.shape, np.result_type(act, d_y)))
+        del act
         d_skips[e - 1], grads[f"dec{e}.w"], grads[f"dec{e}.b"], d_y = nn.conv3_grads(
-            cache["skips"][e - 1], t[f"dec{e}.w"], d_pre, up=coarse
+            skips[e - 1], t[f"dec{e}.w"], d_pre, up=coarse
         )
     # d_y now targets the bottleneck activation skips[stages].
     d_act = d_y
     for e in range(cfg.stages, 0, -1):
-        d_pre = nn.leaky_relu_grad(cache["skips"][e], d_act)
+        d_pre = nn.leaky_relu_grad(skips[e], d_act)
+        skips[e] = None
         d_in, grads[f"enc{e}.w"], grads[f"enc{e}.b"] = nn.conv3_grads(
-            cache["skips"][e - 1], t[f"enc{e}.w"], d_pre, stride=2
+            skips[e - 1], t[f"enc{e}.w"], d_pre, stride=2
         )
-        d_act = d_in + d_skips[e - 1]
-    act = cache["skips"][0]
+        d_in += d_skips[e - 1]
+        d_skips[e - 1] = None
+        d_act = d_in
+    act = skips[0]
     # Padded too: the stem's flat backward reads its halo in place.
     d_pre = nn.leaky_relu_grad(act, d_act, out=nn.padded(act.shape, np.result_type(act, d_act)))
     _, grads["stem.w"], grads["stem.b"] = nn.conv3_grads(
@@ -515,20 +526,23 @@ def engrave_grads(
     of the encoder-decoder and both heads, given the upstreams of the
     coarse points and of their (m, F) features.
 
-    Reads only what `engrave` saved. The feature head's backward runs on
-    the kept trunk rows; the sampling's query adjoint joins `d_coarse`
-    before gridding reverse's adjoint on the carved grid at its threshold
-    and point count, and its grid adjoint joins the kernel head's trunk
-    gradient from `cell_conv_grads` before `_unet_backward`.
+    Reads only what `engrave` saved, and consumes it: `result.unet_cache`
+    is None afterwards, so a second call raises, and the tape's buffers are
+    freed level by level as the backward passes them. The feature head's
+    backward runs on the kept trunk rows; the sampling's query adjoint
+    joins `d_coarse` before gridding reverse's adjoint on the carved grid at
+    its threshold and point count, and its grid adjoint joins the kernel
+    head's trunk gradient from `cell_conv_grads` before `_unet_backward`.
     """
     cache = result.unet_cache
     if cache is None:
         raise ValueError("engrave_grads needs an engrave run with keep_cache")
+    result.unet_cache = None
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
     trunk = FeatureGrid(cache["acts"][-1], result.block_grid.range)
     d_rows, grads["feature_head.w"], grads["feature_head.b"] = nn.linear_grads(
-        cache["rows"], t["feature_head.w"], d_features
+        cache.pop("rows"), t["feature_head.w"], d_features
     )
     d_coarse = d_coarse + feature_sample_query_grad(trunk, result.coarse, d_rows)
     d_carved = gridding_reverse_grad(result.carved, len(result.coarse), result.threshold, d_coarse)
@@ -536,5 +550,7 @@ def engrave_grads(
         result.block_grid, trunk.values, t["kernel_head.w"], t["kernel_head.b"], d_carved
     )
     d_trunk += feature_sample_grad(trunk, result.coarse, d_rows)
+    # The kept trunk's last reader is dec1's backward, which releases it.
+    del trunk
     grads.update(_unet_backward(cache, params, d_trunk))
     return grads

@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .carving import CarveModelConfig
+from .carving import KERNEL_SLAB_VOXELS, CarveModelConfig
 from .cloud import DEFAULT_EPS_BOX_FRAC
 from .pcio import read_text
 from .sensoraug import DEFAULT_DEPTH_BUFFER_RES, DEFAULT_FOV_DEG
@@ -24,6 +24,13 @@ from .sensoraug import DEFAULT_DEPTH_BUFFER_RES, DEFAULT_FOV_DEG
 # activation takes 64 MB (a desk-width stem output 0.5 GB), so a config text,
 # such as one stored in a checkpoint, cannot ask for a far larger grid.
 MAX_GRID_RES = 256
+
+# Most elements any one array of a run may hold (1 GiB of float32). Every
+# size field feeds some array (`_largest_array`), so a config text, such as
+# one stored in a checkpoint, cannot ask for an allocation that fails only
+# once a run makes it. The largest array of a desk-width model at
+# MAX_GRID_RES, its level-0 activation, holds 2^27.
+MAX_ARRAY_ELEMS = 1 << 28
 
 _CONSTRUCTION_MODES = ("uniform", "none")
 _DTYPES = ("float32", "float64")
@@ -90,6 +97,10 @@ class RunConfig:
         check(self.grid_res >= 4, f"grid_res must be >= 4, got {self.grid_res}")
         check(self.grid_res <= MAX_GRID_RES, f"grid_res must be <= {MAX_GRID_RES}, got {self.grid_res}")
         check(self.unet_stages >= 1, "unet_stages must be >= 1")
+        # Past this depth not even a MAX_GRID_RES grid keeps 2 cells per axis
+        # at the bottleneck; checked first, so 2^unet_stages below stays small.
+        max_stages = MAX_GRID_RES.bit_length() - 2
+        check(self.unet_stages <= max_stages, f"unet_stages must be <= {max_stages}, got {self.unet_stages}")
         # CarveModelConfig's two rules: whole cells at every stage, and at
         # least 2 of them per axis at the bottleneck.
         d = 2**self.unet_stages
@@ -127,6 +138,12 @@ class RunConfig:
         check(0 < self.sensor_hfov_deg < 180, "sensor_hfov_deg must be in (0, 180)")
         check(self.depth_buffer_res >= 16, "depth_buffer_res must be >= 16")
         check(self.val_count >= 0, "val_count must be >= 0")
+        elems, field, what = _largest_array(self)
+        check(
+            elems <= MAX_ARRAY_ELEMS,
+            f"{field}={getattr(self, field)!r} makes the {what} at least "
+            f"2^{elems.bit_length() - 1} elements, over the limit of {MAX_ARRAY_ELEMS}",
+        )
 
     # -- presets ----------------------------------------------------------
 
@@ -222,6 +239,34 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+
+
+def _largest_array(cfg: RunConfig) -> tuple[int, str, str]:
+    """(elements, field, name) of the largest array `cfg` implies, named by
+    the size field that gives it its largest factor."""
+    base, F, m = cfg.unet_base_width, cfg.feature_dim, cfg.coarse_m
+    grid = cfg.grid_res**3
+    # The widest decoder weight, decoder `unet_stages`'s, is (3, 3, 3, 3 * c, c).
+    c = base * 2 ** (cfg.unet_stages - 1)
+    # cell_conv's taps cover one slab of whole x-planes at a time.
+    slab = min(grid, max(cfg.grid_res**2, KERNEL_SLAB_VOXELS))
+    arrays = [
+        ("block lattice", [(cfg.n_per_axis**3, "n_per_axis"), (3, None)]),
+        ("level-0 activation", [(grid, "grid_res"), (base, "unet_base_width")]),
+        ("widest decoder weight", [(27 * 3 * c, "unet_base_width"), (c, None)]),
+        ("kernel head slab", [(cfg.kernel_size**3, "kernel_size"), (slab, "grid_res")]),
+        ("feature head weight", [(base, "unet_base_width"), (F, "feature_dim")]),
+        ("refine input", [(m, "coarse_m"), (F + 3, "feature_dim")]),
+        ("depth buffer", [(cfg.depth_buffer_res**2, "depth_buffer_res")]),
+    ]
+    in_dim, in_field = F + 3, "feature_dim"
+    for width in cfg.refine_widths:
+        arrays.append(("refine weight", [(in_dim, in_field), (width, "refine_widths")]))
+        arrays.append(("refine activation", [(m, "coarse_m"), (width, "refine_widths")]))
+        in_dim, in_field = width, "refine_widths"
+    what, factors = max(arrays, key=lambda a: math.prod(n for n, _ in a[1]))
+    field = max((f for f in factors if f[1]), key=lambda f: f[0])[1]
+    return math.prod(n for n, _ in factors), field, what
 
 
 _KINDS = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}

@@ -59,7 +59,12 @@ def optimizer_step(
     state: OptimizerState,
     lr: float,
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One bias-corrected Adam update on the flat parameter vector."""
+    """One bias-corrected Adam update on the flat parameter vector.
+
+    Consumes `state`: its moment arrays are updated in place and belong to
+    the returned state. `params` is never written; the updated parameters
+    are a fresh array.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
@@ -68,11 +73,23 @@ def optimizer_step(
     if len(bad):
         raise ValueError(f"non-finite gradient at parameter index {int(bad[0])}")
     step = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads**2
-    m_hat = m / (1.0 - ADAM_BETA1**step)
-    v_hat = v / (1.0 - ADAM_BETA2**step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    # m = b1*m + ((1-b1)*g) and v = b2*v + ((1-b2)*g^2), in place.
+    tmp = np.multiply(1.0 - ADAM_BETA1, grads)
+    m *= ADAM_BETA1
+    m += tmp
+    np.square(grads, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += tmp
+    # params - (lr*m_hat) / (sqrt(v_hat) + eps), into two buffers.
+    denom = np.divide(v, 1.0 - ADAM_BETA2**step, out=tmp)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    new_params = np.divide(m, 1.0 - ADAM_BETA1**step)
+    new_params *= lr
+    new_params /= denom
+    np.subtract(params, new_params, out=new_params)
     return new_params, OptimizerState(step=step, m=m, v=v)
 
 
@@ -145,10 +162,14 @@ def complete_cloud(
 def _backward_sample(
     fwd: SampleForward, params: CarveModelParams, d_coarse: np.ndarray, d_dense: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients for one forward pass given cloud upstreams."""
+    """Parameter gradients for one forward pass given cloud upstreams.
+
+    Consumes fwd's tapes: each is released once its backward has read it.
+    """
     layer_grads, d_features, d_coarse_refine = refine_grads(
         fwd.refine_tape, params.refine_layers, d_dense
     )
+    fwd.refine_tape = None
     d_coarse_total = np.asarray(d_coarse, dtype=np.float64) + d_coarse_refine
     grads = engrave_grads(fwd.engrave, params, d_coarse_total, d_features)
     for i, (gw, gb) in enumerate(layer_grads):
@@ -158,11 +179,13 @@ def _backward_sample(
 
 
 def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
+    """Add part's gradients into total's float64 arrays in place. A name new
+    to total gets a float64 copy, so no array of part is ever written."""
     for name, g in part.items():
         if name in total:
-            total[name] = total[name] + np.asarray(g, dtype=np.float64)
+            total[name] += g
         else:
-            total[name] = np.asarray(g, dtype=np.float64)
+            total[name] = np.array(g, dtype=np.float64)
 
 
 @dataclass
@@ -209,6 +232,8 @@ def loss_and_grads_sample(
             d_coarse = d_coarse + g_ac
             d_dense = d_dense + g_aq
             _accumulate(grads, _backward_sample(vfwd, params, g_vc, g_vq))
+            # Not kept through the next view's forward or the anchor's backward.
+            del vfwd
 
     _accumulate(grads, _backward_sample(anchor, params, d_coarse, d_dense))
     loss = LossBreakdown(
@@ -319,7 +344,9 @@ def train_toy(
                     )
                 batch_losses.append(result.loss)
                 _accumulate(batch_grads, result.grads)
-            grads_flat = params.flatten_grads(batch_grads) / len(batch)
+                del result
+            grads_flat = params.flatten_grads(batch_grads)
+            grads_flat /= len(batch)
             master, state = optimizer_step(master, grads_flat, state, lr)
             params = params.with_flat(master)
             steps_done += 1

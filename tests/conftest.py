@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,3 +52,30 @@ def run_fresh_python(code: str, *args: str) -> str:
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def heap_peak(fn, warmup=None) -> int:
+    """Peak bytes traced by `tracemalloc`, numpy's buffers included, while
+    `fn()` runs in a fresh thread, after `warmup()` in that thread.
+
+    The fresh thread starts with an empty `nn` workspace, so what `warmup`
+    does not fill counts towards the peak; allocations made before tracing
+    starts, and not freed, do not.
+    """
+    peaks = []
+
+    def run():
+        if warmup is not None:
+            warmup()
+        tracemalloc.start()
+        try:
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive() and peaks, "heap_peak's thread did not finish"
+    return peaks[0]

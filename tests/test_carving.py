@@ -271,6 +271,18 @@ class TestEngrave:
         with pytest.raises(ValueError, match="keep_cache"):
             engrave_grads(result, params, np.zeros((32, 3)), np.zeros(result.features.shape))
 
+    def test_grads_consume_the_kept_cache(self, rng):
+        params = CarveModelParams.initialize(TINY, seed=5)
+        partial = random_cloud(rng, 100)
+        block = build_point_block(partial, compute_bounds(partial, 0.05), 4)
+        result = engrave(block, params, 32, keep_cache=True)
+        upstreams = np.ones((32, 3)), np.ones(result.features.shape)
+        grads = engrave_grads(result, params, *upstreams)
+        assert result.unet_cache is None
+        assert set(grads) == {n for n in params.tensors if not n.startswith("refine")}
+        with pytest.raises(ValueError, match="^engrave_grads needs an engrave run with keep_cache$"):
+            engrave_grads(result, params, *upstreams)
+
     def test_untrained_model_finite(self, rng):
         params = CarveModelParams.initialize(TINY, seed=6)
         partial = random_cloud(rng, 32)

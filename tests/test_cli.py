@@ -189,6 +189,15 @@ def test_train_with_too_few_bottleneck_cells_leaves_no_log(synth_dir, tmp_path, 
     ("seed = 3", "detach_anchors = true", "tiny.cfg:16: unknown config key 'detach_anchors'"),
     *[("seed = 3", f"{key} = {value}", f"tiny.cfg:16: unknown config key '{key}'")
       for key, value in V4_ONLY_KEYS],
+    # Sizes no run could allocate (PiB to EiB) are refused by name.
+    ("coarse_m = 32", "coarse_m = 1000000000000000",
+     "invalid config: coarse_m=1000000000000000 makes the refine activation at least 2^52"),
+    ("n_per_axis = 3", "n_per_axis = 1000000",
+     "invalid config: n_per_axis=1000000 makes the block lattice at least 2^61"),
+    ("feature_dim = 4", "feature_dim = 10000000000000",
+     "invalid config: feature_dim=10000000000000 makes the refine input at least 2^48"),
+    ("refine_widths = 8,6", "refine_widths = 10000000000000,3",
+     "invalid config: refine_widths=(10000000000000, 3) makes the refine activation"),
 ])
 def test_train_rejects_config_in_one_line(synth_dir, tmp_path, capsys, old, new, needle):
     cfg_path = tmp_path / "tiny.cfg"
@@ -578,6 +587,11 @@ CKPT_CASES = {
     "refine_widths-0,3": (lambda raw: rewrite_config(raw, "refine_widths = 8,6",
                                                      "refine_widths = 0,3"),
                           "refine_widths must all be >= 3"),
+    "coarse_m-10^15": (lambda raw: rewrite_config(raw, "coarse_m = 32",
+                                                  "coarse_m = 1000000000000000"),
+                       "coarse_m=1000000000000000 makes the refine activation"),
+    "n_per_axis-10^6": (lambda raw: rewrite_config(raw, "n_per_axis = 3", "n_per_axis = 1000000"),
+                        "n_per_axis=1000000 makes the block lattice"),
     "trailing-bytes": (lambda raw: raw + b"\x00" * 4, "4 trailing bytes"),
     # Text that parses, but not to itself under to_text().
     "value-cut-at-hash": (lambda raw: rewrite_config(raw, "data_manifest = \n",

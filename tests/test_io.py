@@ -18,7 +18,7 @@ from pointcarve import (
     save_checkpoint,
 )
 from pointcarve.checkpoint import VERSION
-from pointcarve.config import MAX_GRID_RES
+from pointcarve.config import MAX_ARRAY_ELEMS, MAX_GRID_RES
 from pointcarve.pcio import (
     read_dataset_manifest,
     read_ply,
@@ -281,6 +281,25 @@ class TestRunConfig:
             RunConfig(grid_res=2048)
         with pytest.raises(ValueError, match="grid_res must be <= 256"):
             RunConfig.from_text("grid_res = 512\n")
+
+    def test_largest_implied_array_is_bounded(self):
+        # At MAX_GRID_RES a 16-wide level-0 activation is exactly the limit.
+        assert RunConfig(grid_res=MAX_GRID_RES, unet_base_width=16).unet_base_width == 16
+        assert MAX_ARRAY_ELEMS == MAX_GRID_RES**3 * 16
+        for text, want in [
+            ("grid_res = 256\nunet_base_width = 17\n", "grid_res=256 makes the level-0 activation"),
+            ("unet_base_width = 1000000\n", "unet_base_width=1000000 makes the widest decoder weight"),
+            ("kernel_size = 1001\n", "kernel_size=1001 makes the kernel head slab"),
+            ("depth_buffer_res = 100000\n", "depth_buffer_res=100000 makes the depth buffer"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"invalid config: {want} at least 2^")):
+                RunConfig.from_text(text)
+
+    def test_unet_stages_upper_bound(self):
+        assert RunConfig(grid_res=MAX_GRID_RES, unet_stages=7).unet_stages == 7
+        # Named before 2^unet_stages is formed: its digits would not print.
+        with pytest.raises(ValueError, match="invalid config: unet_stages must be <= 7, got 100000$"):
+            RunConfig.from_text("unet_stages = 100000\n")
 
     def test_grid_res_leaves_two_cells_at_the_bottleneck(self):
         # The model needs both rules; the config names both fields at once.

@@ -1,5 +1,6 @@
 """Optimizer, schedule, and the training loop on tiny instances."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,9 +22,9 @@ from pointcarve import (
 )
 from pointcarve.gradcheck import _fd_at, check_end_to_end
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
-from pointcarve.training import loss_and_grads_sample
+from pointcarve.training import _accumulate, loss_and_grads_sample
 
-from conftest import degenerate_partial, run_fresh_python
+from conftest import degenerate_partial, heap_peak, run_fresh_python
 
 TINY_CFG = RunConfig(
     grid_res=8,
@@ -288,3 +289,82 @@ def test_desk_bytes_do_not_depend_on_the_blas_thread_count():
     one, two = (run_fresh_python(DESK_AT_THREADS, n) for n in ("1", "2"))
     assert one.split()[0] == "1"
     assert one == two
+
+
+def desk_dataset(n=4):
+    """n desk-preset (partial, gt) pairs: one sensor view of each shape."""
+    cfg = RunConfig.preset("desk")
+    out = []
+    for i, family in enumerate(["box", "sphere", "torus", "wedge"][:n]):
+        gt, _ = gen_shape(SyntheticShapeSpec(family, count=2048, seed=i))
+        out.append((generate_partials(gt, 1, 100 + i, VisibilityConfig(cfg.depth_buffer_res))[0], gt))
+    return out
+
+
+class TestTensorLifetimes:
+    """Every training tensor is freed after its last reader, and no byte of
+    a gradient moves for it."""
+
+    # sha256 (first 16 hex digits) of a tiny float64 sample's loss repr and
+    # every gradient by name. The bytes hold for one numpy/BLAS build
+    # (ROADMAP item 9).
+    SAMPLE_DIGESTS = {
+        "t_variants=0": ({"t_variants": 0}, "17fc9d285eec3d16"),
+        "sensoraug=false": ({"sensoraug": False}, "17fc9d285eec3d16"),
+        "two views": ({}, "48498f82504d42fe"),
+    }
+
+    @pytest.mark.parametrize("case", list(SAMPLE_DIGESTS))
+    def test_sample_bytes_pinned(self, case):
+        change, want = self.SAMPLE_DIGESTS[case]
+        partial, gt = tiny_dataset(1, points=256)[0]
+        cfg = TINY_CFG.replace(alpha=0.5, sensoraug=True, t_variants=2).replace(**change)
+        params = CarveModelParams.initialize(cfg.carve_config(), 0)
+        result = loss_and_grads_sample(partial, gt, params, cfg, 7)
+        digest = hashlib.sha256(repr(result.loss).encode())
+        for name in sorted(result.grads):
+            digest.update(name.encode() + result.grads[name].tobytes())
+        assert digest.hexdigest()[:16] == want
+
+    def test_accumulate_never_writes_its_parts(self):
+        parts = [{"w": np.full(3, float(k)), "b": np.arange(2.0) + k} for k in (1, 2, 3)]
+        before = [{name: g.copy() for name, g in part.items()} for part in parts]
+        total = {}
+        for part in parts:
+            _accumulate(total, part)
+        for part, kept in zip(parts, before):
+            for name in kept:
+                np.testing.assert_array_equal(part[name], kept[name])
+                assert not np.shares_memory(part[name], total[name])
+        np.testing.assert_array_equal(total["w"], np.full(3, 6.0))
+        np.testing.assert_array_equal(total["b"], [6.0, 9.0])
+
+    def test_optimizer_step_never_writes_params(self):
+        rng = np.random.default_rng(2)
+        params, state = rng.standard_normal(6), OptimizerState.zeros(6)
+        before = params.copy()
+        for _ in range(3):
+            new, state = optimizer_step(params, rng.standard_normal(6), state, 0.1)
+            assert not np.shares_memory(new, params)
+            np.testing.assert_array_equal(params, before)
+
+    # Heap budgets, desk float32: the measured peaks (13.9 and 22.0 MiB)
+    # plus a margin. A tape kept past its backward, or a whole-vector copy
+    # in the optimizer, breaks them.
+    def test_one_desk_sample_heap_peak(self):
+        cfg = RunConfig.preset("desk")
+        params = CarveModelParams.initialize(cfg.carve_config(), 0)
+        (p0, g0), (p1, g1) = desk_dataset(2)
+        peak = heap_peak(lambda: loss_and_grads_sample(p1, g1, params, cfg, 5),
+                         warmup=lambda: loss_and_grads_sample(p0, g0, params, cfg, 4))
+        assert peak < 14.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_one_desk_train_step_heap_peak(self):
+        cfg = RunConfig.preset("desk")
+        params = CarveModelParams.initialize(cfg.carve_config(), 0)
+        dataset = desk_dataset(4)
+        peak = heap_peak(
+            lambda: train_toy(dataset, cfg.replace(max_steps=1, val_count=0), params=params),
+            warmup=lambda: loss_and_grads_sample(*dataset[0], params, cfg, 4),
+        )
+        assert peak < 23 * 2**20, f"{peak / 2**20:.2f} MiB"
