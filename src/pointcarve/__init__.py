@@ -55,7 +55,6 @@ from .metrics import (
 from .refine import refine, refine_grads
 from .sensoraug import (
     SensorPose,
-    VisibilityConfig,
     draw_pose,
     frustum_cull,
     generate_partials,
@@ -77,7 +76,7 @@ __all__ = [
     "EvalReport", "FeatureGrid", "LossBreakdown",
     "OptimizerState", "PointBlock", "PointCloud",
     "RunConfig", "SensorPose", "SyntheticShapeSpec",
-    "TrackedSequence", "VisibilityConfig", "VoxelGrid",
+    "TrackedSequence", "VoxelGrid",
     "build_point_block", "cd_scaled", "cell_conv", "cell_conv_grads",
     "chamfer", "chamfer_and_grad", "chamfer_grad", "complete_cloud", "compute_bounds",
     "consistency", "draw_pose", "engrave", "engrave_grads", "evaluate", "feature_sample",

@@ -29,10 +29,11 @@ Memory layout of the inference forward:
 - Training keeps its activations (`keep_cache`): there each decoder writes a
   fresh buffer, because the backward reads both the skips and the
   decoders' activations. A kept tape is consumed by its backward:
-  `engrave_grads` takes it out of the `EngraveResult`, and `_unet_backward`
-  releases each activation, skip and skip gradient as soon as its last
-  reader is done, so a level's buffers are gone before the next level's
-  backward runs.
+  `engrave_grads` takes it out of the `EngraveResult` and hands the trunk
+  gradient to it, so the tape owns that gradient too. `_unet_backward`
+  releases the trunk gradient, each activation, skip and skip gradient as
+  soon as its last reader is done, so a level's buffers are gone before
+  the next level's backward runs.
 - The kernel head's K^3 * H * W * M values never exist as a whole.
   `engrave` hands `cell_conv` the trunk and the head's weights, and
   `cell_conv` evaluates the taps one slab of x-planes at a time
@@ -396,20 +397,21 @@ def _unet_forward(values: np.ndarray, params: CarveModelParams, keep_cache: bool
     return y, cache
 
 
-def _unet_backward(cache: dict, params: CarveModelParams, d_trunk: np.ndarray) -> dict[str, np.ndarray]:
+def _unet_backward(cache: dict, params: CarveModelParams) -> dict[str, np.ndarray]:
     """Parameter gradients of the encoder-decoder given the gradient of its
-    trunk, which both heads' backward add up.
+    trunk, `cache["d_trunk"]`, which both heads' backward add up.
 
     Each activation's gradient reads the sign of the kept activation, which
     equals the pre-activation's (see `nn.leaky_relu_grad`). Consumes the
-    cache: each kept activation and each skip gradient is dropped once its
-    last reader is done.
+    cache: the trunk gradient, each kept activation and each skip gradient
+    is dropped once its last reader is done.
     """
     cfg = params.config
     t = params.tensors
     skips, acts = cache["skips"], cache["acts"]
     grads: dict[str, np.ndarray] = {}
-    d_y = d_trunk
+    # Popped, so the trunk gradient dies once dec1's backward returns.
+    d_y = cache.pop("d_trunk")
     d_skips = [None] * (cfg.stages + 1)
     for e in range(1, cfg.stages + 1):
         # Reverse of decoder stage e (the decoder ran stages..1, so dec1 first).
@@ -532,7 +534,8 @@ def engrave_grads(
     backward runs on the kept trunk rows; the sampling's query adjoint
     joins `d_coarse` before gridding reverse's adjoint on the carved grid at
     its threshold and point count, and its grid adjoint joins the kernel
-    head's trunk gradient from `cell_conv_grads` before `_unet_backward`.
+    head's trunk gradient from `cell_conv_grads`. That trunk gradient goes
+    to `_unet_backward` on the tape, which owns it from then on.
     """
     cache = result.unet_cache
     if cache is None:
@@ -546,11 +549,13 @@ def engrave_grads(
     )
     d_coarse = d_coarse + feature_sample_query_grad(trunk, result.coarse, d_rows)
     d_carved = gridding_reverse_grad(result.carved, len(result.coarse), result.threshold, d_coarse)
-    d_trunk, grads["kernel_head.w"], grads["kernel_head.b"] = cell_conv_grads(
+    # The trunk gradient lives on the tape, not in this frame.
+    cache["d_trunk"], grads["kernel_head.w"], grads["kernel_head.b"] = cell_conv_grads(
         result.block_grid, trunk.values, t["kernel_head.w"], t["kernel_head.b"], d_carved
     )
-    d_trunk += feature_sample_grad(trunk, result.coarse, d_rows)
-    # The kept trunk's last reader is dec1's backward, which releases it.
+    cache["d_trunk"] += feature_sample_grad(trunk, result.coarse, d_rows)
+    # The kept trunk's and its gradient's last reader is dec1's backward,
+    # which releases both.
     del trunk
-    grads.update(_unet_backward(cache, params, d_trunk))
+    grads.update(_unet_backward(cache, params))
     return grads

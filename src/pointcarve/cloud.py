@@ -144,17 +144,17 @@ def sample_block_points(range: BoundingRange, n_per_axis: int) -> PointCloud:
     return PointCloud(np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1))
 
 
-def build_point_block(partial: PointCloud, range: BoundingRange, n_per_axis: int) -> PointBlock:
-    """Assemble a point-block; out-of-range partial points are clamped.
+def build_point_block(
+    partial: PointCloud, range: BoundingRange, n_per_axis: int | None
+) -> PointBlock:
+    """Assemble a point-block: the partial plus n_per_axis^3 filler points,
+    or no filler when n_per_axis is None. Out-of-range partial points are
+    clamped.
 
     The number of clamped points is reported on the block rather than raised,
     to stay robust to noisy range estimates.
     """
-    return assemble_block(partial, sample_block_points(range, n_per_axis), range)
-
-
-def assemble_block(partial: PointCloud, sampled: PointCloud, range: BoundingRange) -> PointBlock:
-    """The partial, clamped into range, with the given filler points."""
+    sampled = PointCloud.empty() if n_per_axis is None else sample_block_points(range, n_per_axis)
     inside = range.contains(partial.points) if len(partial) else np.zeros(0, dtype=bool)
     clamped = int(len(partial) - inside.sum())
     return PointBlock(

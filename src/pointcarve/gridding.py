@@ -38,10 +38,6 @@ class VoxelGrid:
             raise ValueError("grid values contain non-finite entries")
         object.__setattr__(self, "values", v)
 
-    @property
-    def resolution(self) -> tuple[int, int, int]:
-        return self.values.shape
-
 
 @dataclass(frozen=True)
 class FeatureGrid:

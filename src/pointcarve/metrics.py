@@ -16,8 +16,7 @@ from .carving import CarveModelParams
 from .cloud import PointCloud, compute_bounds, normalize_unit_cube
 from .config import RunConfig
 from .losses import chamfer
-from .pcio import read_text
-from .sensoraug import MAX_POSE_ATTEMPTS, VisibilityConfig, draw_pose, visible_points
+from .sensoraug import MAX_POSE_ATTEMPTS, draw_pose, visible_points
 from .training import complete_cloud
 
 OCCUPANCY_RES = 64
@@ -115,56 +114,6 @@ class EvalReport:
             lines.append(f"category.{name}.mean_cd_scaled: {self.category_means[name]!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    @staticmethod
-    def load(path: str | Path) -> "EvalReport":
-        """Read a report `save` wrote. A file that is not UTF-8, a missing
-        key or a malformed value raises one ValueError naming the file."""
-        entries: dict[str, str] = {}
-        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if ": " not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key: value'")
-            key, _, value = line.partition(": ")
-            entries[key] = value
-        if entries.get("schema") != "pointcarve-eval-report/1":
-            raise ValueError(f"{path}: unknown report schema {entries.get('schema')!r}")
-
-        def field(key: str, parse):
-            if key not in entries:
-                raise ValueError(f"{path}: missing key {key!r}")
-            try:
-                return parse(entries[key])
-            except ValueError:
-                raise ValueError(f"{path}: {key}: malformed value {entries[key]!r}") from None
-
-        means: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for key in entries:
-            if key.startswith("category."):
-                # Off the right: a category name may itself hold dots.
-                name, _, fieldname = key.removeprefix("category.").rpartition(".")
-                if fieldname == "count":
-                    counts[name] = field(key, int)
-                elif fieldname == "mean_cd_scaled":
-                    means[name] = field(key, float)
-        return EvalReport(
-            category_means=means,
-            category_counts=counts,
-            overall=field("overall_cd_scaled", float),
-            weighted=field("weighted", _parse_bool),
-            config_hash=field("config_hash", str),
-            seed=field("seed", int),
-            created_utc=field("created_utc", str),
-        )
-
-
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(text)
-    return text == "true"
-
 
 @contextmanager
 def _naming(label: str):
@@ -250,7 +199,7 @@ def _cull_to_level(
     level: float,
     rng: np.random.Generator,
     method: str,
-    vis_cfg: VisibilityConfig,
+    resolution: int,
     fov: tuple[float, float],
 ) -> PointCloud | None:
     """Reduce the partial until its valid-point percentage enters
@@ -270,7 +219,7 @@ def _cull_to_level(
             normalized = None
         for _ in range(MAX_POSE_ATTEMPTS if normalized is not None else 0):
             pose = draw_pose(rng, fov[0], fov[1])
-            idx = visible_points(normalized, pose, vis_cfg)
+            idx = visible_points(normalized, pose, resolution)
             if len(idx) == 0:
                 continue
             candidate = PointCloud(partial.points[idx])
@@ -321,7 +270,6 @@ def sensitivity_sweep(
             raise ValueError(f"level {lv} given twice")
     if method not in ("random", "sensor"):
         raise ValueError(f"unknown sweep cull method {method!r}")
-    vis_cfg = VisibilityConfig(config.depth_buffer_res)
     fov = (math.radians(config.sensor_vfov_deg), math.radians(config.sensor_hfov_deg))
     points: list[SweepPoint] = []
     for level in sorted(levels):
@@ -330,7 +278,9 @@ def sensitivity_sweep(
         for i, (category, partial, gt) in enumerate(dataset):
             label = _label(i, category)
             with _naming(label):
-                culled = _cull_to_level(partial, gt, level, rng, method, vis_cfg, fov)
+                culled = _cull_to_level(
+                    partial, gt, level, rng, method, config.depth_buffer_res, fov
+                )
             if culled is not None and len(culled):
                 samples.append((label, culled, gt))
         if samples:

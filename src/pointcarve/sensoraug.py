@@ -2,8 +2,10 @@
 
 A range sensor is placed at unit distance from the (normalized) object
 center, points outside its viewing frustum are dropped, and occluded points
-are removed with a depth-buffer test. Partials are exact subsets of the
-source cloud.
+are removed with a depth-buffer test. The buffer's side is an int argument
+(a run passes its config's `depth_buffer_res`); its occlusion tolerance
+`DEPTH_EPS` and the re-draw rule (`MIN_VISIBLE_FRAC`, `MAX_POSE_ATTEMPTS`)
+are module constants. Partials are exact subsets of the source cloud.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ DEFAULT_FOV_DEG = 49.1
 DEFAULT_DEPTH_BUFFER_RES = 160
 MAX_POSE_ATTEMPTS = 16
 MIN_VISIBLE_FRAC = 0.05
+# Occlusion tolerance: a point within this view depth of its pixel's
+# nearest point is visible.
+DEPTH_EPS = 0.01
 
 
 @dataclass(frozen=True)
@@ -52,20 +57,6 @@ class SensorPose:
     @property
     def right(self) -> np.ndarray:
         return np.cross(self.view, self.up)
-
-
-@dataclass(frozen=True)
-class VisibilityConfig:
-    """Depth-buffer sizing for the occlusion test."""
-
-    resolution: int = DEFAULT_DEPTH_BUFFER_RES
-    depth_eps: float = 0.01
-
-    def __post_init__(self):
-        if self.resolution < 16:
-            raise ValueError("depth buffer resolution must be >= 16")
-        if self.depth_eps <= 0:
-            raise ValueError("depth_eps must be > 0")
 
 
 def draw_pose(
@@ -116,26 +107,28 @@ def frustum_cull(cloud: PointCloud, pose: SensorPose) -> np.ndarray:
 
 
 def visible_points(
-    cloud: PointCloud, pose: SensorPose, cfg: VisibilityConfig = VisibilityConfig()
+    cloud: PointCloud, pose: SensorPose, resolution: int = DEFAULT_DEPTH_BUFFER_RES
 ) -> np.ndarray:
     """Frustum-passing indices that survive the depth-buffer occlusion test.
 
     Points project to a resolution^2 buffer; within each pixel, points whose
-    view depth is within depth_eps of the pixel minimum are kept.
+    view depth is within DEPTH_EPS of the pixel minimum are kept.
     """
+    if resolution < 16:
+        raise ValueError("depth buffer resolution must be >= 16")
     idx = frustum_cull(cloud, pose)
     if len(idx) == 0:
         return idx
     x, y, z = _camera_coords(cloud.points[idx], pose)
     tan_h = math.tan(pose.hfov / 2)
     tan_v = math.tan(pose.vfov / 2)
-    res = cfg.resolution
+    res = resolution
     u = np.clip(((x / (tan_h * z) + 1.0) / 2.0 * res).astype(np.int64), 0, res - 1)
     v = np.clip(((y / (tan_v * z) + 1.0) / 2.0 * res).astype(np.int64), 0, res - 1)
     pixel = u * res + v
     min_depth = np.full(res * res, np.inf)
     np.minimum.at(min_depth, pixel, z)
-    keep = z <= min_depth[pixel] + cfg.depth_eps
+    keep = z <= min_depth[pixel] + DEPTH_EPS
     return idx[keep]
 
 
@@ -143,7 +136,7 @@ def generate_partials(
     gt: PointCloud,
     t: int,
     seed: int,
-    cfg: VisibilityConfig = VisibilityConfig(),
+    resolution: int = DEFAULT_DEPTH_BUFFER_RES,
     vfov: float = math.radians(DEFAULT_FOV_DEG),
     hfov: float = math.radians(DEFAULT_FOV_DEG),
 ) -> list[PointCloud]:
@@ -163,7 +156,7 @@ def generate_partials(
     for _ in range(t):
         for _attempt in range(MAX_POSE_ATTEMPTS):
             pose = draw_pose(rng, vfov, hfov)
-            idx = visible_points(normalized, pose, cfg)
+            idx = visible_points(normalized, pose, resolution)
             if len(idx) >= min_count:
                 break
         else:

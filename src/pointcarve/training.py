@@ -14,18 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carving import CarveModelParams, EngraveResult, engrave, engrave_grads
-from .cloud import (
-    BoundingRange,
-    PointBlock,
-    PointCloud,
-    assemble_block,
-    build_point_block,
-    compute_bounds,
-)
+from .cloud import BoundingRange, PointBlock, PointCloud, build_point_block, compute_bounds
 from .config import RunConfig
 from .losses import LossBreakdown, chamfer, chamfer_and_grad
 from .refine import RefineTape, refine, refine_grads
-from .sensoraug import VisibilityConfig, generate_partials
+from .sensoraug import generate_partials
 
 # Adam's moment decay rates and denominator floor.
 ADAM_BETA1 = 0.9
@@ -111,7 +104,7 @@ def make_block(partial: PointCloud, range: BoundingRange, config: RunConfig) -> 
     if mode == "uniform":
         return build_point_block(partial, range, config.n_per_axis)
     if mode == "none":
-        return assemble_block(partial, PointCloud.empty(), range)
+        return build_point_block(partial, range, None)
     raise ValueError(f"unknown block construction {mode!r}")
 
 
@@ -219,7 +212,7 @@ def loss_and_grads_sample(
             gt,
             config.t_variants,
             aug_seed,
-            VisibilityConfig(config.depth_buffer_res),
+            config.depth_buffer_res,
             math.radians(config.sensor_vfov_deg),
             math.radians(config.sensor_hfov_deg),
         )

@@ -1,7 +1,6 @@
 """Consistency, valid-point percentage, scaled CD and the report format."""
 
 import codecs
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -139,8 +138,23 @@ class TestEvaluate:
         report = evaluate(tiny_model, tiny_dataset, TINY_CFG)
         path = tmp_path / "report.txt"
         report.save(path)
-        loaded = EvalReport.load(path)
-        assert loaded == report
+        entries = dict(line.split(": ", 1) for line in path.read_text("utf-8").splitlines())
+        assert entries == {
+            "schema": "pointcarve-eval-report/1",
+            "created_utc": report.created_utc,
+            "config_hash": TINY_CFG.config_hash(),
+            "seed": str(TINY_CFG.seed),
+            "weighted": "false",
+            "overall_cd_scaled": repr(report.overall),
+            **{f"category.{name}.count": str(report.category_counts[name])
+               for name in ("box", "sphere")},
+            **{f"category.{name}.mean_cd_scaled": repr(report.category_means[name])
+               for name in ("box", "sphere")},
+        }
+        # repr gives the shortest text that reads back to the same float.
+        assert float(entries["overall_cd_scaled"]) == report.overall
+        for name, mean in report.category_means.items():
+            assert float(entries[f"category.{name}.mean_cd_scaled"]) == mean
 
     @pytest.mark.parametrize("names", [("car.v2",), ("car.v2", "plane")])
     def test_dotted_category_names_round_trip(self, names, tmp_path):
@@ -152,52 +166,21 @@ class TestEvaluate:
         )
         path = tmp_path / "report.txt"
         report.save(path)
-        assert "category.car.v2.mean_cd_scaled: 1.5" in path.read_text()
-        assert EvalReport.load(path) == report
-
-
-def _saved_report(path, names=("box", "sphere")):
-    means = {name: 1.5 + i for i, name in enumerate(names)}
-    report = EvalReport(
-        category_means=means, category_counts={name: 3 for name in names},
-        overall=float(np.mean(list(means.values()))), weighted=False,
-        config_hash="0123456789ab", seed=7, created_utc="2026-01-01T00:00:00Z",
-    )
-    report.save(path)
-    return report
+        categories = "".join(f"category.{name}.count: 3\n"
+                             f"category.{name}.mean_cd_scaled: {means[name]!r}\n"
+                             for name in names)
+        assert path.read_text("utf-8") == (
+            "schema: pointcarve-eval-report/1\n"
+            "created_utc: 2026-01-01T00:00:00Z\n"
+            "config_hash: 0123456789ab\n"
+            "seed: 7\n"
+            "weighted: false\n"
+            f"overall_cd_scaled: {report.overall!r}\n" + categories
+        )
 
 
 class TestReportLoad:
-    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
-        path = tmp_path / "report.txt"
-        _saved_report(path)
-        path.write_bytes(path.read_bytes().replace(b"box", b"b\xffx"))
-        with pytest.raises(ValueError, match=r"report\.txt: not UTF-8 text \(byte 0xff at offset \d+\)"):
-            EvalReport.load(path)
-
-    @pytest.mark.parametrize("key", ["overall_cd_scaled", "weighted", "config_hash", "seed",
-                                     "created_utc"])
-    def test_missing_key_is_named(self, key, tmp_path):
-        path = tmp_path / "report.txt"
-        _saved_report(path)
-        kept = [line for line in path.read_text().splitlines() if not line.startswith(f"{key}: ")]
-        path.write_text("\n".join(kept) + "\n")
-        with pytest.raises(ValueError, match=f"report\\.txt: missing key '{key}'"):
-            EvalReport.load(path)
-
-    @pytest.mark.parametrize("key,bad", [
-        ("overall_cd_scaled", "abc"), ("seed", "7.5"), ("weighted", "yes"),
-        ("category.box.count", "three"), ("category.sphere.mean_cd_scaled", "1,5"),
-    ])
-    def test_malformed_value_is_named(self, key, bad, tmp_path):
-        path = tmp_path / "report.txt"
-        _saved_report(path)
-        lines = [f"{key}: {bad}" if line.startswith(f"{key}: ") else line
-                 for line in path.read_text().splitlines()]
-        path.write_text("\n".join(lines) + "\n")
-        message = f"report.txt: {key}: malformed value '{bad}'"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            EvalReport.load(path)
+    """A saved report reads back as UTF-8 text whatever the locale."""
 
     def test_non_ascii_names_round_trip_under_an_ascii_locale(self, tmp_path, monkeypatch):
         # A C locale without UTF-8 mode or coercion: the locale's encoding
@@ -214,13 +197,15 @@ class TestReportLoad:
             "    category_counts={n: 3 for n in names}, overall=1.5, weighted=False,\n"
             "    config_hash='0123456789ab', seed=7, created_utc='2026-01-01T00:00:00Z')\n"
             "report.save(sys.argv[1])\n"
-            "assert EvalReport.load(sys.argv[1]) == report\n"
             "import locale; print(locale.getpreferredencoding(False))\n"
         )
         encoding = run_fresh_python(code, str(path)).strip()
         assert codecs.lookup(encoding).name == "ascii"
-        text = path.read_bytes().decode("utf-8")
-        assert "category.café.count: 3" in text and "category.мебель.count: 3" in text
+        lines = path.read_bytes().decode("utf-8").splitlines()
+        assert lines[6:] == [
+            "category.café.count: 3", "category.café.mean_cd_scaled: 1.5",
+            "category.мебель.count: 3", "category.мебель.mean_cd_scaled: 1.5",
+        ]
 
 
 class _RecordingPool:
@@ -302,11 +287,9 @@ class TestSensitivitySweep:
         gt = random_cloud(rng, 2000)
         params = CarveModelParams.initialize(TINY_CFG.carve_config(), seed=1)
         from pointcarve.metrics import _cull_to_level
-        from pointcarve.sensoraug import VisibilityConfig
 
         culled = _cull_to_level(
-            gt, gt, 0.5, np.random.default_rng(0), "random",
-            VisibilityConfig(32, 0.01), (0.85, 0.85),
+            gt, gt, 0.5, np.random.default_rng(0), "random", 32, (0.85, 0.85),
         )
         assert culled is not None
         assert 0.48 <= valid_point_percentage(culled, gt) <= 0.52

@@ -7,12 +7,12 @@ import numpy as np
 from pointcarve import (
     PointCloud,
     SensorPose,
-    VisibilityConfig,
     draw_pose,
     frustum_cull,
     generate_partials,
     visible_points,
 )
+from pointcarve import sensoraug
 from pointcarve.sensoraug import MIN_VISIBLE_FRAC
 from pointcarve.shapes import SyntheticShapeSpec, gen_shape
 
@@ -85,28 +85,28 @@ class TestFrustumCull:
 
 
 class TestVisiblePoints:
-    def test_two_points_one_ray(self):
+    def test_two_points_one_ray(self, monkeypatch):
         pose = axis_pose()
         near = [0.0, 0.0, 0.5]   # depth 0.5
         far = [0.0, 0.0, -0.4]   # depth 1.4, same pixel
         cloud = PointCloud(np.array([near, far]))
-        cfg = VisibilityConfig(resolution=64, depth_eps=0.01)
-        assert list(visible_points(cloud, pose, cfg)) == [0]
+        assert sensoraug.DEPTH_EPS == 0.01
+        assert list(visible_points(cloud, pose, 64)) == [0]
         # A tolerance beyond their gap keeps both.
-        cfg_loose = VisibilityConfig(resolution=64, depth_eps=1.0)
-        assert list(visible_points(cloud, pose, cfg_loose)) == [0, 1]
+        monkeypatch.setattr(sensoraug, "DEPTH_EPS", 1.0)
+        assert list(visible_points(cloud, pose, 64)) == [0, 1]
 
     def test_single_point_visible(self):
         pose = axis_pose()
         cloud = PointCloud(np.array([[0.01, -0.02, 0.1]]))
         assert len(visible_points(cloud, pose)) == 1
 
-    def test_huge_eps_reduces_to_frustum(self, rng):
+    def test_huge_eps_reduces_to_frustum(self, rng, monkeypatch):
         cloud = random_cloud(rng, 300, -0.5, 0.5)
         pose = draw_pose(np.random.default_rng(3))
-        cfg = VisibilityConfig(resolution=32, depth_eps=1e9)
+        monkeypatch.setattr(sensoraug, "DEPTH_EPS", 1e9)
         np.testing.assert_array_equal(
-            visible_points(cloud, pose, cfg), frustum_cull(cloud, pose)
+            visible_points(cloud, pose, 32), frustum_cull(cloud, pose)
         )
 
     def test_subset_of_frustum(self, rng):
@@ -117,23 +117,26 @@ class TestVisiblePoints:
             frus = set(frustum_cull(cloud, pose))
             assert vis <= frus
 
-    def test_eps_monotonicity(self, rng):
+    def test_eps_monotonicity(self, rng, monkeypatch):
         cloud = random_cloud(rng, 200, -0.5, 0.5)
         pose = draw_pose(np.random.default_rng(9))
-        small = set(visible_points(cloud, pose, VisibilityConfig(64, 0.005)))
-        large = set(visible_points(cloud, pose, VisibilityConfig(64, 0.05)))
+        monkeypatch.setattr(sensoraug, "DEPTH_EPS", 0.005)
+        small = set(visible_points(cloud, pose, 64))
+        monkeypatch.setattr(sensoraug, "DEPTH_EPS", 0.05)
+        large = set(visible_points(cloud, pose, 64))
         assert small <= large
 
-    def test_resolution_refinement_keeps_minima(self, rng):
+    def test_resolution_refinement_keeps_minima(self, rng, monkeypatch):
         # A pixel's unique depth minimum at resolution R stays visible at 2R.
         for seed in range(5):
             cloud = random_cloud(rng, 300, -0.5, 0.5)
             pose = draw_pose(np.random.default_rng(seed + 20))
-            eps = 0.01
-            coarse = set(visible_points(cloud, pose, VisibilityConfig(32, eps)))
-            fine = set(visible_points(cloud, pose, VisibilityConfig(64, eps)))
+            monkeypatch.setattr(sensoraug, "DEPTH_EPS", 0.01)
+            coarse = set(visible_points(cloud, pose, 32))
+            fine = set(visible_points(cloud, pose, 64))
             # minima of coarse pixels: approximate as points visible with tiny eps
-            minima = set(visible_points(cloud, pose, VisibilityConfig(32, 1e-12)))
+            monkeypatch.setattr(sensoraug, "DEPTH_EPS", 1e-12)
+            minima = set(visible_points(cloud, pose, 32))
             assert minima <= fine
 
 

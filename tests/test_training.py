@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from pointcarve import (
     OptimizerState,
     PointCloud,
     RunConfig,
-    VisibilityConfig,
+    build_point_block,
     complete_cloud,
+    compute_bounds,
     generate_partials,
     loss_comp,
     loss_sim,
@@ -142,7 +144,7 @@ class TestTrainToy:
         coarse, dense = complete_cloud(partial, params, cfg, gt=gt)
         assert result.loss.comp == loss_comp(coarse, dense, gt)
         variants = generate_partials(
-            gt, cfg.t_variants, aug_seed, VisibilityConfig(cfg.depth_buffer_res),
+            gt, cfg.t_variants, aug_seed, cfg.depth_buffer_res,
             math.radians(cfg.sensor_vfov_deg), math.radians(cfg.sensor_hfov_deg),
         )
         outs = [complete_cloud(v, params, cfg, gt=gt) for v in variants]
@@ -297,7 +299,7 @@ def desk_dataset(n=4):
     out = []
     for i, family in enumerate(["box", "sphere", "torus", "wedge"][:n]):
         gt, _ = gen_shape(SyntheticShapeSpec(family, count=2048, seed=i))
-        out.append((generate_partials(gt, 1, 100 + i, VisibilityConfig(cfg.depth_buffer_res))[0], gt))
+        out.append((generate_partials(gt, 1, 100 + i, cfg.depth_buffer_res)[0], gt))
     return out
 
 
@@ -368,3 +370,109 @@ class TestTensorLifetimes:
             warmup=lambda: loss_and_grads_sample(*dataset[0], params, cfg, 4),
         )
         assert peak < 23 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_trunk_gradient_dies_after_dec1(self, monkeypatch):
+        # dec1's backward is the trunk gradient's last reader; every later
+        # level's backward runs without it.
+        from pointcarve import carving, nn
+
+        cell_conv_grads, conv3_grads = carving.cell_conv_grads, nn.conv3_grads
+        refs, alive = [], []
+
+        def keep_ref(*args, **kwargs):
+            out = cell_conv_grads(*args, **kwargs)
+            refs.append(weakref.ref(out[0]))
+            return out
+
+        def check_ref(*args, **kwargs):
+            alive.append(refs[-1]() is not None)
+            return conv3_grads(*args, **kwargs)
+
+        monkeypatch.setattr(carving, "cell_conv_grads", keep_ref)
+        monkeypatch.setattr(nn, "conv3_grads", check_ref)
+        partial, gt = tiny_dataset(1, points=256)[0]
+        cfg = TINY_CFG.replace(alpha=0.5, sensoraug=True, t_variants=2)
+        params = CarveModelParams.initialize(cfg.carve_config(), 0)
+        loss_and_grads_sample(partial, gt, params, cfg, 7)
+        # Per backward: dec1 first, then the other decoders, the encoders, the stem.
+        per_backward = [True] + [False] * (2 * cfg.unet_stages)
+        assert len(refs) == 3 and alive == per_backward * 3
+
+
+class TestBlockConstruction:
+    def test_no_filler_block_counts_clamped_points(self):
+        range = compute_bounds(PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])))
+        partial = PointCloud(np.array([[0.5, 0.5, 0.5], [2.0, 0.5, -1.0], [0.2, 0.3, 0.4]]))
+        block = build_point_block(partial, range, None)
+        assert len(block.sampled) == 0 and len(block) == 3
+        assert block.clamped_count == 1
+        np.testing.assert_array_equal(block.partial.points[1], [1.0, 0.5, 0.0])
+        np.testing.assert_array_equal(block.all_points(), block.partial.points)
+
+    def test_both_constructions_call_build_point_block(self, monkeypatch):
+        # perfbench's tracer wraps `build_point_block`; `none` must not bypass it.
+        from pointcarve import training
+
+        calls = []
+
+        def counting(partial, range, n_per_axis):
+            calls.append(n_per_axis)
+            return build_point_block(partial, range, n_per_axis)
+
+        monkeypatch.setattr(training, "build_point_block", counting)
+        partial, gt = tiny_dataset(1, points=256)[0]
+        for construction in ("uniform", "none"):
+            cfg = TINY_CFG.replace(block_construction=construction)
+            training.make_block(partial, compute_bounds(gt), cfg)
+        assert calls == [TINY_CFG.n_per_axis, None]
+
+
+# Served and trained bytes at desk, from a fresh interpreter with one BLAS
+# thread: `complete_cloud`'s coarse and dense clouds for each dtype, block
+# construction and range source, and a float64 2-step `train_toy`'s
+# parameters and metrics log. A refactor that should move no byte keeps them.
+SERVED_AND_TRAINED = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import hashlib
+import pointcarve as pc
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+pairs = []
+for i, fam in enumerate(["box", "sphere", "torus", "wedge"]):
+    gt, _ = pc.gen_shape(pc.SyntheticShapeSpec(fam, count=1024, seed=40 + i))
+    pairs.append((pc.generate_partials(gt, 1, seed=50 + i)[0], gt))
+partial, gt = pairs[2]
+desk = pc.RunConfig.preset("desk")
+for dtype in ("float32", "float64"):
+    for construction in ("uniform", "none"):
+        cfg = desk.replace(dtype=dtype, block_construction=construction)
+        params = pc.CarveModelParams.initialize(cfg.carve_config(), 7)
+        for source, ref in (("partial", None), ("gt", gt)):
+            coarse, dense = pc.complete_cloud(partial, params, cfg, gt=ref)
+            print(f"complete {dtype} {construction} {source}:",
+                  digest(coarse.points.tobytes()), digest(dense.points.tobytes()))
+final, records = pc.train_toy(pairs, desk.replace(dtype="float64", epochs=2, val_count=0))
+print(f"train_toy float64 {len(records)} steps:", digest(final.flat().tobytes()),
+      digest("".join(r.format_line() for r in records).encode()))
+"""
+
+# The bytes hold for one numpy/BLAS build (ROADMAP item 9).
+SERVED_AND_TRAINED_DIGESTS = {
+    "complete float32 uniform partial": "87398fc9cb20db5e 01489ab0f48380b5",
+    "complete float32 uniform gt": "0492c3dab55375f2 db57cf0c606c0436",
+    "complete float32 none partial": "38cbc5c1e49e0621 2ff01c45398db1e1",
+    "complete float32 none gt": "f1b1f74f346c6767 021e3c259981c94f",
+    "complete float64 uniform partial": "1b30b523aa385c92 57fa27759e419dbe",
+    "complete float64 uniform gt": "8e48611152093465 1c9e19a04459cd32",
+    "complete float64 none partial": "aee8462aee8a207f d16043c67469a007",
+    "complete float64 none gt": "cbdf4490c4325342 58f757e55611022b",
+    "train_toy float64 2 steps": "cbe3f43f2777a7e9 0e46aa43cdcbab8c",
+}
+
+
+def test_served_and_trained_bytes_pinned():
+    out = run_fresh_python(SERVED_AND_TRAINED)
+    assert dict(line.split(": ") for line in out.splitlines()) == SERVED_AND_TRAINED_DIGESTS
